@@ -6,8 +6,8 @@
 //! parallel tasks. The tasks are then distributed to the parallel threads
 //! to perform concurrently."
 //!
-//! Concretely, each layer of each pass runs exactly **two parallel
-//! regions**, independent of how many messages the layer contains:
+//! Each layer of each pass runs **two phases**, independent of how many
+//! messages the layer contains:
 //!
 //! 1. **Separator phase** — the separator entries of *every* message in
 //!    the layer are packed into one flat task list; each task computes,
@@ -20,9 +20,60 @@
 //!    write conflicts because tasks partition the *receiver* entries.
 //!
 //! This yields the paper's three advantages: (i) tasks are sized by entry
-//! counts, so skewed clique sizes balance across threads; (ii) two regions
-//! per layer instead of three per message; (iii) the same code path is
-//! efficient on few-large-clique and many-small-clique trees.
+//! counts, so skewed clique sizes balance across threads; (ii) at most two
+//! regions per layer instead of three per message; (iii) the same code
+//! path is efficient on few-large-clique and many-small-clique trees.
+//!
+//! # A phase is a pool region only when the region pays
+//!
+//! Flattening is a cost argument — pay region overhead once per layer,
+//! not once per message — and the same argument says a phase with too
+//! little work should pay it zero times. Every phase therefore carries a
+//! decision compiled at engine construction from the plans' entry counts:
+//!
+//! * its **work estimate** `W` in table entries — separator phase:
+//!   Σ sender-clique entries (what `marginalize_fold` scans); receiver
+//!   phase: Σ receiver entries × incoming messages (what
+//!   `extend_multiply_range` touches);
+//! * `W ≥ PARALLEL_MIN_ENTRIES` on a pool wider than one ⇒ a
+//!   **parallel** phase: one pool region over `threads ×
+//!   CHUNKS_PER_THREAD` entry-range slices under a dynamic schedule;
+//! * otherwise an **inline** phase: the calling thread runs it without
+//!   touching the pool (no region, no wake-up, no `Arc`), and the task
+//!   list is **un-chunked** — one task per message, one per receiver
+//!   group — because slicing a 70-entry range only multiplies kernel
+//!   set-up. At pool width 1 every phase is inline.
+//!
+//! Both forms compute each separator entry's fiber sum in ascending
+//! source order and multiply each receiver entry by its ratios in
+//! ascending message order, so where the task boundaries fall — and hence
+//! the decision — never changes a bit of the result.
+//!
+//! ## The break-even
+//!
+//! Splitting `W` entries at `c` seconds per entry over `T` threads saves
+//! `W·c·(T−1)/T` and costs one hand-off `D`, so a region pays from
+//! `W* = D·T / ((T−1)·c)`. The committed benchmark rows
+//! (`benchmark/baseline/`) give `D` = 3.5–7 µs
+//! (`parallel.dispatch_handoff_us`: a region in which every member takes
+//! part, workers still spinning) and `c` ≈ 2.3 ns
+//! (`potential.marg_ns_per_entry` / `extmul_ns_per_entry`), hence
+//! `W*` ≈ 4 400 entries at `T = 2` with `D` = 5 µs, and less for wider
+//! pools. That is the floor with every worker spinning on the queue; a
+//! worker that was descheduled or has parked costs 70–150 µs
+//! (`parallel.dispatch_parked_us`), and one such miss has to be paid for
+//! by many regions that hit. A margin of just under 4× gives 16 384:
+//! every phase of the 376-clique pigs analogue (at most 4 401 entries,
+//! median 432) is inline, where per-layer fork-join ran at 0.35× the
+//! sequential engine, and 99.5 % of the `few-large-cliques` work stays
+//! parallel (its two smallest phases, 15 625 entries each, go inline).
+//! Pennock's depth-bound analysis (arXiv:1301.7406) is why a 50-layer
+//! tree of 700-entry cliques has nothing to gain from per-layer regions
+//! at any dispatch cost this pool could reach.
+//!
+//! The decision lives here and not in the pool:
+//! [`ThreadPool::parallel_for`] dispatches whatever it is given, because
+//! only the engine knows how many entries stand behind a task index.
 //!
 //! All index mappings live in the [`Prepared`]'s precompiled
 //! [`KernelPlan`](fastbn_potential::KernelPlan)s (one per clique/separator
@@ -42,11 +93,15 @@ use crate::engines::InferenceEngine;
 use crate::prepared::Prepared;
 use crate::state::WorkState;
 
-/// Flat chunks per thread and phase; 4 gives the dynamic schedule room to
-/// balance without inflating claim traffic.
+/// Flat chunks per thread in a parallel phase; 4 gives the dynamic
+/// schedule room to balance without inflating claim traffic.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// One separator-phase chunk: entries `[lo, hi)` of `msg`'s separator.
+/// Work, in table entries, from which a phase is worth a pool region
+/// (derivation in the module header). Below it the phase runs inline.
+const PARALLEL_MIN_ENTRIES: usize = 16_384;
+
+/// One separator-phase task: entries `[lo, hi)` of `msg`'s separator.
 struct SepTask {
     msg: usize,
     lo: usize,
@@ -60,11 +115,19 @@ struct RecvGroup {
     msgs: Vec<usize>,
 }
 
-/// One receiver-phase chunk: entries `[lo, hi)` of `group`'s receiver.
+/// One receiver-phase task: entries `[lo, hi)` of `group`'s receiver.
 struct RecvTask {
     group: usize,
     lo: usize,
     hi: usize,
+}
+
+/// One phase's task list with its compiled execution decision.
+struct Phase<T> {
+    /// `true`: one pool region over `tasks`. `false`: the caller runs
+    /// `tasks` in order and the pool is not touched.
+    parallel: bool,
+    tasks: Vec<T>,
 }
 
 /// The flattened task lists of one layer of one pass.
@@ -73,9 +136,9 @@ struct LayerPlan {
     /// path only walks the task lists).
     #[allow(dead_code)]
     msgs: Vec<usize>,
-    sep_tasks: Vec<SepTask>,
+    sep: Phase<SepTask>,
     recv_groups: Vec<RecvGroup>,
-    recv_tasks: Vec<RecvTask>,
+    recv: Phase<RecvTask>,
 }
 
 /// Fast-BNI-par: the hybrid flattened engine.
@@ -96,7 +159,8 @@ impl HybridJt {
     /// Builds the engine on an **injected** (possibly shared) pool — the
     /// multi-model path, where many engines run their regions on one
     /// worker team instead of spawning a team each. Task plans are sized
-    /// to the pool's width.
+    /// to the pool's width, and each phase's inline-or-region decision is
+    /// compiled here from the plans' entry counts.
     pub fn with_pool(prepared: Arc<Prepared>, pool: Arc<ThreadPool>) -> Self {
         let threads = pool.threads();
         let schedule = &prepared.built.schedule;
@@ -119,6 +183,23 @@ impl HybridJt {
         }
     }
 
+    /// Runs `body` over one phase's tasks: as a pool region when the
+    /// phase was compiled parallel, on the calling thread otherwise.
+    #[inline]
+    fn run_phase<T>(&self, phase: &Phase<T>, body: impl Fn(&T) + Sync)
+    where
+        T: Sync,
+    {
+        if phase.parallel {
+            self.pool
+                .parallel_for(0..phase.tasks.len(), Schedule::Dynamic { grain: 1 }, |t| {
+                    body(&phase.tasks[t])
+                });
+        } else {
+            phase.tasks.iter().for_each(body);
+        }
+    }
+
     /// Runs one layer: separator phase (fused marginalize + ratio +
     /// in-place separator update), then receiver phase (extension).
     fn run_layer(&self, raw: crate::state::SlabRaw, plan: &LayerPlan, collect: bool) {
@@ -130,70 +211,64 @@ impl HybridJt {
         // against the old value, separator updated in place (each entry is
         // owned by exactly one task, so read-then-overwrite is safe).
         raw.begin_phase();
-        self.pool.parallel_for(
-            0..plan.sep_tasks.len(),
-            Schedule::Dynamic { grain: 1 },
-            |t| {
-                let task = &plan.sep_tasks[t];
-                let m = messages[task.msg];
-                let edge = &prepared.sep_plans[m.sep];
-                let (sender, sender_plan) = if collect {
-                    (edge.child_clique, &edge.child)
-                } else {
-                    (edge.parent_clique, &edge.parent)
-                };
-                // SAFETY: sender cliques are not written during this phase
-                // (only separators and ratios are); each sep entry range
-                // `[lo, hi)` belongs to exactly one task, and sep/ratio
-                // regions are disjoint slab ranges.
-                unsafe {
-                    let sender_values =
-                        raw.slice(layout.clique_off[sender], layout.clique_len[sender]);
-                    let sep_chunk =
-                        raw.slice_mut(layout.sep_off[m.sep] + task.lo, task.hi - task.lo);
-                    let ratio_chunk =
-                        raw.slice_mut(layout.ratio_off[m.sep] + task.lo, task.hi - task.lo);
-                    sender_plan.marginalize_fold(sender_values, task.lo, task.hi, |i, acc| {
-                        let k = i - task.lo;
-                        ratio_chunk[k] = safe_div(acc, sep_chunk[k]);
-                        sep_chunk[k] = acc;
-                    });
-                }
-            },
-        );
+        self.run_phase(&plan.sep, |task| {
+            let m = messages[task.msg];
+            let edge = &prepared.sep_plans[m.sep];
+            let (sender, sender_plan) = if collect {
+                (edge.child_clique, &edge.child)
+            } else {
+                (edge.parent_clique, &edge.parent)
+            };
+            // SAFETY: sender cliques are not written during this phase
+            // (only separators and ratios are); each sep entry range
+            // `[lo, hi)` belongs to exactly one task, and sep/ratio
+            // regions are disjoint slab ranges.
+            unsafe {
+                let sender_values = raw.slice(layout.clique_off[sender], layout.clique_len[sender]);
+                let sep_chunk = raw.slice_mut(layout.sep_off[m.sep] + task.lo, task.hi - task.lo);
+                let ratio_chunk =
+                    raw.slice_mut(layout.ratio_off[m.sep] + task.lo, task.hi - task.lo);
+                sender_plan.marginalize_fold(sender_values, task.lo, task.hi, |i, acc| {
+                    let k = i - task.lo;
+                    ratio_chunk[k] = safe_div(acc, sep_chunk[k]);
+                    sep_chunk[k] = acc;
+                });
+            }
+        });
 
-        // ---- Phase 2: extension over flat receiver entries. The pool
-        // barrier between the phases is what makes re-claiming phase-1
-        // regions sound, so the tracker generation resets here too.
+        // ---- Phase 2: extension over flat receiver entries. The barrier
+        // between the phases (the pool's, or program order when both ran
+        // inline) is what makes re-claiming phase-1 regions sound, so the
+        // tracker generation resets here too.
         raw.begin_phase();
-        self.pool.parallel_for(
-            0..plan.recv_tasks.len(),
-            Schedule::Dynamic { grain: 1 },
-            |t| {
-                let task = &plan.recv_tasks[t];
-                let group = &plan.recv_groups[task.group];
-                // SAFETY: receiver entry ranges partition each receiver
-                // exactly once across tasks; ratios are read-only; sender
-                // cliques are untouched this phase.
-                unsafe {
-                    let recv_chunk = raw.slice_mut(
-                        layout.clique_off[group.receiver] + task.lo,
-                        task.hi - task.lo,
-                    );
-                    for &id in &group.msgs {
-                        let m = messages[id];
-                        let edge = &prepared.sep_plans[m.sep];
-                        // The *receiver*-side plan maps its entries onto
-                        // the separator.
-                        let recv_plan = if collect { &edge.parent } else { &edge.child };
-                        let ratio_values =
-                            raw.slice(layout.ratio_off[m.sep], layout.sep_len[m.sep]);
-                        recv_plan.extend_multiply_range(recv_chunk, ratio_values, task.lo);
-                    }
+        self.run_phase(&plan.recv, |task| {
+            let group = &plan.recv_groups[task.group];
+            // SAFETY: receiver entry ranges partition each receiver
+            // exactly once across tasks; ratios are read-only; sender
+            // cliques are untouched this phase.
+            unsafe {
+                let recv_chunk = raw.slice_mut(
+                    layout.clique_off[group.receiver] + task.lo,
+                    task.hi - task.lo,
+                );
+                for &id in &group.msgs {
+                    let m = messages[id];
+                    let edge = &prepared.sep_plans[m.sep];
+                    // The *receiver*-side plan maps its entries onto
+                    // the separator.
+                    let recv_plan = if collect { &edge.parent } else { &edge.child };
+                    let ratio_values = raw.slice(layout.ratio_off[m.sep], layout.sep_len[m.sep]);
+                    recv_plan.extend_multiply_range(recv_chunk, ratio_values, task.lo);
                 }
-            },
-        );
+            }
+        });
     }
+}
+
+/// Whether a phase holding `work` table entries is dispatched as a pool
+/// region on a pool of `threads` members.
+fn pays_for_region(work: usize, threads: usize) -> bool {
+    threads > 1 && work >= PARALLEL_MIN_ENTRIES
 }
 
 /// Builds the flattened task lists for one layer.
@@ -205,14 +280,33 @@ fn build_layer_plan(
     threads: usize,
 ) -> LayerPlan {
     let messages: &[Message] = &prepared.built.schedule.messages;
-    let threads = threads.max(1);
+    // How many slices a phase's entries are cut into: enough for the
+    // dynamic schedule to balance a parallel phase, one (i.e. a task per
+    // message / receiver group) for an inline phase.
+    let slices = |parallel: bool| {
+        if parallel {
+            threads * CHUNKS_PER_THREAD
+        } else {
+            1
+        }
+    };
 
     // Separator tasks: pack all sep entries of the layer, cut by grain.
+    // The work behind them is the scan of each sender clique.
+    let sep_work: usize = layer
+        .iter()
+        .map(|&id| {
+            let m = messages[id];
+            let sender = if collect { m.child } else { m.parent };
+            prepared.clique_domains[sender].size()
+        })
+        .sum();
+    let sep_parallel = pays_for_region(sep_work, threads);
     let total_sep: usize = layer
         .iter()
         .map(|&id| prepared.sep_domains[messages[id].sep].size())
         .sum();
-    let sep_grain = (total_sep / (threads * CHUNKS_PER_THREAD)).max(1);
+    let sep_grain = (total_sep / slices(sep_parallel)).max(1);
     let mut sep_tasks = Vec::new();
     for &id in layer {
         let size = prepared.sep_domains[messages[id].sep].size();
@@ -245,12 +339,14 @@ fn build_layer_plan(
         g.msgs.sort_unstable();
     }
 
-    // Receiver tasks: weight = entries × incoming messages.
+    // Receiver tasks: weight = entries × incoming messages, which is also
+    // the phase's work estimate.
     let total_weight: usize = recv_groups
         .iter()
         .map(|g| prepared.clique_domains[g.receiver].size() * g.msgs.len())
         .sum();
-    let weight_grain = (total_weight / (threads * CHUNKS_PER_THREAD)).max(1);
+    let recv_parallel = pays_for_region(total_weight, threads);
+    let weight_grain = (total_weight / slices(recv_parallel)).max(1);
     let mut recv_tasks = Vec::new();
     for (gi, g) in recv_groups.iter().enumerate() {
         let size = prepared.clique_domains[g.receiver].size();
@@ -265,9 +361,15 @@ fn build_layer_plan(
 
     LayerPlan {
         msgs: layer.to_vec(),
-        sep_tasks,
+        sep: Phase {
+            parallel: sep_parallel,
+            tasks: sep_tasks,
+        },
         recv_groups,
-        recv_tasks,
+        recv: Phase {
+            parallel: recv_parallel,
+            tasks: recv_tasks,
+        },
     }
 }
 
@@ -315,42 +417,91 @@ mod tests {
     use fastbn_bayesnet::{datasets, generators, sampler, Evidence};
     use fastbn_jtree::JtreeOptions;
 
-    #[test]
-    fn task_lists_cover_every_entry_exactly_once() {
-        let net = datasets::asia();
-        let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
-        let engine = HybridJt::new(prepared.clone(), 3);
+    /// Asserts that `tasks` (as `(lo, hi)` ranges) tile `[0, size)`.
+    fn assert_tiles(mut covered: Vec<(usize, usize)>, size: usize) {
+        covered.sort_unstable();
+        assert_eq!(covered.first().map(|c| c.0), Some(0));
+        assert_eq!(covered.last().map(|c| c.1), Some(size));
+        assert!(covered.windows(2).all(|w| w[0].1 == w[1].0));
+    }
+
+    /// Every phase's task list covers each separator / receiver entry
+    /// exactly once, and an inline phase is un-chunked. Returns how many
+    /// phases were compiled (inline, parallel).
+    fn check_task_lists(prepared: &Arc<Prepared>, threads: usize) -> (usize, usize) {
+        let engine = HybridJt::new(prepared.clone(), threads);
+        let (mut inline, mut parallel) = (0, 0);
         for plan in engine.collect_plans.iter().chain(&engine.distribute_plans) {
             // Sep tasks partition each message's separator range.
             for &id in &plan.msgs {
                 let m = prepared.built.schedule.messages[id];
-                let size = prepared.sep_domains[m.sep].size();
-                let mut covered: Vec<(usize, usize)> = plan
-                    .sep_tasks
-                    .iter()
-                    .filter(|t| t.msg == id)
-                    .map(|t| (t.lo, t.hi))
-                    .collect();
-                covered.sort_unstable();
-                assert_eq!(covered.first().map(|c| c.0), Some(0));
-                assert_eq!(covered.last().map(|c| c.1), Some(size));
-                assert!(covered.windows(2).all(|w| w[0].1 == w[1].0));
+                let tasks = plan.sep.tasks.iter().filter(|t| t.msg == id);
+                assert_tiles(
+                    tasks.map(|t| (t.lo, t.hi)).collect(),
+                    prepared.sep_domains[m.sep].size(),
+                );
             }
             // Recv tasks partition each group's receiver range.
             for (gi, g) in plan.recv_groups.iter().enumerate() {
-                let size = prepared.clique_domains[g.receiver].size();
-                let mut covered: Vec<(usize, usize)> = plan
-                    .recv_tasks
-                    .iter()
-                    .filter(|t| t.group == gi)
-                    .map(|t| (t.lo, t.hi))
-                    .collect();
-                covered.sort_unstable();
-                assert_eq!(covered.first().map(|c| c.0), Some(0));
-                assert_eq!(covered.last().map(|c| c.1), Some(size));
-                assert!(covered.windows(2).all(|w| w[0].1 == w[1].0));
+                let tasks = plan.recv.tasks.iter().filter(|t| t.group == gi);
+                assert_tiles(
+                    tasks.map(|t| (t.lo, t.hi)).collect(),
+                    prepared.clique_domains[g.receiver].size(),
+                );
+            }
+            if !plan.sep.parallel {
+                assert_eq!(
+                    plan.sep.tasks.len(),
+                    plan.msgs.len(),
+                    "one task per message"
+                );
+            }
+            if !plan.recv.parallel {
+                assert_eq!(
+                    plan.recv.tasks.len(),
+                    plan.recv_groups.len(),
+                    "one per group"
+                );
+            }
+            for is_parallel in [plan.sep.parallel, plan.recv.parallel] {
+                if is_parallel {
+                    parallel += 1;
+                } else {
+                    inline += 1;
+                }
             }
         }
+        (inline, parallel)
+    }
+
+    #[test]
+    fn task_lists_cover_every_entry_exactly_once() {
+        // Asia: every phase is far below the break-even, at any width.
+        let asia = Arc::new(Prepared::new(&datasets::asia(), &JtreeOptions::default()));
+        let (_, parallel) = check_task_lists(&asia, 3);
+        assert_eq!(parallel, 0);
+
+        // Arity 6 over a window of 4 puts clique sizes on both sides of
+        // the constant (6^4 = 1 296, 6^5 = 7 776), so one tree mixes
+        // un-chunked inline phases with sliced parallel ones.
+        let spec = generators::WindowedDagSpec {
+            target_arcs: 60,
+            max_parents: 3,
+            window: 4,
+            arity: generators::ArityDist::Fixed(6),
+            seed: 3,
+            ..generators::WindowedDagSpec::new("straddle", 30)
+        };
+        let net = generators::windowed_dag(&spec);
+        let mixed = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+        let (inline, parallel) = check_task_lists(&mixed, 3);
+        assert!(
+            inline > 0 && parallel > 0,
+            "{inline} inline, {parallel} parallel"
+        );
+        // At width 1 the same tree compiles fully inline.
+        let (_, parallel) = check_task_lists(&mixed, 1);
+        assert_eq!(parallel, 0);
     }
 
     #[test]

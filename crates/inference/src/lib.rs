@@ -69,7 +69,7 @@
 //! | [`DirectJt`] | Kozlov & Singh '94 | coarse: parallel messages per layer |
 //! | [`PrimitiveJt`] | Xia & Prasanna '07 | fine: one parallel region per table op |
 //! | [`ElementJt`] | Zheng '13 (GPU) | fine: mapped two-pass element-wise regions |
-//! | [`HybridJt`] | **Fast-BNI-par** | flattened per-layer regions (2 per layer) |
+//! | [`HybridJt`] | **Fast-BNI-par** | flattened per-layer phases (≤ 2 regions per layer; small phases run inline) |
 //!
 //! All engines run Hugin-style two-phase propagation over the same
 //! [`Prepared`] structures and produce **bit-identical posteriors** for

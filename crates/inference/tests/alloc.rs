@@ -1,6 +1,7 @@
 //! Steady-state allocation regression test: once a [`WorkState`] slab is
 //! built, a full `reset → enter_evidence → propagate` cycle of the
-//! sequential engine must perform **zero heap allocations** — every
+//! sequential engine — and of the hybrid engine on a model whose phases
+//! all run inline — must perform **zero heap allocations**: every
 //! potential, separator and scratch table lives in the one contiguous
 //! slab, and every index mapping lives in the [`Prepared`] plans.
 //!
@@ -8,18 +9,30 @@
 //! counting `#[global_allocator]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-use fastbn_bayesnet::{datasets, generators, sampler, Evidence};
-use fastbn_inference::{EvidenceDelta, InferenceEngine, Prepared, SeqJt, Solver, WorkState};
+use fastbn_bayesnet::{datasets, generators, sampler, BayesianNetwork, Evidence};
+use fastbn_inference::{
+    EvidenceDelta, HybridJt, InferenceEngine, Prepared, SeqJt, Solver, WorkState,
+};
 use fastbn_jtree::JtreeOptions;
 
-/// Counts every allocation (alloc / alloc_zeroed / realloc) and defers
-/// the real work to the system allocator.
+/// Counts every allocation (alloc / alloc_zeroed / realloc) of the
+/// **calling thread** and defers the real work to the system allocator.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per thread, because libtest runs this file's tests on parallel
+    /// threads: a process-wide counter would charge one test with its
+    /// neighbours' allocations. Const-initialised and without a
+    /// destructor, so reading it never allocates or runs after teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method defers to `System`, which upholds the
 // `GlobalAlloc` contract; the counter increment has no effect on the
@@ -27,19 +40,19 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller contract forwarded verbatim to `System::alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     // SAFETY: caller contract forwarded verbatim to `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: caller contract forwarded verbatim to `System::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -52,49 +65,84 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// One full query cycle on pre-built scratch.
-fn cycle(engine: &SeqJt, prepared: &Prepared, state: &mut WorkState, evidence: &Evidence) {
+fn cycle(
+    engine: &dyn InferenceEngine,
+    prepared: &Prepared,
+    state: &mut WorkState,
+    evidence: &Evidence,
+) {
     state.reset(prepared);
     engine.enter_evidence(state, evidence);
     engine.propagate(state);
 }
 
-#[test]
-fn seq_steady_state_is_allocation_free() {
-    let nets = [
+/// Asserts that warmed-up query cycles of `engine` over `net`'s sampled
+/// cases never reach the allocator on the calling thread.
+fn assert_steady_state_allocation_free(
+    engine: &dyn InferenceEngine,
+    prepared: &Prepared,
+    net: &BayesianNetwork,
+) {
+    let mut state = WorkState::new(prepared);
+    let cases = sampler::generate_cases(net, 4, 0.3, 77);
+
+    // Warm-up: any one-time lazy work happens here, not in the
+    // measured window.
+    cycle(engine, prepared, &mut state, &Evidence::empty());
+    for case in &cases {
+        cycle(engine, prepared, &mut state, &case.evidence);
+    }
+
+    let before = allocations();
+    cycle(engine, prepared, &mut state, &Evidence::empty());
+    for case in &cases {
+        cycle(engine, prepared, &mut state, &case.evidence);
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta,
+        0,
+        "steady-state {} propagation allocated {delta} times on {:?}",
+        engine.name(),
+        net.name()
+    );
+}
+
+fn small_models() -> [BayesianNetwork; 3] {
+    [
         datasets::asia(),
         datasets::student(),
         generators::naive_bayes(10, 3, 2, 8),
-    ];
-    for net in &nets {
+    ]
+}
+
+#[test]
+fn seq_steady_state_is_allocation_free() {
+    for net in &small_models() {
         let prepared = Arc::new(Prepared::new(net, &JtreeOptions::default()));
         let engine = SeqJt::new(prepared.clone());
-        let mut state = WorkState::new(&prepared);
-        let cases = sampler::generate_cases(net, 4, 0.3, 77);
+        assert_steady_state_allocation_free(&engine, &prepared, net);
+    }
+}
 
-        // Warm-up: any one-time lazy work happens here, not in the
-        // measured window.
-        cycle(&engine, &prepared, &mut state, &Evidence::empty());
-        for case in &cases {
-            cycle(&engine, &prepared, &mut state, &case.evidence);
+/// On a small model every hybrid phase is below the break-even and runs
+/// inline on the caller, so — unlike a pool region, which builds an
+/// `Arc<Region>` per dispatch — a hybrid query allocates nothing either,
+/// at any pool width.
+#[test]
+fn hybrid_small_model_steady_state_is_allocation_free() {
+    for net in &small_models() {
+        let prepared = Arc::new(Prepared::new(net, &JtreeOptions::default()));
+        for threads in [1, 2] {
+            let engine = HybridJt::new(prepared.clone(), threads);
+            assert_steady_state_allocation_free(&engine, &prepared, net);
         }
-
-        let before = allocations();
-        cycle(&engine, &prepared, &mut state, &Evidence::empty());
-        for case in &cases {
-            cycle(&engine, &prepared, &mut state, &case.evidence);
-        }
-        let delta = allocations() - before;
-        assert_eq!(
-            delta,
-            0,
-            "steady-state propagation allocated {delta} times on {:?}",
-            net.name()
-        );
     }
 }
 

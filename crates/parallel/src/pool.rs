@@ -24,9 +24,14 @@ use crate::schedule::Schedule;
 pub struct PoolStats {
     /// Pool width, including the participating caller.
     pub threads: usize,
-    /// Parallel regions entered (every `parallel_for`-family call over
-    /// a non-empty range, including degenerate single-thread/inline
-    /// executions; empty ranges run nothing and count nothing).
+    /// Parallel regions entered: every `parallel_for`-family call over
+    /// a non-empty range, including the degenerate ones the caller runs
+    /// alone (a width-1 pool, a schedule that yields a single chunk).
+    /// Empty ranges run nothing and count nothing — and neither does
+    /// work a tenant never hands to the pool: the hybrid engine runs a
+    /// layer phase below its break-even inline, opening no region, so
+    /// a per-query delta of this counter says how many phases it
+    /// decided were worth one.
     pub regions_started: u64,
     /// Regions fully retired.
     pub regions_finished: u64,
@@ -164,12 +169,15 @@ impl ThreadPool {
         let _retire = RetireRegion(&self.regions_finished);
         let offset = range.start;
         let shifted = move |s: usize, e: usize| body(offset + s, offset + e);
-        if self.threads == 1 {
-            // Still honour the schedule's chunk layout so per-chunk state
-            // (and fold order, for `parallel_reduce`) is identical to the
-            // multi-threaded execution.
-            for c in 0..sched.chunk_count(len, 1) {
-                let (s, e) = sched.chunk_bounds(c, len, 1);
+        let chunk_count = sched.chunk_count(len, self.threads);
+        if self.threads == 1 || chunk_count == 1 {
+            // Nothing to share: the caller runs every chunk itself, with no
+            // region object and no wake-up. The schedule's chunk layout is
+            // still honoured so per-chunk state (and fold order, for
+            // `parallel_reduce`) is identical to the multi-threaded
+            // execution; a panicking body unwinds straight to the caller.
+            for c in 0..chunk_count {
+                let (s, e) = sched.chunk_bounds(c, len, self.threads);
                 shifted(s, e);
             }
             return;
@@ -182,8 +190,10 @@ impl ThreadPool {
             .sender
             .as_ref()
             .expect("pool sender alive while pool exists");
-        // One wake-up per background worker; extras are cheap no-ops.
-        for _ in 1..self.threads {
+        // One wake-up per chunk the caller cannot take itself, capped at
+        // one per background worker; a worker that arrives after the
+        // region completed retires zero chunks.
+        for _ in 0..(self.threads - 1).min(chunk_count - 1) {
             sender
                 .send(Arc::clone(&region))
                 .expect("worker channel closed while pool exists");
@@ -480,28 +490,91 @@ mod tests {
         }
     }
 
+    /// Whether the calling thread is one of a pool's background workers.
+    fn on_worker() -> bool {
+        std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("fastbn-worker-"))
+    }
+
     #[test]
     fn fewer_items_than_threads_static() {
         // A Static schedule on a wide pool must produce `len` one-element
-        // chunks, not empty chunks or double coverage.
+        // chunks, not empty chunks or double coverage — and wake one
+        // worker per chunk the caller cannot take, not one per worker.
+        // Every chunk waits for all three to have started, so each rep
+        // needs the caller plus exactly two workers to take part.
         let pool = ThreadPool::new(8);
-        let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for(0..3, Schedule::Static, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let reps = 100;
+        let on_workers = AtomicUsize::new(0);
+        for _ in 0..reps {
+            let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+            let arrived = AtomicUsize::new(0);
+            pool.parallel_for(0..3, Schedule::Static, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+                if on_worker() {
+                    on_workers.fetch_add(1, Ordering::Relaxed);
+                }
+                // A bare arrival count that publishes no data: `Relaxed`.
+                arrived.fetch_add(1, Ordering::Relaxed);
+                while arrived.load(Ordering::Relaxed) < 3 {
+                    std::thread::yield_now();
+                }
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+        assert_eq!(
+            on_workers.into_inner(),
+            2 * reps,
+            "two hand-offs per region"
+        );
+        let stats = pool.stats();
+        assert_eq!(stats.regions_started, reps as u64);
+        assert_eq!(stats.occupancy(), 0);
+        assert_eq!(stats.items, 3 * reps as u64);
     }
 
     #[test]
     fn fewer_items_than_threads_dynamic() {
-        // A grain larger than the range collapses to one chunk; the spare
-        // workers' wake-ups must retire as no-ops.
+        // A grain larger than the range collapses to one chunk: the caller
+        // runs it itself — no worker is woken, so none can ever claim it —
+        // and the region is counted like any other.
         let pool = ThreadPool::new(8);
-        let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for(0..3, Schedule::Dynamic { grain: 64 }, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let reps = 500;
+        let on_workers = AtomicUsize::new(0);
+        for _ in 0..reps {
+            let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+            pool.parallel_for(0..3, Schedule::Dynamic { grain: 64 }, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+                if on_worker() {
+                    on_workers.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+        assert_eq!(
+            on_workers.into_inner(),
+            0,
+            "a single chunk stays on the caller"
+        );
+        let stats = pool.stats();
+        assert_eq!(stats.regions_started, reps as u64);
+        assert_eq!(stats.occupancy(), 0);
+        assert_eq!(stats.items, 3 * reps as u64);
+
+        // The caller-run chunk propagates a panic and still retires.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.parallel_for(0..3, Schedule::Dynamic { grain: 64 }, |i| {
+                if i == 1 {
+                    panic!("injected failure");
+                }
+            });
+        }));
+        assert!(
+            result.is_err(),
+            "panic in the single chunk reaches the caller"
+        );
+        assert_eq!(pool.stats().occupancy(), 0, "panicked region still retires");
     }
 
     #[test]
@@ -580,8 +653,9 @@ mod tests {
 
     #[test]
     fn drop_joins_cleanly_with_stale_queued_wakeups() {
-        // Every region sends one wake-up per background worker even when
-        // the region completes before the workers pick them up; dropping
+        // A region sends its wake-ups even when it completes before the
+        // workers pick them up (here the caller often takes both chunks
+        // before the one woken worker arrives); dropping
         // the pool right after must close the channel and join without a
         // stale handle ever touching a dead region body.
         for _ in 0..50 {

@@ -9,17 +9,27 @@
 //! counting `#[global_allocator]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
 use fastbn_telemetry::trace::{SpanRecord, TraceConfig, Tracer, SPAN_COLLECT, SPAN_COMPUTE};
 
-/// Counts every allocation (alloc / alloc_zeroed / realloc) and defers
-/// the real work to the system allocator.
+/// Counts every allocation (alloc / alloc_zeroed / realloc) of the
+/// **calling thread** and defers the real work to the system allocator.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per thread, because libtest runs this file's tests on parallel
+    /// threads: a process-wide counter would charge one test with its
+    /// neighbours' allocations. Const-initialised and without a
+    /// destructor, so reading it never allocates or runs after teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method defers to `System`, which upholds the
 // `GlobalAlloc` contract; the counter increment has no effect on the
@@ -27,19 +37,19 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller contract forwarded verbatim to `System::alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     // SAFETY: caller contract forwarded verbatim to `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: caller contract forwarded verbatim to `System::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -52,8 +62,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// One request's worth of hot-path tracing work: mint a trace, mint
@@ -129,12 +140,11 @@ fn each_recording_thread_registers_its_ring_once() {
                 for _ in 0..laps {
                     trace_one(&tracer);
                 }
-                // …then the steady state is allocation-free here too.
-                // Other threads may allocate concurrently during their
-                // own warm-up, so only assert when the global counter
-                // stayed still: the single-thread test above is the
-                // strict gate, this one checks multi-ring correctness.
-                let _ = before;
+                // …then the steady state is allocation-free here too
+                // (the counter is this thread's own, so the other
+                // threads' warm-ups cannot disturb it).
+                let delta = allocations() - before;
+                assert_eq!(delta, 0, "steady-state recording allocated {delta} times");
             });
         }
     });

@@ -1,0 +1,176 @@
+//! The hybrid engine's per-phase decision — run a layer phase as a pool
+//! region, or inline and un-chunked on the caller — seen from outside:
+//!
+//! * it never changes a bit: on generated networks whose phases straddle
+//!   the break-even, `Hybrid` at every pool width equals `Seq` on every
+//!   marginal and on `prob_evidence`, through `Session::run`,
+//!   `run_batch` and a `LiveSession` edit stream;
+//! * it is visible in the pool's existing counters: small models open no
+//!   region at all, a large one does, and width 1 never does.
+
+use std::sync::Arc;
+
+use fastbn::bayesnet::generators::{self, ArityDist, WindowedDagSpec};
+use fastbn::bayesnet::{datasets, sampler};
+use fastbn::{
+    BayesianNetwork, EngineKind, EvidenceDelta, Posteriors, Prepared, Query, QueryBatch,
+    QueryResult, Solver,
+};
+use fastbn_bench::workloads::{adaptivity_workloads, workload_by_name};
+
+fn hybrid(prepared: &Arc<Prepared>, threads: usize) -> Solver {
+    Solver::from_prepared(prepared.clone())
+        .engine(EngineKind::Hybrid)
+        .threads(threads)
+        .build()
+}
+
+/// Pool regions `solver` opens for one all-marginals query per case,
+/// from `PoolStats::regions_started` deltas.
+fn regions_opened(solver: &Solver, queries: &[Query]) -> u64 {
+    let pool = solver.pool_handle().expect("hybrid solvers own a pool");
+    let mut session = solver.session();
+    let before = pool.stats().regions_started;
+    for query in queries {
+        session.run(query).unwrap();
+    }
+    pool.stats().regions_started - before
+}
+
+fn queries_for(net: &BayesianNetwork, n: usize, seed: u64) -> Vec<Query> {
+    sampler::generate_cases(net, n, 0.2, seed)
+        .into_iter()
+        .map(|c| Query::new().evidence(c.evidence))
+        .collect()
+}
+
+fn assert_bitwise(label: &str, a: &Posteriors, b: &Posteriors) {
+    assert_eq!(
+        a.prob_evidence.to_bits(),
+        b.prob_evidence.to_bits(),
+        "{label}: P(e)"
+    );
+    for (v, (x, y)) in a.marginals().iter().zip(b.marginals()).enumerate() {
+        let same = x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits());
+        assert!(same, "{label}: marginal of var {v}: {x:?} vs {y:?}");
+    }
+}
+
+/// Which of a network's phases open a pool region at width ≥ 2.
+#[derive(Debug, Clone, Copy)]
+enum Regions {
+    None,
+    Some,
+    All,
+}
+
+/// Networks whose phases sit on both sides of the break-even. Arity-6
+/// windowed DAGs have cliques of 6^4 = 1 296 and 6^5 = 7 776 entries, so
+/// one query mixes inline and parallel phases. A naive-Bayes tree is a
+/// star — every phase moves `(features − 1) × 48 × 24` entries through
+/// the hub, the multi-child receiver — so the pair of hubs straddles the
+/// constant between them: 11 × 1 152 entries stay inline, 19 × 1 152 do
+/// not.
+fn straddling_networks() -> Vec<(BayesianNetwork, Regions)> {
+    let mut nets: Vec<(BayesianNetwork, Regions)> = (1..=3)
+        .map(|seed| {
+            let net = generators::windowed_dag(&WindowedDagSpec {
+                target_arcs: 60,
+                max_parents: 3,
+                window: 4,
+                arity: ArityDist::Fixed(6),
+                seed,
+                ..WindowedDagSpec::new(format!("straddle-{seed}"), 30)
+            });
+            (net, Regions::Some)
+        })
+        .collect();
+    nets.push((generators::naive_bayes(12, 48, 24, 11), Regions::None));
+    nets.push((generators::naive_bayes(20, 48, 24, 11), Regions::All));
+    nets
+}
+
+#[test]
+fn decision_boundary_is_bitwise_safe() {
+    for (net, expect) in straddling_networks() {
+        let name = format!("{} ({} vars)", net.name(), net.num_vars());
+        let prepared = Arc::new(Prepared::new(&net, &Default::default()));
+        let schedule = &prepared.built.schedule;
+        let phases = 2 * (schedule.collect_layers.len() + schedule.distribute_layers.len()) as u64;
+        let queries = queries_for(&net, 6, 0xC07);
+        let batch: QueryBatch = queries.iter().cloned().collect();
+
+        let seq = Solver::from_prepared(prepared.clone()).build();
+        let mut seq_session = seq.session();
+        let expected: Vec<Posteriors> = queries
+            .iter()
+            .map(|q| seq_session.run(q).unwrap().into_posteriors().unwrap())
+            .collect();
+
+        for threads in [1usize, 2, 4, 8] {
+            let label = format!("{name} t={threads}");
+            let solver = Arc::new(hybrid(&prepared, threads));
+
+            // The phases really fall where the network was built to put
+            // them (and nowhere but inline at width 1).
+            let regions = regions_opened(&solver, &queries[..1]);
+            let as_expected = match expect {
+                _ if threads == 1 => regions == 0,
+                Regions::None => regions == 0,
+                Regions::Some => 0 < regions && regions < phases,
+                Regions::All => regions == phases,
+            };
+            assert!(as_expected, "{label}: {regions}/{phases}, want {expect:?}");
+
+            let mut session = solver.session();
+            for (i, query) in queries.iter().enumerate() {
+                let got = session.run(query).unwrap().into_posteriors().unwrap();
+                assert_bitwise(&format!("{label} run {i}"), &got, &expected[i]);
+            }
+            for (i, result) in session.run_batch(&batch).into_iter().enumerate() {
+                let Ok(QueryResult::Marginals(got)) = result else {
+                    panic!("{label} batch slot {i}: {result:?}");
+                };
+                assert_bitwise(&format!("{label} batch {i}"), &got, &expected[i]);
+            }
+
+            // An edit stream: each case's findings arrive one at a time,
+            // then are retracted again.
+            let mut live = solver.live_session();
+            for (i, query) in queries.iter().enumerate() {
+                let findings: Vec<_> = query.get_evidence().iter().collect();
+                for &(var, state) in &findings {
+                    live.apply(EvidenceDelta::observe(var, state)).unwrap();
+                }
+                let got = live.posteriors().unwrap();
+                assert_bitwise(&format!("{label} live {i}"), &got, &expected[i]);
+                for &(var, _) in &findings {
+                    live.apply(EvidenceDelta::retract(var)).unwrap();
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn small_models_open_no_region_and_large_ones_do() {
+    let pigs = workload_by_name("pigs").unwrap().build();
+    let asia = datasets::asia();
+    let (_, few_large) = adaptivity_workloads()
+        .into_iter()
+        .find(|(name, _)| *name == "few-large-cliques")
+        .unwrap();
+
+    for (net, expect_regions) in [(&pigs, false), (&asia, false), (&few_large, true)] {
+        let prepared = Arc::new(Prepared::new(net, &Default::default()));
+        let queries = queries_for(net, 2, 5);
+        let per_query = |threads| regions_opened(&hybrid(&prepared, threads), &queries) / 2;
+        assert_eq!(per_query(1), 0, "{}: width 1 runs inline", net.name());
+        let at_two = per_query(2);
+        if expect_regions {
+            assert!(at_two >= 1, "{}: {at_two} regions per query", net.name());
+        } else {
+            assert_eq!(at_two, 0, "{}: every phase is inline", net.name());
+        }
+    }
+}
