@@ -10,8 +10,11 @@
 //! Three synthetic (clique, separator) domain pairs exercise one layout
 //! class each — `inner_block` (separator is a scope suffix: stride-1
 //! fibers), `outer_block` (scope prefix: contiguous blocked sums) and
-//! `generic` (scattered scope: odometer walk). For every pair, each hot
-//! kernel runs in two modes:
+//! `generic` (scattered scope: odometer walk). The clique has exactly
+//! 4 096 entries, the largest table a plan compiles into a run program,
+//! so the `planned` rows time that program, not the layout kernels named
+//! above (see `fastbn_potential::plan`). For every pair, each hot kernel
+//! runs in two modes:
 //!
 //! * `planned` — the plan is compiled once and reused, the steady-state
 //!   cost the engines pay after [`Prepared`] compilation;

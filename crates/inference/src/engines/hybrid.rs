@@ -32,21 +32,39 @@
 //! decision compiled at engine construction from the plans' entry counts:
 //!
 //! * its **work estimate** `W` in table entries — separator phase:
-//!   Σ sender-clique entries (what `marginalize_fold` scans); receiver
-//!   phase: Σ receiver entries × incoming messages (what
-//!   `extend_multiply_range` touches);
+//!   Σ sender-clique entries (what the marginalization scans); receiver
+//!   phase: Σ receiver entries × incoming messages (what the extension
+//!   touches);
 //! * `W ≥ PARALLEL_MIN_ENTRIES` on a pool wider than one ⇒ a
 //!   **parallel** phase: one pool region over `threads ×
-//!   CHUNKS_PER_THREAD` entry-range slices under a dynamic schedule;
+//!   CHUNKS_PER_THREAD` entry-range slices under a dynamic schedule,
+//!   through the chunkable kernels `marginalize_fold` /
+//!   `extend_multiply_range`;
 //! * otherwise an **inline** phase: the calling thread runs it without
-//!   touching the pool (no region, no wake-up, no `Arc`), and the task
-//!   list is **un-chunked** — one task per message, one per receiver
-//!   group — because slicing a 70-entry range only multiplies kernel
-//!   set-up. At pool width 1 every phase is inline.
+//!   touching the pool (no region, no wake-up, no `Arc`) and without a
+//!   task list, through the **whole-table** kernels — `marginalize` into
+//!   the separator's `fresh` region, `ops::sep_update`, `extend_multiply`
+//!   — which on tables of at most 4 096 entries execute compiled run
+//!   programs (`fastbn_potential::plan`). Slicing a 70-entry range, or
+//!   gathering it fiber by fiber, only multiplies kernel set-up. At pool
+//!   width 1 every phase is inline.
 //!
-//! Both forms compute each separator entry's fiber sum in ascending
+//! A layer whose **two** phases are inline is not run as phases at all:
+//! it is the sequential engine's loop, one
+//! `WorkState::send_deferred` per message — the per-message routine
+//! `SeqJt` is built on, which defers each ratio's extension and fuses it
+//! into the receiver's next outgoing marginalization. A tree of small
+//! cliques therefore runs exactly the sequential engine's instructions.
+//! Before a layer with a parallel phase reads or writes cliques directly,
+//! the ratios still deferred on its senders and receivers are applied
+//! (`WorkState::flush_pending`), and `propagate` ends by applying
+//! whatever is left.
+//!
+//! All forms compute each separator entry's fiber sum in ascending
 //! source order and multiply each receiver entry by its ratios in
-//! ascending message order, so where the task boundaries fall — and hence
+//! ascending message order (a deferred ratio is applied before a later
+//! one is recorded, and the fused pass forms the same products and sums
+//! as the two it replaces), so where the task boundaries fall — and hence
 //! the decision — never changes a bit of the result.
 //!
 //! ## The break-even
@@ -87,7 +105,7 @@ use std::sync::Arc;
 
 use fastbn_jtree::Message;
 use fastbn_parallel::{Schedule, ThreadPool};
-use fastbn_potential::ops::safe_div;
+use fastbn_potential::ops::{self, safe_div};
 
 use crate::engines::InferenceEngine;
 use crate::prepared::Prepared;
@@ -122,23 +140,18 @@ struct RecvTask {
     hi: usize,
 }
 
-/// One phase's task list with its compiled execution decision.
-struct Phase<T> {
-    /// `true`: one pool region over `tasks`. `false`: the caller runs
-    /// `tasks` in order and the pool is not touched.
-    parallel: bool,
-    tasks: Vec<T>,
-}
-
-/// The flattened task lists of one layer of one pass.
+/// The flattened task lists of one layer of one pass. A phase compiled
+/// **parallel** carries the task list of its pool region; an **inline**
+/// phase carries none — it runs whole-table kernels over `msgs` /
+/// `recv_groups` on the calling thread.
 struct LayerPlan {
-    /// Message ids of this layer (kept for tests and diagnostics; the hot
-    /// path only walks the task lists).
-    #[allow(dead_code)]
+    /// Message ids of this layer, ascending.
     msgs: Vec<usize>,
-    sep: Phase<SepTask>,
     recv_groups: Vec<RecvGroup>,
-    recv: Phase<RecvTask>,
+    /// Separator-phase region tasks; `None` = inline.
+    sep_tasks: Option<Vec<SepTask>>,
+    /// Receiver-phase region tasks; `None` = inline.
+    recv_tasks: Option<Vec<RecvTask>>,
 }
 
 /// Fast-BNI-par: the hybrid flattened engine.
@@ -183,85 +196,146 @@ impl HybridJt {
         }
     }
 
-    /// Runs `body` over one phase's tasks: as a pool region when the
-    /// phase was compiled parallel, on the calling thread otherwise.
+    /// One pool region over a parallel phase's task list.
     #[inline]
-    fn run_phase<T>(&self, phase: &Phase<T>, body: impl Fn(&T) + Sync)
-    where
-        T: Sync,
-    {
-        if phase.parallel {
-            self.pool
-                .parallel_for(0..phase.tasks.len(), Schedule::Dynamic { grain: 1 }, |t| {
-                    body(&phase.tasks[t])
-                });
-        } else {
-            phase.tasks.iter().for_each(body);
-        }
+    fn region<T: Sync>(&self, tasks: &[T], body: impl Fn(&T) + Sync) {
+        self.pool
+            .parallel_for(0..tasks.len(), Schedule::Dynamic { grain: 1 }, |t| {
+                body(&tasks[t])
+            });
     }
 
-    /// Runs one layer: separator phase (fused marginalize + ratio +
-    /// in-place separator update), then receiver phase (extension).
-    fn run_layer(&self, raw: crate::state::SlabRaw, plan: &LayerPlan, collect: bool) {
+    /// Runs one layer. With both phases inline it is the sequential
+    /// engine's loop: one `WorkState::send_deferred` per message.
+    /// Otherwise: separator phase (marginalize + ratio + in-place
+    /// separator update), then receiver phase (extension), each as a pool
+    /// region or as whole-table kernels on the caller.
+    fn run_layer(&self, state: &mut WorkState, plan: &LayerPlan, collect: bool) {
         let prepared = &*self.prepared;
         let messages = &prepared.built.schedule.messages;
         let layout = &*prepared.layout;
-
-        // ---- Phase 1: flat over sep entries — fresh marginal, ratio
-        // against the old value, separator updated in place (each entry is
-        // owned by exactly one task, so read-then-overwrite is safe).
-        raw.begin_phase();
-        self.run_phase(&plan.sep, |task| {
-            let m = messages[task.msg];
-            let edge = &prepared.sep_plans[m.sep];
-            let (sender, sender_plan) = if collect {
-                (edge.child_clique, &edge.child)
+        let ends = |m: Message| {
+            if collect {
+                (m.child, m.parent)
             } else {
-                (edge.parent_clique, &edge.parent)
-            };
-            // SAFETY: sender cliques are not written during this phase
-            // (only separators and ratios are); each sep entry range
-            // `[lo, hi)` belongs to exactly one task, and sep/ratio
-            // regions are disjoint slab ranges.
-            unsafe {
-                let sender_values = raw.slice(layout.clique_off[sender], layout.clique_len[sender]);
-                let sep_chunk = raw.slice_mut(layout.sep_off[m.sep] + task.lo, task.hi - task.lo);
-                let ratio_chunk =
-                    raw.slice_mut(layout.ratio_off[m.sep] + task.lo, task.hi - task.lo);
-                sender_plan.marginalize_fold(sender_values, task.lo, task.hi, |i, acc| {
-                    let k = i - task.lo;
-                    ratio_chunk[k] = safe_div(acc, sep_chunk[k]);
-                    sep_chunk[k] = acc;
-                });
+                (m.parent, m.child)
             }
-        });
+        };
 
-        // ---- Phase 2: extension over flat receiver entries. The barrier
-        // between the phases (the pool's, or program order when both ran
-        // inline) is what makes re-claiming phase-1 regions sound, so the
-        // tracker generation resets here too.
+        if plan.sep_tasks.is_none() && plan.recv_tasks.is_none() {
+            for &id in &plan.msgs {
+                let m = messages[id];
+                let (sender, receiver) = ends(m);
+                state.send_deferred(prepared, sender, receiver, m.sep);
+            }
+            return;
+        }
+
+        // The phases below read senders and write receivers directly, so
+        // ratios an inline layer left deferred on them land first. No
+        // other pending slot can name a ratio region this layer rewrites:
+        // a separator's ratio is pending only on one of its two cliques.
+        for &id in &plan.msgs {
+            let (sender, receiver) = ends(messages[id]);
+            state.flush_pending(prepared, sender);
+            state.flush_pending(prepared, receiver);
+        }
+        let raw = state.raw();
+
+        // ---- Phase 1: fresh marginal, ratio against the old value,
+        // separator updated in place.
         raw.begin_phase();
-        self.run_phase(&plan.recv, |task| {
-            let group = &plan.recv_groups[task.group];
-            // SAFETY: receiver entry ranges partition each receiver
-            // exactly once across tasks; ratios are read-only; sender
-            // cliques are untouched this phase.
-            unsafe {
-                let recv_chunk = raw.slice_mut(
-                    layout.clique_off[group.receiver] + task.lo,
-                    task.hi - task.lo,
-                );
-                for &id in &group.msgs {
+        match &plan.sep_tasks {
+            // Flat over sep entries: each entry is owned by exactly one
+            // task, so read-then-overwrite is safe.
+            Some(tasks) => self.region(tasks, |task| {
+                let m = messages[task.msg];
+                let (sender, _) = ends(m);
+                let sender_plan = prepared.plan_for(sender, m.sep);
+                // SAFETY: sender cliques are not written during this phase
+                // (only separators and ratios are); each sep entry range
+                // `[lo, hi)` belongs to exactly one task, and sep/ratio
+                // regions are disjoint slab ranges.
+                unsafe {
+                    let sender_values =
+                        raw.slice(layout.clique_off[sender], layout.clique_len[sender]);
+                    let sep_chunk =
+                        raw.slice_mut(layout.sep_off[m.sep] + task.lo, task.hi - task.lo);
+                    let ratio_chunk =
+                        raw.slice_mut(layout.ratio_off[m.sep] + task.lo, task.hi - task.lo);
+                    sender_plan.marginalize_fold(sender_values, task.lo, task.hi, |i, acc| {
+                        let k = i - task.lo;
+                        ratio_chunk[k] = safe_div(acc, sep_chunk[k]);
+                        sep_chunk[k] = acc;
+                    });
+                }
+            }),
+            None => {
+                for &id in &plan.msgs {
                     let m = messages[id];
-                    let edge = &prepared.sep_plans[m.sep];
-                    // The *receiver*-side plan maps its entries onto
-                    // the separator.
-                    let recv_plan = if collect { &edge.parent } else { &edge.child };
-                    let ratio_values = raw.slice(layout.ratio_off[m.sep], layout.sep_len[m.sep]);
-                    recv_plan.extend_multiply_range(recv_chunk, ratio_values, task.lo);
+                    let (sender, _) = ends(m);
+                    // SAFETY: the sender clique and the separator's three
+                    // regions are pairwise-disjoint slab ranges, and this
+                    // phase runs on the calling thread alone.
+                    unsafe {
+                        let sender_values =
+                            raw.slice(layout.clique_off[sender], layout.clique_len[sender]);
+                        let fresh = raw.slice_mut(layout.fresh_off[m.sep], layout.sep_len[m.sep]);
+                        let sep_values =
+                            raw.slice_mut(layout.sep_off[m.sep], layout.sep_len[m.sep]);
+                        let ratio = raw.slice_mut(layout.ratio_off[m.sep], layout.sep_len[m.sep]);
+                        prepared
+                            .plan_for(sender, m.sep)
+                            .marginalize(sender_values, fresh);
+                        ops::sep_update(fresh, sep_values, ratio);
+                    }
                 }
             }
-        });
+        }
+
+        // ---- Phase 2: extension of the receivers. The barrier between
+        // the phases (the pool's, or program order when both ran on the
+        // caller) is what makes re-claiming phase-1 regions sound, so the
+        // tracker generation resets here too.
+        raw.begin_phase();
+        // The *receiver*-side plan maps its entries onto the separator.
+        let recv_plan = |group: &RecvGroup, id: usize| {
+            let sep = messages[id].sep;
+            // SAFETY: ratios are read-only in this phase.
+            let ratio = unsafe { raw.slice(layout.ratio_off[sep], layout.sep_len[sep]) };
+            (prepared.plan_for(group.receiver, sep), ratio)
+        };
+        match &plan.recv_tasks {
+            Some(tasks) => self.region(tasks, |task| {
+                let group = &plan.recv_groups[task.group];
+                // SAFETY: receiver entry ranges partition each receiver
+                // exactly once across tasks; sender cliques are untouched
+                // this phase.
+                let recv_chunk = unsafe {
+                    raw.slice_mut(
+                        layout.clique_off[group.receiver] + task.lo,
+                        task.hi - task.lo,
+                    )
+                };
+                for &id in &group.msgs {
+                    let (plan, ratio) = recv_plan(group, id);
+                    plan.extend_multiply_range(recv_chunk, ratio, task.lo);
+                }
+            }),
+            None => {
+                for group in &plan.recv_groups {
+                    let c = group.receiver;
+                    let (off, len) = (layout.clique_off[c], layout.clique_len[c]);
+                    // SAFETY: each receiver belongs to one group, and this
+                    // phase runs on the calling thread alone.
+                    let receiver = unsafe { raw.slice_mut(off, len) };
+                    for &id in &group.msgs {
+                        let (plan, ratio) = recv_plan(group, id);
+                        plan.extend_multiply(receiver, ratio);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -271,7 +345,8 @@ fn pays_for_region(work: usize, threads: usize) -> bool {
     threads > 1 && work >= PARALLEL_MIN_ENTRIES
 }
 
-/// Builds the flattened task lists for one layer.
+/// Compiles one layer: each phase's inline-or-region decision, and the
+/// flattened task list of every phase that is a region.
 // fastbn: allow(hot-alloc): plan construction, runs once per engine build.
 fn build_layer_plan(
     prepared: &Prepared,
@@ -280,16 +355,7 @@ fn build_layer_plan(
     threads: usize,
 ) -> LayerPlan {
     let messages: &[Message] = &prepared.built.schedule.messages;
-    // How many slices a phase's entries are cut into: enough for the
-    // dynamic schedule to balance a parallel phase, one (i.e. a task per
-    // message / receiver group) for an inline phase.
-    let slices = |parallel: bool| {
-        if parallel {
-            threads * CHUNKS_PER_THREAD
-        } else {
-            1
-        }
-    };
+    let slices = threads * CHUNKS_PER_THREAD;
 
     // Separator tasks: pack all sep entries of the layer, cut by grain.
     // The work behind them is the scan of each sender clique.
@@ -301,22 +367,24 @@ fn build_layer_plan(
             prepared.clique_domains[sender].size()
         })
         .sum();
-    let sep_parallel = pays_for_region(sep_work, threads);
-    let total_sep: usize = layer
-        .iter()
-        .map(|&id| prepared.sep_domains[messages[id].sep].size())
-        .sum();
-    let sep_grain = (total_sep / slices(sep_parallel)).max(1);
-    let mut sep_tasks = Vec::new();
-    for &id in layer {
-        let size = prepared.sep_domains[messages[id].sep].size();
-        let mut lo = 0;
-        while lo < size {
-            let hi = (lo + sep_grain).min(size);
-            sep_tasks.push(SepTask { msg: id, lo, hi });
-            lo = hi;
+    let sep_tasks = pays_for_region(sep_work, threads).then(|| {
+        let total_sep: usize = layer
+            .iter()
+            .map(|&id| prepared.sep_domains[messages[id].sep].size())
+            .sum();
+        let sep_grain = (total_sep / slices).max(1);
+        let mut tasks = Vec::new();
+        for &id in layer {
+            let size = prepared.sep_domains[messages[id].sep].size();
+            let mut lo = 0;
+            while lo < size {
+                let hi = (lo + sep_grain).min(size);
+                tasks.push(SepTask { msg: id, lo, hi });
+                lo = hi;
+            }
         }
-    }
+        tasks
+    });
 
     // Receiver groups: by parent in collect (several children may share
     // one), one per message in distribute.
@@ -345,31 +413,27 @@ fn build_layer_plan(
         .iter()
         .map(|g| prepared.clique_domains[g.receiver].size() * g.msgs.len())
         .sum();
-    let recv_parallel = pays_for_region(total_weight, threads);
-    let weight_grain = (total_weight / slices(recv_parallel)).max(1);
-    let mut recv_tasks = Vec::new();
-    for (gi, g) in recv_groups.iter().enumerate() {
-        let size = prepared.clique_domains[g.receiver].size();
-        let chunk = (weight_grain / g.msgs.len()).max(1);
-        let mut lo = 0;
-        while lo < size {
-            let hi = (lo + chunk).min(size);
-            recv_tasks.push(RecvTask { group: gi, lo, hi });
-            lo = hi;
+    let recv_tasks = pays_for_region(total_weight, threads).then(|| {
+        let weight_grain = (total_weight / slices).max(1);
+        let mut tasks = Vec::new();
+        for (gi, g) in recv_groups.iter().enumerate() {
+            let size = prepared.clique_domains[g.receiver].size();
+            let chunk = (weight_grain / g.msgs.len()).max(1);
+            let mut lo = 0;
+            while lo < size {
+                let hi = (lo + chunk).min(size);
+                tasks.push(RecvTask { group: gi, lo, hi });
+                lo = hi;
+            }
         }
-    }
+        tasks
+    });
 
     LayerPlan {
         msgs: layer.to_vec(),
-        sep: Phase {
-            parallel: sep_parallel,
-            tasks: sep_tasks,
-        },
         recv_groups,
-        recv: Phase {
-            parallel: recv_parallel,
-            tasks: recv_tasks,
-        },
+        sep_tasks,
+        recv_tasks,
     }
 }
 
@@ -395,16 +459,16 @@ impl InferenceEngine for HybridJt {
     }
 
     fn propagate(&self, state: &mut WorkState) {
-        let raw = state.raw();
         crate::trace::collect(|| {
             for plan in &self.collect_plans {
-                self.run_layer(raw, plan, true);
+                self.run_layer(state, plan, true);
             }
         });
         crate::trace::distribute(|| {
             for plan in &self.distribute_plans {
-                self.run_layer(raw, plan, false);
+                self.run_layer(state, plan, false);
             }
+            state.flush_all_pending(&self.prepared);
         });
     }
 }
@@ -425,45 +489,44 @@ mod tests {
         assert!(covered.windows(2).all(|w| w[0].1 == w[1].0));
     }
 
-    /// Every phase's task list covers each separator / receiver entry
-    /// exactly once, and an inline phase is un-chunked. Returns how many
-    /// phases were compiled (inline, parallel).
+    /// Every parallel phase's task list covers each separator / receiver
+    /// entry exactly once (an inline phase has no list: it runs
+    /// whole-table kernels). Returns how many phases were compiled
+    /// (inline, parallel).
     fn check_task_lists(prepared: &Arc<Prepared>, threads: usize) -> (usize, usize) {
         let engine = HybridJt::new(prepared.clone(), threads);
         let (mut inline, mut parallel) = (0, 0);
         for plan in engine.collect_plans.iter().chain(&engine.distribute_plans) {
             // Sep tasks partition each message's separator range.
-            for &id in &plan.msgs {
-                let m = prepared.built.schedule.messages[id];
-                let tasks = plan.sep.tasks.iter().filter(|t| t.msg == id);
-                assert_tiles(
-                    tasks.map(|t| (t.lo, t.hi)).collect(),
-                    prepared.sep_domains[m.sep].size(),
-                );
+            if let Some(tasks) = &plan.sep_tasks {
+                for &id in &plan.msgs {
+                    let m = prepared.built.schedule.messages[id];
+                    let of_msg = tasks.iter().filter(|t| t.msg == id);
+                    assert_tiles(
+                        of_msg.map(|t| (t.lo, t.hi)).collect(),
+                        prepared.sep_domains[m.sep].size(),
+                    );
+                }
             }
             // Recv tasks partition each group's receiver range.
-            for (gi, g) in plan.recv_groups.iter().enumerate() {
-                let tasks = plan.recv.tasks.iter().filter(|t| t.group == gi);
-                assert_tiles(
-                    tasks.map(|t| (t.lo, t.hi)).collect(),
-                    prepared.clique_domains[g.receiver].size(),
-                );
+            if let Some(tasks) = &plan.recv_tasks {
+                for (gi, g) in plan.recv_groups.iter().enumerate() {
+                    let of_group = tasks.iter().filter(|t| t.group == gi);
+                    assert_tiles(
+                        of_group.map(|t| (t.lo, t.hi)).collect(),
+                        prepared.clique_domains[g.receiver].size(),
+                    );
+                }
             }
-            if !plan.sep.parallel {
-                assert_eq!(
-                    plan.sep.tasks.len(),
-                    plan.msgs.len(),
-                    "one task per message"
-                );
-            }
-            if !plan.recv.parallel {
-                assert_eq!(
-                    plan.recv.tasks.len(),
-                    plan.recv_groups.len(),
-                    "one per group"
-                );
-            }
-            for is_parallel in [plan.sep.parallel, plan.recv.parallel] {
+            // Every message sits in exactly one receiver group.
+            let mut grouped: Vec<usize> = plan
+                .recv_groups
+                .iter()
+                .flat_map(|g| g.msgs.iter().copied())
+                .collect();
+            grouped.sort_unstable();
+            assert_eq!(grouped, plan.msgs);
+            for is_parallel in [plan.sep_tasks.is_some(), plan.recv_tasks.is_some()] {
                 if is_parallel {
                     parallel += 1;
                 } else {
@@ -483,7 +546,7 @@ mod tests {
 
         // Arity 6 over a window of 4 puts clique sizes on both sides of
         // the constant (6^4 = 1 296, 6^5 = 7 776), so one tree mixes
-        // un-chunked inline phases with sliced parallel ones.
+        // inline phases with sliced parallel ones.
         let spec = generators::WindowedDagSpec {
             target_arcs: 60,
             max_parents: 3,

@@ -9,7 +9,11 @@
 //! eagerly multiplying each incoming ratio into the receiver, it records
 //! the separator in the state's per-clique pending slot, and fuses the
 //! multiplication into the receiver's *next outgoing marginalization* via
-//! [`multiply_marginalize`] — one pass over the clique instead of two.
+//! [`multiply_marginalize`](fastbn_potential::multiply_marginalize) — one
+//! pass over the clique instead of two. The whole of that is one
+//! per-message routine, `WorkState::send_deferred`, which `HybridJt` also
+//! runs for every layer it executes inline; this engine is the loop
+//! around it.
 //! Bit-identity is preserved: if a second message arrives before the
 //! clique sends, the older ratio is flushed first (so ratios multiply in
 //! the same ascending message order the eager path uses), the fused pass
@@ -24,8 +28,6 @@
 //! fastbn: deny-hot-alloc
 
 use std::sync::Arc;
-
-use fastbn_potential::{multiply_marginalize, ops};
 
 use crate::engines::InferenceEngine;
 use crate::prepared::Prepared;
@@ -45,51 +47,6 @@ impl SeqJt {
     pub fn new(prepared: Arc<Prepared>) -> Self {
         SeqJt { prepared }
     }
-
-    /// One message `sender → receiver` over `sep`, with deferred ratio
-    /// extension: marginalize (fusing the sender's own pending ratio, if
-    /// any), update the separator, and record — not apply — the ratio for
-    /// the receiver.
-    fn send(&self, state: &mut WorkState, sender: usize, receiver: usize, sep: usize) {
-        let prepared = &*self.prepared;
-        // Keep the receiver's ratios in ascending message order: apply an
-        // older deferred ratio before deferring this one.
-        state.flush_pending(prepared, receiver);
-        let pending = state.take_pending(sender);
-        let marg_plan = prepared.plan_for(sender, sep);
-        let layout = &*prepared.layout;
-        let raw = state.raw();
-        crate::trace::kernel(
-            crate::trace::layout_class(marg_plan.layout()),
-            sender as u64,
-            ||
-            // SAFETY: every slice below is a distinct slab region (clique,
-            // sep, fresh and ratio regions are pairwise disjoint by layout
-            // construction; `ratio[p]` vs `fresh[sep]` are distinct regions
-            // even when `p == sep`), and this engine is single-threaded.
-            unsafe {
-                let fresh = raw.slice_mut(layout.fresh_off[sep], layout.sep_len[sep]);
-                match pending {
-                    Some(p) => {
-                        let mul_plan = prepared.plan_for(sender, p);
-                        let clique =
-                            raw.slice_mut(layout.clique_off[sender], layout.clique_len[sender]);
-                        let ratio_p = raw.slice(layout.ratio_off[p], layout.sep_len[p]);
-                        multiply_marginalize(mul_plan, marg_plan, clique, ratio_p, fresh);
-                    }
-                    None => {
-                        let clique =
-                            raw.slice(layout.clique_off[sender], layout.clique_len[sender]);
-                        marg_plan.marginalize(clique, fresh);
-                    }
-                }
-                let sep_vals = raw.slice_mut(layout.sep_off[sep], layout.sep_len[sep]);
-                let ratio = raw.slice_mut(layout.ratio_off[sep], layout.sep_len[sep]);
-                ops::sep_update(fresh, sep_vals, ratio);
-            },
-        );
-        state.set_pending(receiver, sep);
-    }
 }
 
 impl InferenceEngine for SeqJt {
@@ -102,12 +59,13 @@ impl InferenceEngine for SeqJt {
     }
 
     fn propagate(&self, state: &mut WorkState) {
-        let schedule = &self.prepared.built.schedule;
+        let prepared = &*self.prepared;
+        let schedule = &prepared.built.schedule;
         crate::trace::collect(|| {
             for layer in &schedule.collect_layers {
                 for &id in layer {
                     let m = schedule.messages[id];
-                    self.send(state, m.child, m.parent, m.sep);
+                    state.send_deferred(prepared, m.child, m.parent, m.sep);
                 }
             }
         });
@@ -115,15 +73,10 @@ impl InferenceEngine for SeqJt {
             for layer in &schedule.distribute_layers {
                 for &id in layer {
                     let m = schedule.messages[id];
-                    self.send(state, m.parent, m.child, m.sep);
+                    state.send_deferred(prepared, m.parent, m.child, m.sep);
                 }
             }
-            // Leaves (and any clique that never sent again) still hold a
-            // deferred ratio; apply them before extraction reads the
-            // cliques.
-            for c in 0..self.prepared.num_cliques() {
-                state.flush_pending(&self.prepared, c);
-            }
+            state.flush_all_pending(prepared);
         });
     }
 }

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use fastbn_bayesnet::{Evidence, VarId};
-use fastbn_potential::{ops, KernelPlan};
+use fastbn_potential::{multiply_marginalize, ops, KernelPlan};
 
 use crate::error::InferenceError;
 use crate::posterior::Posteriors;
@@ -180,6 +180,73 @@ impl WorkState {
                 plan.extend_multiply(clique, ratio);
             }
         }
+    }
+
+    /// Applies every deferred ratio still outstanding — the end of a
+    /// propagation built on [`WorkState::send_deferred`]: leaves (and any
+    /// clique that never sent again) must hold their final values before
+    /// extraction reads them.
+    pub(crate) fn flush_all_pending(&mut self, prepared: &Prepared) {
+        for c in 0..self.pending.len() {
+            self.flush_pending(prepared, c);
+        }
+    }
+
+    /// One whole message `sender → receiver` over `sep` on the calling
+    /// thread, with **deferred ratio extension** — the per-message routine
+    /// of `SeqJt` and of `HybridJt`'s inline layers: marginalize the
+    /// sender onto `fresh` (fusing the sender's own pending ratio, if any,
+    /// through [`multiply_marginalize`]), update the separator
+    /// ([`ops::sep_update`]), and record — not apply — the ratio for the
+    /// receiver. An older ratio pending on the receiver is applied first,
+    /// so a clique's ratios multiply in arrival order, exactly as an eager
+    /// `extend_multiply` per message would. Allocation-free.
+    ///
+    /// Whoever reads or writes a clique by other means (a parallel phase,
+    /// extraction) must [`flush_pending`](WorkState::flush_pending) it
+    /// first.
+    pub(crate) fn send_deferred(
+        &mut self,
+        prepared: &Prepared,
+        sender: usize,
+        receiver: usize,
+        sep: usize,
+    ) {
+        self.flush_pending(prepared, receiver);
+        let pending = self.take_pending(sender);
+        let marg_plan = prepared.plan_for(sender, sep);
+        let layout = &*prepared.layout;
+        let raw = self.raw();
+        crate::trace::kernel(
+            crate::trace::layout_class(marg_plan.layout()),
+            sender as u64,
+            ||
+            // SAFETY: every slice below is a distinct slab region (clique,
+            // sep, fresh and ratio regions are pairwise disjoint by layout
+            // construction; `ratio[p]` vs `fresh[sep]` are distinct regions
+            // even when `p == sep`), and `&mut self` is exclusive.
+            unsafe {
+                let fresh = raw.slice_mut(layout.fresh_off[sep], layout.sep_len[sep]);
+                match pending {
+                    Some(p) => {
+                        let mul_plan = prepared.plan_for(sender, p);
+                        let clique =
+                            raw.slice_mut(layout.clique_off[sender], layout.clique_len[sender]);
+                        let ratio_p = raw.slice(layout.ratio_off[p], layout.sep_len[p]);
+                        multiply_marginalize(mul_plan, marg_plan, clique, ratio_p, fresh);
+                    }
+                    None => {
+                        let clique =
+                            raw.slice(layout.clique_off[sender], layout.clique_len[sender]);
+                        marg_plan.marginalize(clique, fresh);
+                    }
+                }
+                let sep_vals = raw.slice_mut(layout.sep_off[sep], layout.sep_len[sep]);
+                let ratio = raw.slice_mut(layout.ratio_off[sep], layout.sep_len[sep]);
+                ops::sep_update(fresh, sep_vals, ratio);
+            },
+        );
+        self.set_pending(receiver, sep);
     }
 
     /// Splits out the five disjoint slices of one message: the sender

@@ -9,11 +9,49 @@
 //! extension-multiply/divide, and the fused collect kernel
 //! [`multiply_marginalize`].
 //!
-//! # Layout taxonomy
+//! # Two executions of one mapping
 //!
 //! Domains are row-major with the **last** (highest-id) variable fastest,
-//! and variable lists are strictly ascending. That makes two common cases
-//! detectable from the variable lists alone:
+//! and variable lists are strictly ascending. A plan's mapping
+//! `m(i) = Σ digit_v(i) · stride_sub(v)` is executed in one of two ways,
+//! chosen once, at plan-compile time, from the superdomain's size alone:
+//!
+//! ## Small tables: run programs
+//!
+//! A non-identity plan whose superdomain has at most
+//! `RUN_PROGRAM_MAX_ENTRIES` = 4 096 entries is compiled into a **run
+//! program**. Cardinality-1 variables are dropped (they move neither
+//! index), neighbouring variables with the same membership in the
+//! subdomain are merged into one mixed-radix digit, and the innermost
+//! merged group becomes a *run* of `r` consecutive source entries that
+//! maps either onto `r` consecutive subdomain slots (the group belongs to
+//! the subdomain) or onto one slot (it is summed out). The subdomain
+//! index every run starts at is materialised: `bases[k]`, `u32`,
+//! `sup_size / r` of them. The whole-table kernels — [`marginalize`],
+//! [`extend_multiply`], [`max_marginalize`], [`extend_divide`] and the
+//! two-pass arm of [`multiply_marginalize`] — are then
+//! `for (run, base) in table.chunks_exact(r).zip(bases)` around a
+//! stride-1 inner loop: no odometer, no digit array, no carry branch, no
+//! layout `match`. A suffix separator compiles to all-zero bases (the
+//! `InnerBlock` loop), a prefix separator to `bases = 0, 1, 2, …` (the
+//! `OuterBlock` loop), a scattered one to whatever the mapping is; the
+//! program replaces all three.
+//!
+//! The constant is one L1 data cache of `f64` (4 096 × 8 B = 32 KiB): a
+//! table under it, and its program (at most 2 048 `u32`), are
+//! cache-resident while a kernel runs, so the cost there is instructions
+//! per entry, which is what the program removes. On the 376-clique pigs
+//! analogue (tables of at most 729 entries, 55 % of entries in `Generic`
+//! plans whose odometer carried — and mispredicted — every third entry)
+//! the benchmark's kernel pass (`potential.kernel_pass_us`) fell from
+//! 386 µs to 89 µs, 2.3 → 0.54 ns per entry; a prototype of the same
+//! coalesced walk that stepped an odometer over the merged groups instead
+//! of reading materialised bases measured 110 µs.
+//!
+//! ## Larger tables: layout kernels
+//!
+//! Above the constant a plan dispatches on its [`Layout`]
+//! classification, detectable from the variable lists alone:
 //!
 //! * [`Layout::InnerBlock`] — the subdomain's variables are exactly the
 //!   *suffix* (fastest block) of the superdomain. The mapped index is
@@ -24,20 +62,57 @@
 //!   *prefix* (slowest block). The mapped index is `i / fiber_len`, so
 //!   marginalization sums contiguous slices and extension broadcasts one
 //!   scalar per slice.
-//! * [`Layout::Identity`] — same domain: copy / element-wise.
+//! * [`Layout::Identity`] — same domain: copy / element-wise (at every
+//!   size; an identity plan never has a program).
 //! * [`Layout::Generic`] — scattered variables: incremental odometer
 //!   stepping, with the digit array held **inline on the stack** so the
 //!   generic path allocates nothing either.
 //!
+//! [`KernelPlan::layout`] reports this classification for every plan,
+//! programmed or not, and the chunked forms ([`marginalize_fold`],
+//! [`extend_multiply_range`], [`extend_divide_range`]) that parallel
+//! callers split across workers always dispatch on it.
+//!
+//! Why the cut, and not the coalesced walk for every size: it was
+//! measured. With the constant lifted to `usize::MAX` the 1.21 M-entry
+//! `large-cliques` kernel pass goes from 10.4 ms to 2.5 ms and the
+//! sequential engine from 77 to 227 queries/s — but the two-thread
+//! hybrid engine, whose parallel phases run the chunked kernels, stays at
+//! 135, so its speed-up over sequential falls from 1.66 to 0.60. Giving
+//! the chunked kernels the same walk does not rescue it: the prototype
+//! that did reached 237 queries/s against 196 sequential (1.21). On the
+//! 2-core machine all of this is recorded on, one core already saturates
+//! DRAM (a scale pass over 10 MB: 531 µs on one thread, 506 µs split
+//! over two), so a bandwidth-efficient kernel for large tables leaves the
+//! second core nothing to add. Large tables need a design that moves less
+//! memory (cache-blocked, collect/distribute fused) and a machine with
+//! more cores to show it on; until then they keep the kernels above, bit
+//! for bit.
+//!
 //! # Bit-identity
 //!
-//! Every fast path preserves the repo-wide determinism contract: each
-//! output slot's f64 addition chain visits its source entries in ascending
-//! source index. For `InnerBlock`, the blocked loop adds `src[b·sub + t]`
-//! to `out[t]` in ascending `b` — exactly the ascending fiber order of the
-//! generic path. For `OuterBlock`, the contiguous slice sum is literally
-//! the ascending-source scan. Extension writes each entry exactly once, so
-//! only the product operands matter, and they are identical across paths.
+//! Every execution preserves the repo-wide determinism contract: each
+//! output slot's f64 addition chain starts from `0.0` and visits its
+//! source entries in ascending source index. For `InnerBlock`, the
+//! blocked loop adds `src[b·sub + t]` to `out[t]` in ascending `b` —
+//! exactly the ascending fiber order of the generic path. For
+//! `OuterBlock`, the contiguous slice sum is literally the
+//! ascending-source scan. A run program walks the source front to back
+//! and adds each run into its slot(s), continuing from what earlier runs
+//! left there, so every slot again sees its entries in ascending index —
+//! the same chain, whichever side of the constant a table falls on.
+//! Max-marginalization keeps the first of equal maxima under the same
+//! visiting order. Extension writes each entry exactly once, so only the
+//! product (or quotient) operands matter, and they are identical across
+//! paths.
+//!
+//! [`marginalize`]: KernelPlan::marginalize
+//! [`extend_multiply`]: KernelPlan::extend_multiply
+//! [`max_marginalize`]: KernelPlan::max_marginalize
+//! [`extend_divide`]: KernelPlan::extend_divide
+//! [`marginalize_fold`]: KernelPlan::marginalize_fold
+//! [`extend_multiply_range`]: KernelPlan::extend_multiply_range
+//! [`extend_divide_range`]: KernelPlan::extend_divide_range
 //!
 //! fastbn: deny-hot-alloc
 
@@ -52,7 +127,8 @@ use crate::ops::safe_div;
 pub const MAX_PLAN_VARS: usize = 32;
 
 /// How the subdomain's variables sit inside the superdomain's memory
-/// layout — selects the kernel fast path.
+/// layout — selects the kernel of a table above the run-program constant
+/// and of every chunked call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
     /// Sub and sup are the same domain: marginalize = copy, extend =
@@ -92,6 +168,10 @@ pub struct KernelPlan {
     sup_size: usize,
     sub_size: usize,
     layout: Layout,
+    /// The compiled run program of a small, non-identity plan (see the
+    /// module header); when present the whole-table kernels execute it
+    /// instead of dispatching on `layout`.
+    program: Option<RunProgram>,
 }
 
 impl KernelPlan {
@@ -107,15 +187,19 @@ impl KernelPlan {
             "table scope exceeds {MAX_PLAN_VARS} variables (≥ 2^33 entries)"
         );
         let layout = classify(sup, sub);
+        let ext_strides: Box<[usize]> = embedding_strides(sup, sub).into();
+        let program = (layout != Layout::Identity && sup.size() <= RUN_PROGRAM_MAX_ENTRIES)
+            .then(|| RunProgram::compile(sup.cards(), &ext_strides, sub.size()));
         KernelPlan {
             sup_cards: sup.cards().into(),
             sub_cards: sub.cards().into(),
-            ext_strides: embedding_strides(sup, sub).into(),
+            ext_strides,
             base_strides: embedding_strides(sub, sup).into(),
             fibers: fiber_offsets(sup, sub).into(),
             sup_size: sup.size(),
             sub_size: sub.size(),
             layout,
+            program,
         }
     }
 
@@ -131,7 +215,9 @@ impl KernelPlan {
         self.sub_size
     }
 
-    /// The layout classification this plan dispatches on.
+    /// The layout classification of this plan's mapping (reported for
+    /// every plan; small tables execute a run program instead of
+    /// dispatching on it).
     #[inline]
     pub fn layout(&self) -> Layout {
         self.layout
@@ -172,6 +258,9 @@ impl KernelPlan {
     pub fn marginalize(&self, src: &[f64], out: &mut [f64]) {
         debug_assert_eq!(src.len(), self.sup_size);
         debug_assert_eq!(out.len(), self.sub_size);
+        if let Some(program) = &self.program {
+            return program.reduce(src, out, 0.0, |acc, v| acc + v);
+        }
         match self.layout {
             Layout::Identity => out.copy_from_slice(src),
             Layout::InnerBlock => {
@@ -256,6 +345,10 @@ impl KernelPlan {
     pub fn max_marginalize(&self, src: &[f64], out: &mut [f64]) {
         debug_assert_eq!(src.len(), self.sup_size);
         debug_assert_eq!(out.len(), self.sub_size);
+        if let Some(program) = &self.program {
+            let max = |acc, v| if v > acc { v } else { acc };
+            return program.reduce(src, out, f64::NEG_INFINITY, max);
+        }
         if self.layout == Layout::Identity {
             out.copy_from_slice(src);
             return;
@@ -275,6 +368,9 @@ impl KernelPlan {
     pub fn extend_multiply(&self, table: &mut [f64], msg: &[f64]) {
         debug_assert_eq!(table.len(), self.sup_size);
         debug_assert_eq!(msg.len(), self.sub_size);
+        if let Some(program) = &self.program {
+            return program.apply(table, msg, |v, m| *v *= m);
+        }
         match self.layout {
             Layout::Identity => {
                 for (v, &m) in table.iter_mut().zip(msg) {
@@ -309,6 +405,9 @@ impl KernelPlan {
     pub fn extend_divide(&self, table: &mut [f64], msg: &[f64]) {
         debug_assert_eq!(table.len(), self.sup_size);
         debug_assert_eq!(msg.len(), self.sub_size);
+        if let Some(program) = &self.program {
+            return program.apply(table, msg, |v, m| *v = safe_div(*v, m));
+        }
         let mut odo = InlineOdometer::new(&self.sup_cards, &self.ext_strides);
         for v in table {
             *v = safe_div(*v, msg[odo.mapped()]);
@@ -397,12 +496,14 @@ impl KernelPlan {
 /// and each output slot still accumulates them in ascending source index
 /// — so the fused result is bitwise equal to the two-pass result, for both
 /// the updated clique and the outgoing message. That equality is also
-/// what licenses the internal dispatch: when either plan has a fast
-/// (non-[`Layout::Generic`]) layout, the two vectorizable passes beat one
-/// fused double-odometer walk (the `kernels` microbench measures ~7× on
-/// blocked layouts), so this function runs them instead; the single
-/// fused pass is kept for the generic/generic case, where saving a full
-/// clique traversal is what wins.
+/// what licenses the internal dispatch. Small tables (both plans carry a
+/// run program, or one is the identity) run the two passes through their
+/// programs. Above the program constant, when either plan has a blocked
+/// (non-[`Layout::Generic`]) layout the two vectorizable passes beat one
+/// fused double-odometer walk, so this function runs them instead; the
+/// single fused pass is kept for large generic/generic pairs, where
+/// saving a full clique traversal is what wins (1.36× over two odometer
+/// passes when it landed).
 pub fn multiply_marginalize(
     mul: &KernelPlan,
     marg: &KernelPlan,
@@ -414,7 +515,8 @@ pub fn multiply_marginalize(
     debug_assert_eq!(table.len(), mul.sup_size);
     debug_assert_eq!(msg.len(), mul.sub_size);
     debug_assert_eq!(out.len(), marg.sub_size);
-    if mul.layout != Layout::Generic || marg.layout != Layout::Generic {
+    let programmed = mul.program.is_some() || marg.program.is_some();
+    if programmed || mul.layout != Layout::Generic || marg.layout != Layout::Generic {
         mul.extend_multiply(table, msg);
         marg.marginalize(table, out);
         return;
@@ -427,6 +529,132 @@ pub fn multiply_marginalize(
         out[marg_odo.mapped()] += *v;
         mul_odo.advance();
         marg_odo.advance();
+    }
+}
+
+/// Largest superdomain, in entries, that is compiled into a run program:
+/// 4 096 `f64` = 32 KiB, one L1 data cache, so the table and its program
+/// are both cache-resident while a kernel runs (see the module header for
+/// why larger tables keep the layout kernels).
+const RUN_PROGRAM_MAX_ENTRIES: usize = 4096;
+
+/// The coalesced index mapping of one small plan, fully resolved at
+/// compile time: the superdomain is cut into runs of `run_len`
+/// consecutive entries, and `bases[k]` is the subdomain index run `k`
+/// starts at.
+#[derive(Debug, Clone)]
+struct RunProgram {
+    /// Source entries per run: the innermost merged group's cardinality.
+    run_len: usize,
+    /// `true`: the innermost group belongs to the subdomain, so a run maps
+    /// onto `run_len` consecutive slots. `false`: it is summed out, so the
+    /// whole run maps onto the single slot `bases[k]`.
+    spread: bool,
+    /// Subdomain index of each run's first entry (`sup_size / run_len`).
+    bases: Box<[u32]>,
+}
+
+impl RunProgram {
+    /// Compiles the program from the superdomain's radices and their
+    /// strides in the subdomain (0 = summed out).
+    // fastbn: allow(hot-alloc): plan construction
+    fn compile(sup_cards: &[usize], ext_strides: &[usize], sub_size: usize) -> Self {
+        // Merge neighbouring variables with the same membership into
+        // (cardinality, subdomain stride) groups, outermost first.
+        // Cardinality-1 variables are dropped *before* looking for
+        // neighbours: they move neither index, and one sitting between
+        // two members must not keep them apart (nor join two groups of
+        // different membership). Between two surviving member neighbours
+        // the subdomain holds nothing but such unit variables, so the
+        // inner one's stride is the merged group's stride.
+        let mut groups = [(0usize, 0usize); MAX_PLAN_VARS];
+        let mut len = 0;
+        for (&card, &stride) in sup_cards.iter().zip(ext_strides) {
+            if card == 1 {
+                continue;
+            }
+            match groups[..len].last_mut() {
+                Some(last) if (last.1 != 0) == (stride != 0) => *last = (last.0 * card, stride),
+                _ => {
+                    groups[len] = (card, stride);
+                    len += 1;
+                }
+            }
+        }
+        // The innermost group is the run; a one-entry table has none.
+        let (outer, (run_len, run_stride)) = match groups[..len].split_last() {
+            Some((&inner, outer)) => (outer, inner),
+            None => (&groups[..0], (1, 0)),
+        };
+        let spread = run_stride != 0;
+        debug_assert!(!spread || run_stride == 1, "innermost member is stride-1");
+
+        // One base per assignment of the outer groups, in row-major
+        // order, built in place by replication: the bases of the groups
+        // inside `g` repeat `card(g)` times, shifted by `g`'s stride.
+        let mut bases = vec![0u32; outer.iter().map(|g| g.0).product()];
+        let mut filled = 1;
+        for &(card, stride) in outer.iter().rev() {
+            for digit in 1..card {
+                let (done, rest) = bases.split_at_mut(digit * filled);
+                let shift = (digit * stride) as u32;
+                for (base, &inner) in rest[..filled].iter_mut().zip(&done[..filled]) {
+                    *base = inner + shift;
+                }
+            }
+            filled *= card;
+        }
+        debug_assert!(sub_size <= u32::MAX as usize);
+        let span = if spread { run_len } else { 1 };
+        debug_assert!(bases.iter().all(|&b| b as usize + span <= sub_size));
+        RunProgram {
+            run_len,
+            spread,
+            bases: bases.into(),
+        }
+    }
+
+    /// `out[m(i)] = fold(out[m(i)], src[i])` from `init`, visiting the
+    /// source in ascending index — per output slot exactly the order of
+    /// the layout kernels, so a sum's addition chain is unchanged.
+    #[inline]
+    fn reduce(&self, src: &[f64], out: &mut [f64], init: f64, fold: impl Fn(f64, f64) -> f64) {
+        out.fill(init);
+        let runs = src.chunks_exact(self.run_len).zip(self.bases.iter());
+        if self.spread {
+            for (run, &base) in runs {
+                let slots = &mut out[base as usize..][..self.run_len];
+                for (slot, &v) in slots.iter_mut().zip(run) {
+                    *slot = fold(*slot, v);
+                }
+            }
+        } else {
+            for (run, &base) in runs {
+                let slot = &mut out[base as usize];
+                *slot = run.iter().fold(*slot, |acc, &v| fold(acc, v));
+            }
+        }
+    }
+
+    /// `update(&mut table[i], msg[m(i)])` for every entry.
+    #[inline]
+    fn apply(&self, table: &mut [f64], msg: &[f64], update: impl Fn(&mut f64, f64)) {
+        let runs = table.chunks_exact_mut(self.run_len).zip(self.bases.iter());
+        if self.spread {
+            for (run, &base) in runs {
+                let factors = &msg[base as usize..][..self.run_len];
+                for (v, &m) in run.iter_mut().zip(factors) {
+                    update(v, m);
+                }
+            }
+        } else {
+            for (run, &base) in runs {
+                let m = msg[base as usize];
+                for v in run {
+                    update(v, m);
+                }
+            }
+        }
     }
 }
 
@@ -540,10 +768,67 @@ mod tests {
         assert_eq!(scalar.sub_size(), 1);
     }
 
+    /// `plan` as a table above the program constant would run it: the
+    /// layout kernels alone.
+    fn without_program(plan: &KernelPlan) -> KernelPlan {
+        let mut stripped = plan.clone();
+        stripped.program = None;
+        stripped
+    }
+
+    /// `plan` forced through the per-entry odometer: no program, and the
+    /// classification overridden.
+    fn odometer_only(plan: &KernelPlan) -> KernelPlan {
+        let mut generic = without_program(plan);
+        generic.layout = Layout::Generic;
+        generic
+    }
+
+    /// Values whose sums depend on the order of addition.
+    fn uneven(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| (1 + i % 7) as f64 / (3 + i) as f64)
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every whole-table kernel of `sup → sub`, executed by `plan`'s own
+    /// dispatch (the run program on a small table), equals the odometer
+    /// walk bit for bit.
+    fn assert_matches_odometer(sup: &Domain, sub: &Domain) {
+        let plan = KernelPlan::new(sup, sub);
+        let odometer = odometer_only(&plan);
+        let what = format!("{:?} -> {:?}", sup.cards(), sub.cards());
+        let src = uneven(sup.size());
+        let msg: Vec<f64> = uneven(sub.size()).iter().map(|v| v + 0.5).collect();
+
+        let (mut got, mut want) = (vec![f64::NAN; sub.size()], vec![f64::NAN; sub.size()]);
+        plan.marginalize(&src, &mut got);
+        odometer.marginalize(&src, &mut want);
+        assert_eq!(bits(&got), bits(&want), "marginalize {what}");
+
+        plan.max_marginalize(&src, &mut got);
+        odometer.max_marginalize(&src, &mut want);
+        assert_eq!(bits(&got), bits(&want), "max_marginalize {what}");
+
+        let (mut a, mut b) = (src.clone(), src.clone());
+        plan.extend_multiply(&mut a, &msg);
+        odometer.extend_multiply(&mut b, &msg);
+        assert_eq!(bits(&a), bits(&b), "extend_multiply {what}");
+
+        plan.extend_divide(&mut a, &msg);
+        odometer.extend_divide(&mut b, &msg);
+        assert_eq!(bits(&a), bits(&b), "extend_divide {what}");
+    }
+
     #[test]
     fn fast_paths_match_generic_bitwise() {
-        // Force every layout through the generic odometer by comparing
-        // against a plan whose classification is overridden.
+        // Three executions of one mapping — the run program, the layout
+        // kernels a larger table would use, and the odometer every layout
+        // is forced through by overriding the classification — agree.
         let sup = dom(&[(0, 2), (1, 3), (2, 2), (3, 2)]);
         for sub in [
             dom(&[(2, 2), (3, 2)]),
@@ -552,16 +837,18 @@ mod tests {
             sup.clone(),
             Domain::scalar(),
         ] {
+            assert_matches_odometer(&sup, &sub);
             let plan = KernelPlan::new(&sup, &sub);
-            let mut generic = plan.clone();
-            generic.layout = Layout::Generic;
+            assert_eq!(plan.program.is_some(), plan.layout() != Layout::Identity);
+            let blocked = without_program(&plan);
+            let generic = odometer_only(&plan);
 
-            let src = ramp(sup.size());
+            let src = uneven(sup.size());
             let msg: Vec<f64> = (0..sub.size()).map(|i| 0.25 * (i + 1) as f64).collect();
 
             let mut fast = vec![f64::NAN; sub.size()];
             let mut slow = vec![f64::NAN; sub.size()];
-            plan.marginalize(&src, &mut fast);
+            blocked.marginalize(&src, &mut fast);
             generic.marginalize(&src, &mut slow);
             assert_eq!(fast, slow, "marginalize {:?}", plan.layout());
 
@@ -571,7 +858,7 @@ mod tests {
 
             let mut a = src.clone();
             let mut b = src.clone();
-            plan.extend_multiply(&mut a, &msg);
+            blocked.extend_multiply(&mut a, &msg);
             generic.extend_multiply(&mut b, &msg);
             assert_eq!(a, b, "extend {:?}", plan.layout());
 
@@ -582,6 +869,121 @@ mod tests {
             plan.extend_multiply_range(left, &msg, 0);
             plan.extend_multiply_range(right, &msg, mid);
             assert_eq!(c, b, "extend range {:?}", plan.layout());
+        }
+    }
+
+    #[test]
+    fn program_drops_unit_variables_before_merging() {
+        // `b` is a unit variable between two members: once it is dropped,
+        // `a` and `c` are neighbours and the whole table is one run that
+        // spreads over the whole separator.
+        let sup = dom(&[(0, 2), (1, 1), (2, 2)]);
+        let sub = dom(&[(0, 2), (2, 2)]);
+        let program = KernelPlan::new(&sup, &sub).program.unwrap();
+        assert_eq!((program.run_len, program.spread), (4, true));
+        assert_eq!(&*program.bases, &[0]);
+        assert_matches_odometer(&sup, &sub);
+
+        // A unit variable between a member and a summed-out variable
+        // joins neither: `a` stays its own group, `c` is the run.
+        let sub = dom(&[(0, 2)]);
+        let program = KernelPlan::new(&sup, &sub).program.unwrap();
+        assert_eq!((program.run_len, program.spread), (2, false));
+        assert_eq!(&*program.bases, &[0, 1]);
+        assert_matches_odometer(&sup, &sub);
+
+        // Unit variables first, last, in the separator only by name, and
+        // as the separator's fastest variable.
+        let sup = dom(&[(0, 1), (1, 3), (2, 1), (3, 2), (4, 5), (5, 1)]);
+        for sub in [
+            dom(&[(0, 1), (3, 2)]),
+            dom(&[(1, 3), (2, 1), (4, 5)]),
+            dom(&[(3, 2), (5, 1)]),
+            dom(&[(0, 1), (2, 1), (5, 1)]),
+            dom(&[(1, 3), (3, 2), (4, 5)]),
+        ] {
+            assert_matches_odometer(&sup, &sub);
+        }
+        // Differing from the clique by unit variables only: not the
+        // `Identity` copy (the scopes differ), one run over every slot.
+        let program = KernelPlan::new(&sup, &dom(&[(1, 3), (3, 2), (4, 5)]))
+            .program
+            .unwrap();
+        assert_eq!((program.run_len, program.bases.len()), (30, 1));
+    }
+
+    #[test]
+    fn program_shapes_at_the_edges() {
+        // Scalar separator: one run, one slot.
+        let sup = dom(&[(0, 2), (1, 3), (2, 2)]);
+        let program = KernelPlan::new(&sup, &Domain::scalar()).program.unwrap();
+        assert_eq!((program.run_len, program.spread), (12, false));
+        assert_eq!(&*program.bases, &[0]);
+        assert_matches_odometer(&sup, &Domain::scalar());
+
+        // Single-variable clique: onto the scalar it is one summed run;
+        // onto itself it is the `Identity` copy, which has no program.
+        let single = dom(&[(4, 3)]);
+        let program = KernelPlan::new(&single, &Domain::scalar()).program.unwrap();
+        assert_eq!((program.run_len, program.bases.len()), (3, 1));
+        assert_matches_odometer(&single, &Domain::scalar());
+        for same in [&single, &sup] {
+            let plan = KernelPlan::new(same, same);
+            assert_eq!(plan.layout(), Layout::Identity);
+            assert!(plan.program.is_none());
+            assert_matches_odometer(same, same);
+        }
+
+        // A one-entry clique has no group at all.
+        let unit = dom(&[(0, 1), (1, 1)]);
+        let program = KernelPlan::new(&unit, &dom(&[(1, 1)])).program.unwrap();
+        assert_eq!((program.run_len, program.bases.len()), (1, 1));
+        assert_matches_odometer(&unit, &dom(&[(1, 1)]));
+
+        // Scattered: runs of the innermost summed-out variable, bases
+        // stepping through the separator in row-major order.
+        let program = KernelPlan::new(&sup, &dom(&[(1, 3)])).program.unwrap();
+        assert_eq!((program.run_len, program.spread), (2, false));
+        assert_eq!(&*program.bases, &[0, 1, 2, 0, 1, 2]);
+        let program = KernelPlan::new(&sup, &dom(&[(0, 2), (2, 2)]))
+            .program
+            .unwrap();
+        assert_eq!((program.run_len, program.spread), (2, true));
+        assert_eq!(&*program.bases, &[0, 0, 0, 2, 2, 2]);
+    }
+
+    #[test]
+    fn program_boundary_picks_different_paths_that_agree() {
+        // 16 × 256 = 4 096 entries is the largest programmed table;
+        // 17 × 241 = 4 097 keeps the layout kernels. Both equal the
+        // odometer on every kernel, for each way the separator can sit.
+        let at = dom(&[(0, 16), (1, 256)]);
+        let above = dom(&[(0, 17), (1, 241)]);
+        assert_eq!(at.size(), RUN_PROGRAM_MAX_ENTRIES);
+        assert_eq!(above.size(), RUN_PROGRAM_MAX_ENTRIES + 1);
+        for (sup, programmed) in [(&at, true), (&above, false)] {
+            for keep in [0usize, 1] {
+                let sub = dom(&[(keep as u32, sup.cards()[keep])]);
+                let plan = KernelPlan::new(sup, &sub);
+                assert_eq!(plan.program.is_some(), programmed);
+                assert_matches_odometer(sup, &sub);
+            }
+            let plan = KernelPlan::new(sup, &Domain::scalar());
+            assert_eq!(plan.program.is_some(), programmed);
+            assert_matches_odometer(sup, &Domain::scalar());
+        }
+        // Scattered separators on both sides of the constant.
+        let at = dom(&[(0, 16), (1, 16), (2, 16)]);
+        let above = dom(&[(0, 17), (1, 16), (2, 16)]);
+        for sup in [&at, &above] {
+            let sub = dom(&[(0, sup.cards()[0]), (2, 16)]);
+            let plan = KernelPlan::new(sup, &sub);
+            assert_eq!(plan.layout(), Layout::Generic);
+            assert_eq!(
+                plan.program.is_some(),
+                sup.size() <= RUN_PROGRAM_MAX_ENTRIES
+            );
+            assert_matches_odometer(sup, &sub);
         }
     }
 
@@ -605,6 +1007,20 @@ mod tests {
 
         assert_eq!(fused_table, two_pass);
         assert_eq!(fused_out, out);
+
+        // The same pair above the program constant runs the single fused
+        // odometer walk (both layouts are generic): same bits.
+        let mut walked_table = ramp(sup.size());
+        let mut walked_out = vec![f64::NAN; marg_sub.size()];
+        multiply_marginalize(
+            &without_program(&mul),
+            &without_program(&marg),
+            &mut walked_table,
+            &msg,
+            &mut walked_out,
+        );
+        assert_eq!(walked_table, two_pass);
+        assert_eq!(walked_out, out);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! taxonomy, must be **bitwise** equal to a per-entry decode-and-project
 //! reference — the contract the engines' bit-identity suites stand on.
 //! (The build environment has no proptest; this is the seeded-sweep
-//! equivalent.)
+//! equivalent.) A second, exhaustive sweep walks every membership
+//! pattern of up to six variables, so the run programs small tables
+//! execute and the layout kernels larger ones keep are both held to the
+//! same reference.
 
 use fastbn_bayesnet::VarId;
 use fastbn_potential::{multiply_marginalize, Domain, KernelPlan, Layout};
@@ -230,6 +233,149 @@ fn fused_multiply_marginalize_is_bitwise_two_pass() {
         assert_bits(&fused_table, &two_pass_table, "fused clique", seed);
         assert_bits(&fused_out, &two_pass_out, "fused message", seed);
     }
+}
+
+/// Cuts `[0, n)` at boundaries that line up with no block, fiber or run.
+fn awkward_cuts(n: usize) -> Vec<usize> {
+    let mut cuts = vec![0, n / 3, n / 3 + 1, (2 * n) / 3 + 1, n - n / 7, n];
+    cuts.retain(|&c| c <= n);
+    cuts.sort_unstable();
+    cuts.dedup();
+    cuts
+}
+
+#[test]
+fn every_membership_pattern_matches_decode_reference_bitwise() {
+    // Every way a separator can sit inside a clique of up to 6 variables
+    // — all 2^n membership masks, not a sample — over cardinalities drawn
+    // from {1, 2, 3, 5}: unit variables anywhere, tables on both sides of
+    // the run-program constant (5^6 = 15 625 entries at the top), every
+    // kernel against the decode-per-entry mapping.
+    const CARDS: [usize; 4] = [1, 2, 3, 5];
+    const DRAWS: u64 = 6;
+    let (mut cases, mut small, mut large) = (0u64, 0u64, 0u64);
+    for n in 1..=6usize {
+        for mask in 0u32..1 << n {
+            for draw in 0..DRAWS {
+                let case = (n as u64) << 32 | (mask as u64) << 8 | draw;
+                let mut rng = TestRng::new(0xC11C ^ case);
+                // The first two draws of each pattern are all-5 and all-2,
+                // so the large side is reached on purpose.
+                let cards: Vec<usize> = (0..n)
+                    .map(|_| match draw {
+                        0 => 5,
+                        1 => 2,
+                        _ => CARDS[rng.below(4)],
+                    })
+                    .collect();
+                let vars = |keep: u32| {
+                    Domain::new(
+                        (0..n)
+                            .filter(|&p| keep >> p & 1 == 1)
+                            .map(|p| (VarId(2 * p as u32 + 1), cards[p]))
+                            .collect(),
+                    )
+                };
+                let sup = vars(u32::MAX);
+                let sub = vars(mask);
+                // A second separator for the fused kernel's multiplier.
+                let mul_sub = vars(rng.below(1 << n) as u32);
+                check_case(&sup, &sub, &mul_sub, &mut rng, case);
+                cases += 1;
+                if sup.size() <= 4096 {
+                    small += 1;
+                } else {
+                    large += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 126 * DRAWS);
+    assert!(small > 400 && large > 60, "{small} small, {large} large");
+}
+
+/// All seven kernels of `sup → sub` (and the fused kernel with `mul_sub`
+/// as the multiplier's separator) against the decode reference.
+fn check_case(sup: &Domain, sub: &Domain, mul_sub: &Domain, rng: &mut TestRng, case: u64) {
+    let plan = KernelPlan::new(sup, sub);
+    let map: Vec<usize> = (0..sup.size()).map(|i| mapped_index(sup, sub, i)).collect();
+    let table = random_values(rng, sup.size());
+    let msg = random_values(rng, sub.size());
+
+    let mut want = vec![0.0; sub.size()];
+    for (i, &v) in table.iter().enumerate() {
+        want[map[i]] += v;
+    }
+    let mut got = vec![f64::NAN; sub.size()];
+    plan.marginalize(&table, &mut got);
+    assert_bits(&got, &want, "marginalize", case);
+
+    let mut folded = vec![f64::NAN; sub.size()];
+    for cut in awkward_cuts(sub.size()).windows(2) {
+        plan.marginalize_fold(&table, cut[0], cut[1], |t, acc| folded[t] = acc);
+    }
+    assert_bits(&folded, &want, "marginalize_fold", case);
+
+    let mut want_max = vec![f64::NEG_INFINITY; sub.size()];
+    for (i, &v) in table.iter().enumerate() {
+        if v > want_max[map[i]] {
+            want_max[map[i]] = v;
+        }
+    }
+    plan.max_marginalize(&table, &mut got);
+    assert_bits(&got, &want_max, "max_marginalize", case);
+
+    let want_mul: Vec<f64> = table
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| v * msg[map[i]])
+        .collect();
+    let mut got = table.clone();
+    plan.extend_multiply(&mut got, &msg);
+    assert_bits(&got, &want_mul, "extend_multiply", case);
+
+    let mut got = table.clone();
+    for cut in awkward_cuts(sup.size()).windows(2) {
+        plan.extend_multiply_range(&mut got[cut[0]..cut[1]], &msg, cut[0]);
+    }
+    assert_bits(&got, &want_mul, "extend_multiply_range", case);
+
+    // Division under the Hugin invariant (0 only ever divides 0).
+    let table_div: Vec<f64> = table
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| if msg[map[i]] == 0.0 { 0.0 } else { v })
+        .collect();
+    let want_div: Vec<f64> = table_div
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            if msg[map[i]] == 0.0 {
+                0.0
+            } else {
+                v / msg[map[i]]
+            }
+        })
+        .collect();
+    let mut got = table_div.clone();
+    plan.extend_divide(&mut got, &msg);
+    assert_bits(&got, &want_div, "extend_divide", case);
+
+    // Fused collect kernel: multiply by a message on `mul_sub`, then
+    // marginalize onto `sub`, each output slot in ascending source order.
+    let mul = KernelPlan::new(sup, mul_sub);
+    let mul_msg = random_values(rng, mul_sub.size());
+    let mut want_table = table.clone();
+    let mut want_out = vec![0.0; sub.size()];
+    for (i, v) in want_table.iter_mut().enumerate() {
+        *v *= mul_msg[mapped_index(sup, mul_sub, i)];
+        want_out[map[i]] += *v;
+    }
+    let mut got_table = table.clone();
+    let mut got_out = vec![f64::NAN; sub.size()];
+    multiply_marginalize(&mul, &plan, &mut got_table, &mul_msg, &mut got_out);
+    assert_bits(&got_table, &want_table, "multiply_marginalize clique", case);
+    assert_bits(&got_out, &want_out, "multiply_marginalize message", case);
 }
 
 fn assert_bits(got: &[f64], want: &[f64], what: &str, seed: u64) {

@@ -56,6 +56,43 @@ fn assert_bitwise(label: &str, a: &Posteriors, b: &Posteriors) {
     }
 }
 
+/// `solver` answers `queries` with exactly `expected`'s bits through
+/// `Session::run`, `run_batch` and a `LiveSession` edit stream.
+fn assert_paths_match(
+    label: &str,
+    solver: &Arc<Solver>,
+    queries: &[Query],
+    expected: &[Posteriors],
+) {
+    let mut session = solver.session();
+    for (i, query) in queries.iter().enumerate() {
+        let got = session.run(query).unwrap().into_posteriors().unwrap();
+        assert_bitwise(&format!("{label} run {i}"), &got, &expected[i]);
+    }
+    let batch: QueryBatch = queries.iter().cloned().collect();
+    for (i, result) in session.run_batch(&batch).into_iter().enumerate() {
+        let Ok(QueryResult::Marginals(got)) = result else {
+            panic!("{label} batch slot {i}: {result:?}");
+        };
+        assert_bitwise(&format!("{label} batch {i}"), &got, &expected[i]);
+    }
+
+    // An edit stream: each case's findings arrive one at a time,
+    // then are retracted again.
+    let mut live = solver.live_session();
+    for (i, query) in queries.iter().enumerate() {
+        let findings: Vec<_> = query.get_evidence().iter().collect();
+        for &(var, state) in &findings {
+            live.apply(EvidenceDelta::observe(var, state)).unwrap();
+        }
+        let got = live.posteriors().unwrap();
+        assert_bitwise(&format!("{label} live {i}"), &got, &expected[i]);
+        for &(var, _) in &findings {
+            live.apply(EvidenceDelta::retract(var)).unwrap();
+        }
+    }
+}
+
 /// Which of a network's phases open a pool region at width ≥ 2.
 #[derive(Debug, Clone, Copy)]
 enum Regions {
@@ -98,7 +135,6 @@ fn decision_boundary_is_bitwise_safe() {
         let schedule = &prepared.built.schedule;
         let phases = 2 * (schedule.collect_layers.len() + schedule.distribute_layers.len()) as u64;
         let queries = queries_for(&net, 6, 0xC07);
-        let batch: QueryBatch = queries.iter().cloned().collect();
 
         let seq = Solver::from_prepared(prepared.clone()).build();
         let mut seq_session = seq.session();
@@ -122,32 +158,66 @@ fn decision_boundary_is_bitwise_safe() {
             };
             assert!(as_expected, "{label}: {regions}/{phases}, want {expect:?}");
 
-            let mut session = solver.session();
-            for (i, query) in queries.iter().enumerate() {
-                let got = session.run(query).unwrap().into_posteriors().unwrap();
-                assert_bitwise(&format!("{label} run {i}"), &got, &expected[i]);
-            }
-            for (i, result) in session.run_batch(&batch).into_iter().enumerate() {
-                let Ok(QueryResult::Marginals(got)) = result else {
-                    panic!("{label} batch slot {i}: {result:?}");
-                };
-                assert_bitwise(&format!("{label} batch {i}"), &got, &expected[i]);
-            }
+            assert_paths_match(&label, &solver, &queries, &expected);
+        }
+    }
+}
 
-            // An edit stream: each case's findings arrive one at a time,
-            // then are retracted again.
-            let mut live = solver.live_session();
-            for (i, query) in queries.iter().enumerate() {
-                let findings: Vec<_> = query.get_evidence().iter().collect();
-                for &(var, state) in &findings {
-                    live.apply(EvidenceDelta::observe(var, state)).unwrap();
-                }
-                let got = live.posteriors().unwrap();
-                assert_bitwise(&format!("{label} live {i}"), &got, &expected[i]);
-                for &(var, _) in &findings {
-                    live.apply(EvidenceDelta::retract(var)).unwrap();
-                }
+/// Tables of at most 4 096 entries execute compiled run programs and
+/// fully inline layers run the sequential engine's per-message routine
+/// with deferred ratios; larger tables keep the layout kernels and
+/// parallel phases read cliques directly. On trees that have all four
+/// combinations the engines must still agree to the bit — with each
+/// other and with `Reference`, which decodes every index per entry and
+/// shares none of that machinery.
+#[test]
+fn program_boundary_is_bitwise_safe() {
+    const PROGRAM_MAX_ENTRIES: usize = 4096;
+    for (window, seed) in [(4, 7), (5, 3), (5, 4)] {
+        let net = generators::windowed_dag(&WindowedDagSpec {
+            target_arcs: 60,
+            max_parents: 3,
+            window,
+            arity: ArityDist::Fixed(6),
+            seed,
+            ..WindowedDagSpec::new(format!("program-{window}-{seed}"), 30)
+        });
+        let name = net.name().to_string();
+        let prepared = Arc::new(Prepared::new(&net, &Default::default()));
+        let sizes: Vec<usize> = prepared.clique_domains.iter().map(|d| d.size()).collect();
+        let programmed = sizes.iter().filter(|&&n| n <= PROGRAM_MAX_ENTRIES).count();
+        assert!(
+            0 < programmed && programmed < sizes.len(),
+            "{name}: {programmed} of {} cliques under the constant",
+            sizes.len()
+        );
+        let schedule = &prepared.built.schedule;
+        let phases = 2 * (schedule.collect_layers.len() + schedule.distribute_layers.len()) as u64;
+        let queries = queries_for(&net, 4, 0xB17);
+
+        let reference = Solver::from_prepared(prepared.clone())
+            .engine(EngineKind::Reference)
+            .build();
+        let mut reference_session = reference.session();
+        let expected: Vec<Posteriors> = queries
+            .iter()
+            .map(|q| reference_session.run(q).unwrap().into_posteriors().unwrap())
+            .collect();
+
+        let seq = Arc::new(Solver::from_prepared(prepared.clone()).build());
+        assert_paths_match(&format!("{name} seq"), &seq, &queries, &expected);
+        for threads in [1usize, 2, 4] {
+            let solver = Arc::new(hybrid(&prepared, threads));
+            let regions = regions_opened(&solver, &queries[..1]);
+            if threads == 1 {
+                assert_eq!(regions, 0, "{name}: width 1 runs inline");
+            } else {
+                assert!(
+                    0 < regions && regions < phases,
+                    "{name}: {regions}/{phases}"
+                );
             }
+            assert_paths_match(&format!("{name} t={threads}"), &solver, &queries, &expected);
         }
     }
 }
