@@ -1,19 +1,16 @@
-//! The six inference engines and their common trait.
+//! The inference engine — one propagation driver (`driver.rs`) that an
+//! [`EngineKind`] configures — and the trait it is used through.
 //!
-//! Engines are **stateless strategies**: they own only query-independent
-//! structure (the shared [`Prepared`], precomputed task plans, a thread
-//! pool for the parallel families) and are therefore `Send + Sync`. All
+//! An engine is a **stateless strategy**: it owns only query-independent
+//! structure (the shared [`Prepared`], its compiled layer plans, a thread
+//! pool for the parallel kinds) and is therefore `Send + Sync`. All
 //! per-query mutable state lives in an explicit
 //! [`WorkState`] passed into every call, which
 //! is what lets one compiled [`Solver`](crate::solver::Solver) serve any
 //! number of concurrent [`Session`](crate::solver::Session)s.
 
-pub mod direct;
-pub mod element;
-pub mod hybrid;
-pub mod primitive;
-pub mod reference;
-pub mod seq;
+mod driver;
+mod naive;
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -25,7 +22,8 @@ use crate::prepared::Prepared;
 use crate::state::WorkState;
 
 /// A junction-tree propagation strategy over shared [`Prepared`]
-/// structures.
+/// structures — implemented once, by the driver every [`EngineKind`]
+/// configures.
 ///
 /// Implementations hold no per-query state (`&self` everywhere); the
 /// caller supplies a [`WorkState`] that has been `reset` and
@@ -38,40 +36,31 @@ pub trait InferenceEngine: Send + Sync {
     /// Short display name (matches the paper's column headers).
     fn name(&self) -> &'static str;
 
-    /// Worker count used by parallel regions (1 for sequential engines).
-    fn threads(&self) -> usize {
-        1
-    }
+    /// Worker count used by parallel regions (1 for sequential kinds).
+    fn threads(&self) -> usize;
 
     /// The worker pool driving this engine's parallel regions, if any
-    /// (`None` for the sequential engines). Batch execution reuses it for
+    /// (`None` for the sequential kinds). Batch execution reuses it for
     /// *outer* parallelism — independent queries dispatched across the
     /// team, with each query's own regions nesting on the same pool.
-    fn pool(&self) -> Option<&ThreadPool> {
-        None
-    }
+    fn pool(&self) -> Option<&ThreadPool>;
 
     /// A co-ownable handle to the engine's pool (`None` for the
-    /// sequential engines). Engines hold their pool through an `Arc`
+    /// sequential kinds). Engines hold their pool through an `Arc`
     /// precisely so it can be **shared**: hand this to
     /// [`make_engine_on`] (or [`SolverBuilder::pool`](crate::solver::SolverBuilder::pool))
     /// and another model's engine will run its regions on the same
     /// worker team.
-    fn pool_handle(&self) -> Option<Arc<ThreadPool>> {
-        None
-    }
+    fn pool_handle(&self) -> Option<Arc<ThreadPool>>;
 
     /// The shared query-independent structures this engine runs over.
     fn prepared(&self) -> &Arc<Prepared>;
 
-    /// Enters hard evidence into `state` (before propagation). The
-    /// default reduces each finding's home clique sequentially; the
-    /// fine-grained engines override this with their parallel reduction
-    /// primitive, preserving their cost model. All overrides are
-    /// bit-identical.
-    fn enter_evidence(&self, state: &mut WorkState, evidence: &Evidence) {
-        state.absorb_evidence(self.prepared(), evidence);
-    }
+    /// Enters hard evidence into `state` (before propagation) by reducing
+    /// each finding's home clique — sequentially, or through the kind's
+    /// own reduction primitive where that is part of its cost model. All
+    /// forms are bit-identical.
+    fn enter_evidence(&self, state: &mut WorkState, evidence: &Evidence);
 
     /// Runs the two Hugin passes (collect, distribute) on an
     /// evidence-absorbed `state`. After this, every clique holds its
@@ -79,7 +68,8 @@ pub trait InferenceEngine: Send + Sync {
     fn propagate(&self, state: &mut WorkState);
 }
 
-/// Engine selector for harnesses and examples.
+/// Engine selector: each kind is a configuration of the one propagation
+/// driver (message order × table operations; the table is in `driver.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// UnBBayes-substitute textbook baseline.
@@ -191,7 +181,7 @@ impl FromStr for EngineKind {
 }
 
 /// Instantiates a stateless engine of the requested kind. `threads` is
-/// ignored by the sequential engines; parallel engines spawn a private
+/// ignored by the sequential kinds; parallel kinds spawn a private
 /// pool of that width. Most callers want
 /// [`Solver::builder`](crate::solver::Solver::builder) instead, which
 /// pairs the engine with a scratch pool.
@@ -200,10 +190,10 @@ pub fn make_engine(
     prepared: Arc<Prepared>,
     threads: usize,
 ) -> Box<dyn InferenceEngine> {
-    match kind {
-        EngineKind::Reference | EngineKind::Seq => make_sequential(kind, prepared),
-        _ => make_engine_on(kind, prepared, ThreadPool::shared(threads)),
-    }
+    let pool = EngineKind::parallel()
+        .contains(&kind)
+        .then(|| ThreadPool::shared(threads));
+    Box::new(driver::JtDriver::new(kind, prepared, pool))
 }
 
 /// Instantiates a stateless engine of the requested kind on an
@@ -218,22 +208,24 @@ pub fn make_engine_on(
     prepared: Arc<Prepared>,
     pool: Arc<ThreadPool>,
 ) -> Box<dyn InferenceEngine> {
-    match kind {
-        EngineKind::Reference | EngineKind::Seq => make_sequential(kind, prepared),
-        EngineKind::Direct => Box::new(direct::DirectJt::with_pool(prepared, pool)),
-        EngineKind::Primitive => Box::new(primitive::PrimitiveJt::with_pool(prepared, pool)),
-        EngineKind::Element => Box::new(element::ElementJt::with_pool(prepared, pool)),
-        EngineKind::Hybrid => Box::new(hybrid::HybridJt::with_pool(prepared, pool)),
-    }
+    let pool = EngineKind::parallel().contains(&kind).then_some(pool);
+    Box::new(driver::JtDriver::new(kind, prepared, pool))
 }
 
-/// The pool-less kinds, shared by both `make_engine` flavors.
-fn make_sequential(kind: EngineKind, prepared: Arc<Prepared>) -> Box<dyn InferenceEngine> {
-    match kind {
-        EngineKind::Reference => Box::new(reference::ReferenceJt::new(prepared)),
-        EngineKind::Seq => Box::new(seq::SeqJt::new(prepared)),
-        _ => unreachable!("caller dispatches only sequential kinds here"),
-    }
+/// A tree whose phases sit on both sides of the break-even: arity 6 over
+/// a window of 4 gives cliques of 6^4 = 1 296 and 6^5 = 7 776 entries.
+#[cfg(test)]
+fn straddling_tree() -> Arc<Prepared> {
+    use fastbn_bayesnet::generators::{windowed_dag, ArityDist, WindowedDagSpec};
+    let net = windowed_dag(&WindowedDagSpec {
+        target_arcs: 60,
+        max_parents: 3,
+        window: 4,
+        arity: ArityDist::Fixed(6),
+        seed: 3,
+        ..WindowedDagSpec::new("straddle", 30)
+    });
+    Arc::new(Prepared::new(&net, &Default::default()))
 }
 
 #[cfg(test)]
@@ -271,5 +263,757 @@ mod tests {
         let err = "turbo".parse::<EngineKind>().unwrap_err();
         assert!(err.to_string().contains("turbo"));
         assert!(err.to_string().contains("hybrid"));
+    }
+
+    /// `Seq` ≡ `Hybrid` at width 1 is one code path: both compile every
+    /// layer to the same deferred loop over the same oriented messages.
+    /// A wider pool changes only the layers that hold enough entries.
+    #[test]
+    fn seq_and_width_one_hybrid_compile_to_the_same_deferred_layers() {
+        use super::driver::{JtDriver, Run};
+
+        let prepared = straddling_tree();
+        let hybrid = |threads| {
+            let pool = Some(ThreadPool::shared(threads));
+            JtDriver::new(EngineKind::Hybrid, prepared.clone(), pool)
+        };
+        let seq = JtDriver::new(EngineKind::Seq, prepared.clone(), None);
+        assert!(seq.pool().is_none() && seq.threads() == 1);
+
+        let narrow = hybrid(1);
+        for (a, b) in [
+            (&seq.collect, &narrow.collect),
+            (&seq.distribute, &narrow.distribute),
+        ] {
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b) {
+                assert!(matches!(x.run, Run::Deferred) && matches!(y.run, Run::Deferred));
+                assert_eq!(x.msgs, y.msgs);
+            }
+        }
+
+        let wide = hybrid(3);
+        let runs = || wide.collect.iter().chain(&wide.distribute).map(|l| &l.run);
+        let deferred = runs().filter(|r| matches!(r, Run::Deferred)).count();
+        let phased = runs().filter(|r| matches!(r, Run::Phased { .. })).count();
+        assert!(
+            deferred > 0 && phased > 0,
+            "{deferred} deferred, {phased} phased"
+        );
+        assert_eq!(
+            deferred + phased,
+            wide.collect.len() + wide.distribute.len()
+        );
+        for (x, y) in seq.collect.iter().zip(&wide.collect) {
+            assert_eq!(x.msgs, y.msgs, "the decision never reorders messages");
+        }
+    }
+}
+
+// The per-configuration unit tests, one module per kind and named by
+// its `EngineKind::id`: what each configuration compiles to, and that it
+// agrees with `Seq` to the bit.
+
+#[cfg(test)]
+mod reference {
+    mod tests {
+        use std::sync::Arc;
+
+        use crate::engines::naive::{self, decode_fresh, position_linear};
+        use crate::engines::EngineKind;
+        use crate::prepared::Prepared;
+        use crate::solver::Solver;
+        use fastbn_bayesnet::{datasets, sampler, Evidence, VarId};
+        use fastbn_jtree::JtreeOptions;
+        use fastbn_potential::{Domain, PotentialTable};
+
+        fn naive_marginal_of_var(
+            values: &[f64],
+            dom: &Domain,
+            var: VarId,
+            card: usize,
+        ) -> Vec<f64> {
+            let mut out = vec![0.0; card];
+            for (i, &v) in values.iter().enumerate() {
+                let states = decode_fresh(dom, i);
+                out[states[position_linear(dom, var)]] += v;
+            }
+            out
+        }
+
+        #[test]
+        fn reference_matches_seq_bitwise_on_asia() {
+            let net = datasets::asia();
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let reference = Solver::from_prepared(prepared.clone())
+                .engine(EngineKind::Reference)
+                .build();
+            let seq = Solver::from_prepared(prepared).build();
+            let mut ref_session = reference.session();
+            let mut seq_session = seq.session();
+            for case in sampler::generate_cases(&net, 25, 0.25, 11) {
+                let a = ref_session.posteriors(&case.evidence).unwrap();
+                let b = seq_session.posteriors(&case.evidence).unwrap();
+                assert_eq!(a.max_abs_diff(&b), 0.0, "case {:?}", case.evidence);
+                assert_eq!(a.prob_evidence.to_bits(), b.prob_evidence.to_bits());
+            }
+        }
+
+        #[test]
+        fn reference_matches_seq_on_student_no_evidence() {
+            let net = datasets::student();
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let reference = Solver::from_prepared(prepared.clone())
+                .engine(EngineKind::Reference)
+                .build();
+            let seq = Solver::from_prepared(prepared).build();
+            let a = reference.posteriors(&Evidence::empty()).unwrap();
+            let b = seq.posteriors(&Evidence::empty()).unwrap();
+            assert_eq!(a.max_abs_diff(&b), 0.0);
+        }
+
+        #[test]
+        fn naive_helpers_match_optimized_ops() {
+            use fastbn_potential::ops;
+            let domain = Arc::new(Domain::new(vec![
+                (VarId(0), 2),
+                (VarId(2), 3),
+                (VarId(5), 2),
+            ]));
+            let values: Vec<f64> = (0..domain.size()).map(|i| (i * i % 13) as f64).collect();
+            let table = PotentialTable::from_values(domain.clone(), values);
+            let target = Arc::new(Domain::new(vec![(VarId(2), 3)]));
+
+            let naive = naive::marginalize(table.values(), table.domain(), &target);
+            let fast = ops::marginalize(&table, target.clone());
+            assert_eq!(naive.as_slice(), fast.values());
+
+            let msg_dom = Arc::new(Domain::new(vec![(VarId(5), 2)]));
+            let msg = PotentialTable::from_values(msg_dom.clone(), vec![0.5, 2.0]);
+            let mut a = table.clone();
+            let mut b = table.clone();
+            naive::extend_multiply(a.values_mut(), &domain, msg.values(), &msg_dom);
+            ops::extend_multiply(&mut b, &msg);
+            assert_eq!(a.values(), b.values());
+
+            let mut c = table.clone();
+            let mut d = table.clone();
+            naive::reduce(c.values_mut(), &domain, VarId(2), 1);
+            ops::reduce_evidence(&mut d, VarId(2), 1);
+            assert_eq!(c.values(), d.values());
+
+            assert_eq!(
+                naive_marginal_of_var(table.values(), &domain, VarId(0), 2),
+                ops::marginal_of_var(&table, VarId(0))
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod seq {
+    mod tests {
+        use crate::error::InferenceError;
+        use crate::solver::Solver;
+        use fastbn_bayesnet::{datasets, Evidence, VarId};
+
+        fn solver_for(net: &fastbn_bayesnet::BayesianNetwork) -> Solver {
+            Solver::new(net) // defaults to `EngineKind::Seq`
+        }
+
+        #[test]
+        fn asia_prior_marginals_match_published_values() {
+            let net = datasets::asia();
+            let solver = solver_for(&net);
+            let post = solver.posteriors(&Evidence::empty()).unwrap();
+            let get = |name: &str| post.marginal(net.var_id(name).unwrap())[0];
+            assert!((get("Tuberculosis") - 0.0104).abs() < 1e-6);
+            assert!((get("LungCancer") - 0.055).abs() < 1e-6);
+            assert!((get("Bronchitis") - 0.45).abs() < 1e-6);
+            assert!((get("TbOrCa") - 0.064828).abs() < 1e-6);
+            assert!((get("XRay") - 0.11029).abs() < 1e-5);
+            assert!((get("Dyspnea") - 0.4359706).abs() < 1e-6);
+            assert!((post.prob_evidence - 1.0).abs() < 1e-9);
+        }
+
+        #[test]
+        fn sprinkler_posterior_given_wet_grass() {
+            // Classic Russell & Norvig result:
+            // P(Rain | Wet) = 0.4581/0.6471 ≈ 0.70793, P(Sprinkler | Wet) ≈ 0.42976.
+            let net = datasets::sprinkler();
+            let solver = solver_for(&net);
+            let wet = net.var_id("WetGrass").unwrap();
+            let post = solver
+                .posteriors(&Evidence::from_pairs([(wet, 0)]))
+                .unwrap();
+            let rain = post.marginal(net.var_id("Rain").unwrap())[0];
+            let spr = post.marginal(net.var_id("Sprinkler").unwrap())[0];
+            assert!((rain - 0.70793).abs() < 1e-4, "rain {rain}");
+            assert!((spr - 0.42976).abs() < 1e-4, "sprinkler {spr}");
+            assert!(
+                (post.prob_evidence - 0.6471).abs() < 1e-9,
+                "P(Wet) = 0.6471"
+            );
+        }
+
+        #[test]
+        fn evidence_marginal_is_point_mass() {
+            let net = datasets::cancer();
+            let solver = solver_for(&net);
+            let smoker = net.var_id("Smoker").unwrap();
+            let post = solver
+                .posteriors(&Evidence::from_pairs([(smoker, 1)]))
+                .unwrap();
+            assert_eq!(post.marginal(smoker), &[0.0, 1.0]);
+        }
+
+        #[test]
+        fn explaining_away_in_cancer_network() {
+            let net = datasets::cancer();
+            let solver = solver_for(&net);
+            let mut session = solver.session();
+            let cancer = net.var_id("Cancer").unwrap();
+            let xray = net.var_id("XRay").unwrap();
+            let prior = session
+                .posteriors(&Evidence::empty())
+                .unwrap()
+                .marginal(cancer)[0];
+            let with_xray = session
+                .posteriors(&Evidence::from_pairs([(xray, 0)]))
+                .unwrap()
+                .marginal(cancer)[0];
+            assert!(
+                with_xray > prior * 3.0,
+                "positive x-ray must sharply raise P(cancer): {prior} -> {with_xray}"
+            );
+        }
+
+        #[test]
+        fn repeated_queries_are_independent() {
+            // Session state must fully reset between queries.
+            let net = datasets::asia();
+            let solver = solver_for(&net);
+            let mut session = solver.session();
+            let dysp = net.var_id("Dyspnea").unwrap();
+            let baseline = session.posteriors(&Evidence::empty()).unwrap();
+            let _ = session
+                .posteriors(&Evidence::from_pairs([(dysp, 0)]))
+                .unwrap();
+            let again = session.posteriors(&Evidence::empty()).unwrap();
+            assert_eq!(baseline.max_abs_diff(&again), 0.0, "bitwise reset");
+        }
+
+        #[test]
+        fn impossible_evidence_reported() {
+            let net = datasets::asia();
+            let solver = solver_for(&net);
+            let mut session = solver.session();
+            // TbOrCa is a deterministic OR: tub=yes & either=no is impossible.
+            let tub = net.var_id("Tuberculosis").unwrap();
+            let either = net.var_id("TbOrCa").unwrap();
+            let err = session
+                .posteriors(&Evidence::from_pairs([(tub, 0), (either, 1)]))
+                .unwrap_err();
+            assert_eq!(err, InferenceError::ImpossibleEvidence);
+            // And the session still works afterwards.
+            assert!(session.posteriors(&Evidence::empty()).is_ok());
+        }
+
+        #[test]
+        fn joint_posterior_within_a_clique() {
+            // Sprinkler & Rain share a clique; their joint given WetGrass must
+            // match brute-force enumeration and its marginals must match the
+            // per-variable posteriors.
+            let net = datasets::sprinkler();
+            let solver = solver_for(&net);
+            let mut session = solver.session();
+            let wet = net.var_id("WetGrass").unwrap();
+            let spr = net.var_id("Sprinkler").unwrap();
+            let rain = net.var_id("Rain").unwrap();
+            let ev = Evidence::from_pairs([(wet, 0)]);
+            let joint = session
+                .joint_posterior(&ev, &[rain, spr])
+                .unwrap()
+                .expect("S and R share a clique");
+            assert!((joint.sum() - 1.0).abs() < 1e-12);
+            // Marginals of the joint equal the single-variable posteriors.
+            let post = session.posteriors(&ev).unwrap();
+            let spr_marginal = fastbn_potential::ops::marginal_of_var(&joint, spr);
+            for (a, b) in spr_marginal.iter().zip(post.marginal(spr)) {
+                assert!((a - b).abs() < 1e-12);
+            }
+            // Exact joint value: P(S=t, R=t | W=t) = 0.5*(0.1*0.8*0.99 + 0.5*0.2*0.99)/0.6471.
+            let expected = 0.5 * (0.1 * 0.8 * 0.99 + 0.5 * 0.2 * 0.99) / 0.6471;
+            let got = joint.value_at(&[0, 0]); // sorted order: (Sprinkler, Rain)
+            assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
+        }
+
+        #[test]
+        fn joint_posterior_out_of_clique_is_none() {
+            // VisitAsia and Smoker never co-occur in a clique of the Asia tree.
+            let net = datasets::asia();
+            let solver = solver_for(&net);
+            let mut session = solver.session();
+            let a = net.var_id("VisitAsia").unwrap();
+            let s = net.var_id("Smoker").unwrap();
+            assert!(session
+                .joint_posterior(&Evidence::empty(), &[a, s])
+                .unwrap()
+                .is_none());
+        }
+
+        #[test]
+        fn all_variables_observed() {
+            let net = datasets::student();
+            let solver = solver_for(&net);
+            let ev = Evidence::from_pairs((0..net.num_vars()).map(|v| (VarId::from_index(v), 0)));
+            let post = solver.posteriors(&ev).unwrap();
+            for v in 0..net.num_vars() {
+                assert_eq!(post.marginal(VarId::from_index(v))[0], 1.0);
+            }
+            assert!(post.prob_evidence > 0.0 && post.prob_evidence < 1.0);
+        }
+    }
+}
+
+#[cfg(test)]
+mod direct {
+    mod tests {
+        use std::sync::Arc;
+
+        use crate::engines::driver::{JtDriver, Run};
+        use crate::engines::EngineKind;
+        use crate::error::InferenceError;
+        use crate::prepared::Prepared;
+        use crate::solver::Solver;
+        use fastbn_bayesnet::{datasets, generators, sampler, Evidence};
+        use fastbn_jtree::JtreeOptions;
+        use fastbn_parallel::ThreadPool;
+
+        #[test]
+        fn grouping_collects_common_parents() {
+            let net = datasets::asia();
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let engine = JtDriver::new(
+                EngineKind::Direct,
+                prepared.clone(),
+                Some(ThreadPool::shared(2)),
+            );
+            for (layer, ids) in engine
+                .collect
+                .iter()
+                .zip(&prepared.built.schedule.collect_layers)
+            {
+                let Run::Grouped(groups) = &layer.run else {
+                    panic!("direct compiled {:?}", layer.run);
+                };
+                let total: usize = groups.iter().map(|g| g.msgs.len()).sum();
+                assert_eq!(total, ids.len(), "groups partition the layer");
+                let mut receivers: Vec<usize> = groups.iter().map(|g| g.receiver).collect();
+                receivers.sort_unstable();
+                receivers.dedup();
+                assert_eq!(receivers.len(), groups.len(), "receivers unique");
+                for g in groups {
+                    // Collect: every member is a child sending to the group's parent.
+                    assert!(g.msgs.iter().all(|m| m.receiver == g.receiver));
+                    assert!(g.msgs.windows(2).all(|w| w[0].sender < w[1].sender));
+                }
+            }
+        }
+
+        #[test]
+        fn direct_matches_seq_bitwise_across_thread_counts() {
+            let net = datasets::asia();
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let seq = Solver::from_prepared(prepared.clone()).build();
+            let mut seq_session = seq.session();
+            let cases = sampler::generate_cases(&net, 20, 0.2, 5);
+            for threads in [1, 2, 4] {
+                let direct = Solver::from_prepared(prepared.clone())
+                    .engine(EngineKind::Direct)
+                    .threads(threads)
+                    .build();
+                let mut session = direct.session();
+                for case in &cases {
+                    let a = seq_session.posteriors(&case.evidence).unwrap();
+                    let b = session.posteriors(&case.evidence).unwrap();
+                    assert_eq!(a.max_abs_diff(&b), 0.0, "t={threads}");
+                }
+            }
+        }
+
+        #[test]
+        fn direct_matches_seq_on_synthetic_network() {
+            let spec = generators::WindowedDagSpec {
+                nodes: 40,
+                target_arcs: 55,
+                max_parents: 3,
+                window: 6,
+                seed: 3,
+                ..generators::WindowedDagSpec::new("direct-test", 40)
+            };
+            let net = generators::windowed_dag(&spec);
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let seq = Solver::from_prepared(prepared.clone()).build();
+            let direct = Solver::from_prepared(prepared)
+                .engine(EngineKind::Direct)
+                .threads(4)
+                .build();
+            let mut seq_session = seq.session();
+            let mut session = direct.session();
+            for case in sampler::generate_cases(&net, 10, 0.2, 6) {
+                let a = seq_session.posteriors(&case.evidence).unwrap();
+                let b = session.posteriors(&case.evidence).unwrap();
+                assert_eq!(a.max_abs_diff(&b), 0.0);
+            }
+        }
+
+        #[test]
+        fn impossible_evidence_propagates_error() {
+            let net = datasets::asia();
+            let direct = Solver::builder(&net)
+                .engine(EngineKind::Direct)
+                .threads(2)
+                .build();
+            let tub = net.var_id("Tuberculosis").unwrap();
+            let either = net.var_id("TbOrCa").unwrap();
+            let err = direct
+                .posteriors(&Evidence::from_pairs([(tub, 0), (either, 1)]))
+                .unwrap_err();
+            assert_eq!(err, InferenceError::ImpossibleEvidence);
+        }
+    }
+}
+
+#[cfg(test)]
+mod primitive {
+    mod tests {
+        use std::sync::Arc;
+
+        use crate::engines::EngineKind;
+        use crate::prepared::Prepared;
+        use crate::solver::Solver;
+        use fastbn_bayesnet::{datasets, generators, sampler};
+        use fastbn_jtree::JtreeOptions;
+
+        #[test]
+        fn primitive_matches_seq_bitwise() {
+            let net = datasets::asia();
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let seq = Solver::from_prepared(prepared.clone()).build();
+            let mut seq_session = seq.session();
+            let cases = sampler::generate_cases(&net, 15, 0.2, 9);
+            for threads in [1, 2, 4] {
+                let primitive = Solver::from_prepared(prepared.clone())
+                    .engine(EngineKind::Primitive)
+                    .threads(threads)
+                    .build();
+                let mut session = primitive.session();
+                for case in &cases {
+                    let a = seq_session.posteriors(&case.evidence).unwrap();
+                    let b = session.posteriors(&case.evidence).unwrap();
+                    assert_eq!(a.max_abs_diff(&b), 0.0, "t={threads}");
+                    assert_eq!(a.prob_evidence.to_bits(), b.prob_evidence.to_bits());
+                }
+            }
+        }
+
+        #[test]
+        fn primitive_matches_seq_on_wider_network() {
+            let net = generators::grid(3, 5, 2, 1);
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let seq = Solver::from_prepared(prepared.clone()).build();
+            let primitive = Solver::from_prepared(prepared)
+                .engine(EngineKind::Primitive)
+                .threads(3)
+                .build();
+            let mut seq_session = seq.session();
+            let mut session = primitive.session();
+            for case in sampler::generate_cases(&net, 8, 0.25, 2) {
+                let a = seq_session.posteriors(&case.evidence).unwrap();
+                let b = session.posteriors(&case.evidence).unwrap();
+                assert_eq!(a.max_abs_diff(&b), 0.0);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod element {
+    mod tests {
+        use std::sync::Arc;
+
+        use crate::engines::driver::JtDriver;
+        use crate::engines::EngineKind;
+        use crate::prepared::Prepared;
+        use crate::solver::Solver;
+        use fastbn_bayesnet::{datasets, generators, sampler};
+        use fastbn_jtree::JtreeOptions;
+        use fastbn_parallel::ThreadPool;
+
+        #[test]
+        fn element_matches_seq_bitwise() {
+            let net = datasets::asia();
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let seq = Solver::from_prepared(prepared.clone()).build();
+            let mut seq_session = seq.session();
+            let cases = sampler::generate_cases(&net, 15, 0.2, 13);
+            for threads in [1, 2, 4] {
+                let element = Solver::from_prepared(prepared.clone())
+                    .engine(EngineKind::Element)
+                    .threads(threads)
+                    .build();
+                let mut session = element.session();
+                for case in &cases {
+                    let a = seq_session.posteriors(&case.evidence).unwrap();
+                    let b = session.posteriors(&case.evidence).unwrap();
+                    assert_eq!(a.max_abs_diff(&b), 0.0, "t={threads}");
+                }
+            }
+        }
+
+        #[test]
+        fn element_matches_seq_on_polytree() {
+            let net = generators::polytree(35, 3, 4);
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let seq = Solver::from_prepared(prepared.clone()).build();
+            let element = Solver::from_prepared(prepared)
+                .engine(EngineKind::Element)
+                .threads(2)
+                .build();
+            let mut seq_session = seq.session();
+            let mut session = element.session();
+            for case in sampler::generate_cases(&net, 8, 0.2, 5) {
+                let a = seq_session.posteriors(&case.evidence).unwrap();
+                let b = session.posteriors(&case.evidence).unwrap();
+                assert_eq!(a.max_abs_diff(&b), 0.0);
+            }
+        }
+
+        #[test]
+        fn mapping_tables_have_expected_shapes() {
+            let net = datasets::sprinkler();
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let pool = || Some(ThreadPool::shared(2));
+            let engine = JtDriver::new(EngineKind::Element, prepared.clone(), pool());
+            assert_eq!(engine.maps.len(), prepared.num_separators());
+            for (s, (maps, edge)) in engine.maps.iter().zip(&prepared.sep_plans).enumerate() {
+                let sep_size = prepared.sep_domains[s].size();
+                for (side, plan) in maps.iter().zip([&edge.child, &edge.parent]) {
+                    assert_eq!(side.bases.len(), sep_size);
+                    // fibers × sep entries = clique entries.
+                    assert_eq!(plan.fibers().len() * sep_size, side.entries.len());
+                    assert_eq!(side.entries.len(), plan.sup_size());
+                }
+            }
+            // No other configuration pays for the tables.
+            let primitive = JtDriver::new(EngineKind::Primitive, prepared, pool());
+            assert!(primitive.maps.is_empty());
+        }
+    }
+}
+
+#[cfg(test)]
+mod hybrid {
+    mod tests {
+        use std::sync::Arc;
+
+        use crate::engines::driver::{JtDriver, Run};
+        use crate::engines::EngineKind;
+        use crate::prepared::Prepared;
+        use crate::solver::Solver;
+        use fastbn_bayesnet::{datasets, generators, sampler, Evidence};
+        use fastbn_jtree::JtreeOptions;
+        use fastbn_parallel::ThreadPool;
+
+        /// Asserts that `tasks` (as `(lo, hi)` ranges) tile `[0, size)`.
+        fn assert_tiles(mut covered: Vec<(usize, usize)>, size: usize) {
+            covered.sort_unstable();
+            assert_eq!(covered.first().map(|c| c.0), Some(0));
+            assert_eq!(covered.last().map(|c| c.1), Some(size));
+            assert!(covered.windows(2).all(|w| w[0].1 == w[1].0));
+        }
+
+        /// Every parallel phase's task list covers each separator / receiver
+        /// entry exactly once (an inline phase has no list: it runs
+        /// whole-table kernels; a layer of two inline phases is deferred).
+        /// Returns how many phases were compiled (inline, parallel).
+        fn check_task_lists(prepared: &Arc<Prepared>, threads: usize) -> (usize, usize) {
+            let engine = JtDriver::new(
+                EngineKind::Hybrid,
+                prepared.clone(),
+                Some(ThreadPool::shared(threads)),
+            );
+            let (mut inline, mut parallel) = (0, 0);
+            for layer in engine.collect.iter().chain(&engine.distribute) {
+                let (sep_tasks, recv_region) = match &layer.run {
+                    Run::Deferred => {
+                        inline += 2;
+                        continue;
+                    }
+                    Run::Phased {
+                        sep_tasks,
+                        recv_region,
+                    } => (sep_tasks, recv_region),
+                    other => panic!("hybrid compiled {other:?}"),
+                };
+                assert!(sep_tasks.is_some() || recv_region.is_some());
+                // Sep tasks partition each message's separator range.
+                if let Some(tasks) = sep_tasks {
+                    for (i, m) in layer.msgs.iter().enumerate() {
+                        let of_msg = tasks.iter().filter(|t| t.of == i);
+                        assert_tiles(
+                            of_msg.map(|t| (t.lo, t.hi)).collect(),
+                            prepared.sep_domains[m.sep].size(),
+                        );
+                    }
+                }
+                if let Some(region) = recv_region {
+                    // Recv tasks partition each group's receiver range.
+                    for (gi, g) in region.groups.iter().enumerate() {
+                        let of_group = region.tasks.iter().filter(|t| t.of == gi);
+                        assert_tiles(
+                            of_group.map(|t| (t.lo, t.hi)).collect(),
+                            prepared.clique_domains[g.receiver].size(),
+                        );
+                        assert!(g.msgs.iter().all(|m| m.receiver == g.receiver));
+                    }
+                    // Every message sits in exactly one receiver group.
+                    let mut grouped: Vec<usize> = region
+                        .groups
+                        .iter()
+                        .flat_map(|g| g.msgs.iter().map(|m| m.sep))
+                        .collect();
+                    grouped.sort_unstable();
+                    let mut seps: Vec<usize> = layer.msgs.iter().map(|m| m.sep).collect();
+                    seps.sort_unstable();
+                    assert_eq!(grouped, seps);
+                }
+                for is_parallel in [sep_tasks.is_some(), recv_region.is_some()] {
+                    if is_parallel {
+                        parallel += 1;
+                    } else {
+                        inline += 1;
+                    }
+                }
+            }
+            (inline, parallel)
+        }
+
+        #[test]
+        fn task_lists_cover_every_entry_exactly_once() {
+            // Asia: every phase is far below the break-even, at any width.
+            let asia = Arc::new(Prepared::new(&datasets::asia(), &JtreeOptions::default()));
+            let (_, parallel) = check_task_lists(&asia, 3);
+            assert_eq!(parallel, 0);
+
+            // One tree that mixes inline phases with sliced parallel ones.
+            let mixed = crate::engines::straddling_tree();
+            let (inline, parallel) = check_task_lists(&mixed, 3);
+            assert!(
+                inline > 0 && parallel > 0,
+                "{inline} inline, {parallel} parallel"
+            );
+            // At width 1 the same tree compiles fully inline.
+            let (_, parallel) = check_task_lists(&mixed, 1);
+            assert_eq!(parallel, 0);
+        }
+
+        #[test]
+        fn hybrid_matches_seq_bitwise_across_thread_counts() {
+            let net = datasets::asia();
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let seq = Solver::from_prepared(prepared.clone()).build();
+            let mut seq_session = seq.session();
+            let cases = sampler::generate_cases(&net, 20, 0.2, 17);
+            for threads in [1, 2, 3, 4] {
+                let hybrid = Solver::from_prepared(prepared.clone())
+                    .engine(EngineKind::Hybrid)
+                    .threads(threads)
+                    .build();
+                let mut session = hybrid.session();
+                for case in &cases {
+                    let a = seq_session.posteriors(&case.evidence).unwrap();
+                    let b = session.posteriors(&case.evidence).unwrap();
+                    assert_eq!(a.max_abs_diff(&b), 0.0, "t={threads}");
+                    assert_eq!(a.prob_evidence.to_bits(), b.prob_evidence.to_bits());
+                }
+            }
+        }
+
+        #[test]
+        fn hybrid_matches_seq_on_multi_child_parents() {
+            // Naive-Bayes trees have one parent clique with many children —
+            // the multi-ratio receiver-phase case.
+            let net = generators::naive_bayes(12, 3, 2, 8);
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let seq = Solver::from_prepared(prepared.clone()).build();
+            let hybrid = Solver::from_prepared(prepared)
+                .engine(EngineKind::Hybrid)
+                .threads(4)
+                .build();
+            let mut seq_session = seq.session();
+            let mut session = hybrid.session();
+            for case in sampler::generate_cases(&net, 10, 0.3, 21) {
+                let a = seq_session.posteriors(&case.evidence).unwrap();
+                let b = session.posteriors(&case.evidence).unwrap();
+                assert_eq!(a.max_abs_diff(&b), 0.0);
+            }
+        }
+
+        #[test]
+        fn hybrid_matches_seq_on_random_windowed_dags() {
+            for seed in 0..4 {
+                let spec = generators::WindowedDagSpec {
+                    nodes: 45,
+                    target_arcs: 60,
+                    max_parents: 3,
+                    window: 6,
+                    seed,
+                    ..generators::WindowedDagSpec::new("hybrid-test", 45)
+                };
+                let net = generators::windowed_dag(&spec);
+                let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+                let seq = Solver::from_prepared(prepared.clone()).build();
+                let hybrid = Solver::from_prepared(prepared)
+                    .engine(EngineKind::Hybrid)
+                    .threads(2)
+                    .build();
+                let mut seq_session = seq.session();
+                let mut session = hybrid.session();
+                for case in sampler::generate_cases(&net, 6, 0.2, seed) {
+                    let a = seq_session.posteriors(&case.evidence).unwrap();
+                    let b = session.posteriors(&case.evidence).unwrap();
+                    assert_eq!(a.max_abs_diff(&b), 0.0, "seed {seed}");
+                }
+            }
+        }
+
+        #[test]
+        fn hybrid_handles_disconnected_networks() {
+            // Forest: schedule merges components into shared layers.
+            let mut b = fastbn_bayesnet::NetworkBuilder::new();
+            let a0 = b.add_var("a0", &["t", "f"]);
+            let a1 = b.add_var("a1", &["t", "f"]);
+            let c0 = b.add_var("c0", &["t", "f"]);
+            b.set_cpt(a0, vec![], vec![0.4, 0.6]).unwrap();
+            b.set_cpt(a1, vec![a0], vec![0.9, 0.1, 0.3, 0.7]).unwrap();
+            b.set_cpt(c0, vec![], vec![0.2, 0.8]).unwrap();
+            let net = b.build().unwrap();
+            let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+            let seq = Solver::from_prepared(prepared.clone()).build();
+            let hybrid = Solver::from_prepared(prepared)
+                .engine(EngineKind::Hybrid)
+                .threads(2)
+                .build();
+            let ev = Evidence::from_pairs([(a1, 0)]);
+            let x = seq.posteriors(&ev).unwrap();
+            let y = hybrid.posteriors(&ev).unwrap();
+            assert_eq!(x.max_abs_diff(&y), 0.0);
+            assert!(
+                (x.marginal(c0)[0] - 0.2).abs() < 1e-12,
+                "other component untouched"
+            );
+        }
     }
 }

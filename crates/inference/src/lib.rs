@@ -58,27 +58,27 @@
 //!
 //! ## Engines
 //!
-//! Propagation is pluggable: six engines (DESIGN.md §2.5) implement the
-//! stateless [`InferenceEngine`] trait — `&self` plus an explicit
-//! [`WorkState`] — so one engine instance serves any number of sessions:
+//! Propagation is one driver (module [`engines`]) behind the stateless
+//! [`InferenceEngine`] trait — `&self` plus an explicit [`WorkState`] — so
+//! one engine instance serves any number of sessions. An [`EngineKind`]
+//! configures it (DESIGN.md §2.5) along two axes — how a layer's messages
+//! are ordered, and which table operations an eager message runs — and
+//! the paper's baselines are configurations, not separate engines:
 //!
-//! | Engine | Paper analogue | Parallel structure |
+//! | [`EngineKind`] | Paper analogue | Message order × table operations |
 //! |---|---|---|
-//! | [`ReferenceJt`] | UnBBayes | sequential, textbook/object-heavy |
-//! | [`SeqJt`] | Fast-BNI-seq | sequential, odometer-fused ops |
-//! | [`DirectJt`] | Kozlov & Singh '94 | coarse: parallel messages per layer |
-//! | [`PrimitiveJt`] | Xia & Prasanna '07 | fine: one parallel region per table op |
-//! | [`ElementJt`] | Zheng '13 (GPU) | fine: mapped two-pass element-wise regions |
-//! | [`HybridJt`] | **Fast-BNI-par** | flattened per-layer phases (≤ 2 regions per layer; small phases run inline) |
+//! | `Reference` | UnBBayes | sequential, eager × textbook decode-and-allocate per entry |
+//! | `Seq` | Fast-BNI-seq | sequential, deferred ratios fused into the next marginalization × whole-table plan kernels |
+//! | `Direct` | Kozlov & Singh '94 | coarse: one region per layer over receiver groups × whole-table plan kernels |
+//! | `Primitive` | Xia & Prasanna '07 | sequential × fine: one static region per table op |
+//! | `Element` | Zheng '13 (GPU) | sequential × fine: one small-grain region per table op over materialised maps |
+//! | `Hybrid` | **Fast-BNI-par** | flattened per-layer phases (≤ 2 regions per layer; a phase too small for a region runs inline, a layer with none is `Seq`'s loop) |
 //!
-//! All engines run Hugin-style two-phase propagation over the same
-//! [`Prepared`] structures and produce **bit-identical posteriors** for
-//! any engine, thread count, or session interleaving (asserted by the
+//! Every configuration runs Hugin-style two-pass propagation over the same
+//! [`Prepared`] structures and produces **bit-identical posteriors** for
+//! any kind, thread count, or session interleaving (asserted by the
 //! test suite). Correctness oracles — variable elimination and
 //! brute-force enumeration — live in [`oracle`].
-//!
-//! The pre-session API (`build_engine` + `query(&mut self)`) survives as
-//! a deprecated forwarding shim in [`compat`].
 //!
 //! How this crate relates to the layers below (junction trees, potential
 //! tables, the thread pool) and above (the `fastbn-serve` micro-batching
@@ -91,7 +91,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cache;
-pub mod compat;
 pub mod delta;
 pub mod engines;
 pub mod error;
@@ -110,12 +109,6 @@ pub mod virtual_evidence;
 
 pub use cache::{CacheConfig, CacheStats, QueryCache};
 pub use delta::{EvidenceDelta, LiveSession};
-pub use engines::direct::DirectJt;
-pub use engines::element::ElementJt;
-pub use engines::hybrid::HybridJt;
-pub use engines::primitive::PrimitiveJt;
-pub use engines::reference::ReferenceJt;
-pub use engines::seq::SeqJt;
 pub use engines::{make_engine, make_engine_on, EngineKind, InferenceEngine, ParseEngineKindError};
 pub use error::{InferenceError, LikelihoodDefect};
 pub use mpe::{most_probable_explanation, MpeResult};
@@ -127,6 +120,3 @@ pub use solver::{Session, SessionCore, Solver, SolverBuilder};
 pub use state::WorkState;
 pub use trace::{layout_class, layout_class_name, scoped, TraceContext, TraceScope};
 pub use virtual_evidence::VirtualEvidence;
-
-#[allow(deprecated)]
-pub use compat::{build_engine, LegacyEngine};

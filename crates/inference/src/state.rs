@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use fastbn_bayesnet::{Evidence, VarId};
-use fastbn_potential::{multiply_marginalize, ops, KernelPlan};
+use fastbn_potential::{multiply_marginalize, ops};
 
 use crate::error::InferenceError;
 use crate::posterior::Posteriors;
@@ -27,12 +27,13 @@ const NO_PENDING: u32 = u32::MAX;
 /// reset per query with a single `copy_from_slice`, and recycled through
 /// the solver's scratch pool when the session drops. Steady-state
 /// propagation touches only slab regions through precompiled
-/// [`KernelPlan`]s, so it performs **zero heap allocations**.
+/// [`KernelPlan`](fastbn_potential::KernelPlan)s, so it performs **zero
+/// heap allocations**.
 #[derive(Debug, Clone)]
 pub struct WorkState {
     /// All tables, contiguously: cliques, seps, fresh, ratio.
     slab: Box<[f64]>,
-    /// Per-clique deferred-ratio slot for the sequential engine's fused
+    /// Per-clique deferred-ratio slot of deferred layers' fused
     /// collect/distribute path: the separator whose ratio still has to be
     /// multiplied into this clique, or [`NO_PENDING`].
     pending: Box<[u32]>,
@@ -143,7 +144,7 @@ impl WorkState {
     }
 
     /// The separator whose ratio is still pending multiplication into
-    /// clique `c`, if any (sequential-engine fusion bookkeeping).
+    /// clique `c`, if any (deferred-layer fusion bookkeeping).
     #[inline]
     pub fn pending(&self, c: usize) -> Option<usize> {
         let p = self.pending[c];
@@ -166,7 +167,7 @@ impl WorkState {
     }
 
     /// Multiplies clique `c`'s deferred ratio (if any) into the clique —
-    /// the flush half of the sequential engine's deferred-ratio fusion.
+    /// the flush half of the deferred-ratio fusion.
     /// Allocation-free.
     pub fn flush_pending(&mut self, prepared: &Prepared, c: usize) {
         if let Some(sep) = self.take_pending(c) {
@@ -194,7 +195,8 @@ impl WorkState {
 
     /// One whole message `sender → receiver` over `sep` on the calling
     /// thread, with **deferred ratio extension** — the per-message routine
-    /// of `SeqJt` and of `HybridJt`'s inline layers: marginalize the
+    /// of the propagation driver's deferred layers (every layer of `Seq`,
+    /// every region-less layer of `Hybrid`): marginalize the
     /// sender onto `fresh` (fusing the sender's own pending ratio, if any,
     /// through [`multiply_marginalize`]), update the separator
     /// ([`ops::sep_update`]), and record — not apply — the ratio for the
@@ -353,7 +355,7 @@ impl WorkState {
 
     /// One collect message recorded into the saved block: marginalizes
     /// `child` onto separator `sep`'s **saved** collect region and
-    /// multiplies it into `parent`. Bit-identical to the engines' eager
+    /// multiplies it into `parent`. Bit-identical to the driver's eager
     /// collect step — a collect ratio is `fresh / 1.0`, which IEEE
     /// division leaves exactly `fresh` — with the message kept for later
     /// delta replays instead of discarded.
@@ -405,7 +407,7 @@ impl WorkState {
     /// clique onto `sep`'s fresh scratch, folds it into a ratio against
     /// the saved collect message ([`ops::sep_ratio`]), then rebuilds
     /// `child` as its saved post-collect snapshot times that ratio —
-    /// exactly the arithmetic of the engines' eager distribute message,
+    /// exactly the arithmetic of the driver's eager distribute message,
     /// operand for operand.
     pub(crate) fn distribute_from_parent(
         &mut self,
@@ -441,7 +443,7 @@ impl WorkState {
         }
     }
 
-    /// Raw view of the slab for the parallel engines, which hand disjoint
+    /// Raw view of the slab for parallel layers, which hand disjoint
     /// regions to worker closures the borrow checker cannot see through.
     #[inline]
     pub(crate) fn raw(&mut self) -> SlabRaw {
@@ -564,29 +566,8 @@ impl WorkState {
     }
 }
 
-/// One sequential collect/distribute message executing precompiled plans
-/// on slab slices (shared by the Seq, Reference-adjacent and Direct
-/// paths; Primitive/Element/Hybrid have their own parallel versions):
-/// marginalize the sender onto `fresh`, fold the separator update
-/// (`ratio = fresh / sep; sep = fresh` — bitwise identical to the old
-/// divide-then-swap), then multiply the ratio into the receiver.
-#[inline]
-pub fn message_kernel(
-    send_plan: &KernelPlan,
-    recv_plan: &KernelPlan,
-    sender: &[f64],
-    receiver: &mut [f64],
-    sep: &mut [f64],
-    fresh: &mut [f64],
-    ratio: &mut [f64],
-) {
-    send_plan.marginalize(sender, fresh);
-    ops::sep_update(fresh, sep, ratio);
-    recv_plan.extend_multiply(receiver, ratio);
-}
-
 /// Raw slab view: base pointer + length, `Send + Sync` so parallel
-/// engines can hand disjoint regions to worker closures. All safety
+/// layers can hand disjoint regions to worker closures. All safety
 /// obligations sit on the callers, who must only touch pairwise-disjoint
 /// regions per parallel phase (guaranteed by the layer schedules).
 #[derive(Clone, Copy)]
@@ -603,8 +584,8 @@ unsafe impl Sync for SlabRaw {}
 
 impl SlabRaw {
     /// Opens a new race-tracking generation mid-view: claims handed out
-    /// before this call no longer conflict with claims after it. The
-    /// Hybrid engine calls this at each intra-layer phase boundary — a
+    /// before this call no longer conflict with claims after it. A
+    /// flattened layer calls this at its phase boundary — a
     /// clique written as a phase's receiver is legally *read* as a
     /// sender in the next phase, and the phases are separated by a
     /// pool barrier. No-op in untracked builds.
@@ -810,8 +791,8 @@ mod tests {
         });
     }
 
-    /// Same-thread overlaps are legal sequential re-borrows (the Seq
-    /// engine's pending-ratio corner) and must stay silent.
+    /// Same-thread overlaps are legal sequential re-borrows (a deferred
+    /// layer's pending-ratio corner) and must stay silent.
     #[cfg(any(debug_assertions, feature = "slab-track"))]
     #[test]
     fn slab_tracker_allows_same_thread_reclaims() {

@@ -118,8 +118,8 @@ pub(crate) fn validate_likelihood(
 /// Runs every engine (at each thread count) and the VE oracle on each
 /// evidence case, asserting:
 ///
-/// * all junction-tree engines agree **bitwise** with `SeqJt`;
-/// * `SeqJt` agrees with variable elimination within `tol`.
+/// * all junction-tree engines agree **bitwise** with `Seq`;
+/// * `Seq` agrees with variable elimination within `tol`.
 ///
 /// All solvers share one `Prepared`; each engine/thread combination gets
 /// its own [`Solver`] and queries through a session, exactly as a caller
@@ -166,7 +166,7 @@ pub fn assert_engines_agree(
                 let d = a.max_abs_diff(b);
                 assert!(
                     d <= tol,
-                    "case {i}: SeqJt deviates from VE by {d} (tol {tol})"
+                    "case {i}: Seq deviates from VE by {d} (tol {tol})"
                 );
                 let rel = (a.prob_evidence - b.prob_evidence).abs()
                     / b.prob_evidence.max(f64::MIN_POSITIVE);
@@ -174,7 +174,7 @@ pub fn assert_engines_agree(
                 worst = worst.max(d);
             }
             (Err(ea), Err(eb)) => assert_eq!(ea, eb, "case {i}: error mismatch"),
-            (a, b) => panic!("case {i}: SeqJt {a:?} but VE {b:?}"),
+            (a, b) => panic!("case {i}: Seq {a:?} but VE {b:?}"),
         }
 
         for session in &mut sessions {
@@ -186,16 +186,12 @@ pub fn assert_engines_agree(
             let got = session.posteriors(evidence);
             match (&expected, &got) {
                 (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.max_abs_diff(b),
-                        0.0,
-                        "case {i}: {label} differs from SeqJt"
-                    );
+                    assert_eq!(a.max_abs_diff(b), 0.0, "case {i}: {label} differs from Seq");
                 }
                 (Err(ea), Err(eb)) => {
                     assert_eq!(ea, eb, "case {i}: {label} error mismatch")
                 }
-                (a, b) => panic!("case {i}: SeqJt {a:?} but {label} {b:?}"),
+                (a, b) => panic!("case {i}: Seq {a:?} but {label} {b:?}"),
             }
         }
     }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use fastbn_bayesnet::{datasets, generators, sampler, BayesianNetwork, Evidence};
 use fastbn_inference::{
-    EvidenceDelta, HybridJt, InferenceEngine, Prepared, SeqJt, Solver, WorkState,
+    make_engine, EngineKind, EvidenceDelta, InferenceEngine, Prepared, Solver, WorkState,
 };
 use fastbn_jtree::JtreeOptions;
 
@@ -126,8 +126,8 @@ fn small_models() -> [BayesianNetwork; 3] {
 fn seq_steady_state_is_allocation_free() {
     for net in &small_models() {
         let prepared = Arc::new(Prepared::new(net, &JtreeOptions::default()));
-        let engine = SeqJt::new(prepared.clone());
-        assert_steady_state_allocation_free(&engine, &prepared, net);
+        let engine = make_engine(EngineKind::Seq, prepared.clone(), 1);
+        assert_steady_state_allocation_free(&*engine, &prepared, net);
     }
 }
 
@@ -140,8 +140,8 @@ fn hybrid_small_model_steady_state_is_allocation_free() {
     for net in &small_models() {
         let prepared = Arc::new(Prepared::new(net, &JtreeOptions::default()));
         for threads in [1, 2] {
-            let engine = HybridJt::new(prepared.clone(), threads);
-            assert_steady_state_allocation_free(&engine, &prepared, net);
+            let engine = make_engine(EngineKind::Hybrid, prepared.clone(), threads);
+            assert_steady_state_allocation_free(&*engine, &prepared, net);
         }
     }
 }

@@ -8,7 +8,6 @@ use std::thread::JoinHandle;
 
 use crossbeam_channel::{Receiver, Sender};
 use fastbn_telemetry::{Counter, MetricsRegistry};
-use parking_lot::Mutex;
 
 use crate::region::Region;
 use crate::schedule::Schedule;
@@ -173,9 +172,9 @@ impl ThreadPool {
         if self.threads == 1 || chunk_count == 1 {
             // Nothing to share: the caller runs every chunk itself, with no
             // region object and no wake-up. The schedule's chunk layout is
-            // still honoured so per-chunk state (and fold order, for
-            // `parallel_reduce`) is identical to the multi-threaded
-            // execution; a panicking body unwinds straight to the caller.
+            // still honoured so per-chunk state is identical to the
+            // multi-threaded execution; a panicking body unwinds straight
+            // to the caller.
             for c in 0..chunk_count {
                 let (s, e) = sched.chunk_bounds(c, len, self.threads);
                 shifted(s, e);
@@ -210,81 +209,6 @@ impl ThreadPool {
         self.parallel_for_chunks(range, sched, |s, e| {
             for i in s..e {
                 body(i);
-            }
-        });
-    }
-
-    /// Parallel map-reduce: `map(start, end)` produces one partial value per
-    /// chunk; partials are folded with `fold` in **chunk order**, starting
-    /// from `identity`.
-    ///
-    /// Folding in chunk order makes the result deterministic for a fixed
-    /// schedule; with a `Dynamic` schedule the chunking is independent of
-    /// the pool width, so results are bit-identical across thread counts —
-    /// the determinism policy of DESIGN.md §6.
-    pub fn parallel_reduce<T, M, F>(
-        &self,
-        range: Range<usize>,
-        sched: Schedule,
-        identity: T,
-        map: M,
-        fold: F,
-    ) -> T
-    where
-        T: Send,
-        M: Fn(usize, usize) -> T + Sync,
-        F: Fn(T, T) -> T,
-    {
-        let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return identity;
-        }
-        if self.threads == 1 {
-            // The multi-threaded path counts its region in the inner
-            // `parallel_for_chunks` call; mirror that accounting here.
-            self.regions_started.inc_seq();
-            self.items.add(len as u64);
-            let _retire = RetireRegion(&self.regions_finished);
-            let offset = range.start;
-            let mut acc = identity;
-            for c in 0..sched.chunk_count(len, 1) {
-                let (s, e) = sched.chunk_bounds(c, len, 1);
-                acc = fold(acc, map(offset + s, offset + e));
-            }
-            return acc;
-        }
-        let offset = range.start;
-        let partials: Mutex<Vec<(usize, T)>> =
-            Mutex::new(Vec::with_capacity(sched.chunk_count(len, self.threads)));
-        self.parallel_for_chunks(0..len, sched, |s, e| {
-            let value = map(offset + s, offset + e);
-            // Key partials by chunk start so the final fold order is the
-            // chunk order, independent of which thread ran which chunk.
-            partials.lock().push((s, value));
-        });
-        let mut partials = partials.into_inner();
-        partials.sort_by_key(|&(start, _)| start);
-        partials
-            .into_iter()
-            .fold(identity, |acc, (_, v)| fold(acc, v))
-    }
-
-    /// Fills `out[i] = f(i)` in parallel. A convenience over
-    /// `parallel_for_chunks` for the common "compute a fresh table" case,
-    /// where disjoint chunks give each task exclusive access to its slice.
-    pub fn parallel_fill<T, F>(&self, out: &mut [T], sched: Schedule, f: F)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let ptr = SendPtr(out.as_mut_ptr());
-        let len = out.len();
-        self.parallel_for_chunks(0..len, sched, |s, e| {
-            for i in s..e {
-                // SAFETY: chunks are disjoint, so each element is written by
-                // exactly one task; `ptr` stays valid for the region's
-                // lifetime because `out` is borrowed for the whole call.
-                unsafe { ptr.get().add(i).write(f(i)) };
             }
         });
     }
@@ -441,53 +365,6 @@ mod tests {
         pool.parallel_for(5..5, Schedule::Static, |_| panic!("must not run"));
         #[allow(clippy::reversed_empty_ranges)]
         pool.parallel_for(5..2, Schedule::Static, |_| panic!("must not run"));
-    }
-
-    #[test]
-    fn reduce_matches_sequential_sum() {
-        let pool = ThreadPool::new(4);
-        let data: Vec<f64> = (0..4096).map(|i| (i as f64).sin()).collect();
-        let par = pool.parallel_reduce(
-            0..data.len(),
-            Schedule::Dynamic { grain: 64 },
-            0.0,
-            |s, e| data[s..e].iter().sum::<f64>(),
-            |a, b| a + b,
-        );
-        let chunked_seq: f64 = (0..data.len())
-            .step_by(64)
-            .map(|s| data[s..(s + 64).min(data.len())].iter().sum::<f64>())
-            .sum();
-        assert_eq!(par, chunked_seq, "chunk-ordered fold must be deterministic");
-    }
-
-    #[test]
-    fn reduce_is_deterministic_across_pool_widths() {
-        let data: Vec<f64> = (0..10_001).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let run = |t: usize| {
-            let pool = ThreadPool::new(t);
-            pool.parallel_reduce(
-                0..data.len(),
-                Schedule::Dynamic { grain: 128 },
-                0.0,
-                |s, e| data[s..e].iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-        };
-        let r1 = run(1);
-        for t in [2, 3, 4, 8] {
-            assert_eq!(r1.to_bits(), run(t).to_bits(), "width {t}");
-        }
-    }
-
-    #[test]
-    fn parallel_fill_writes_every_slot() {
-        let pool = ThreadPool::new(4);
-        let mut out = vec![0u64; 5000];
-        pool.parallel_fill(&mut out, Schedule::Dynamic { grain: 33 }, |i| i as u64 * 3);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as u64 * 3);
-        }
     }
 
     /// Whether the calling thread is one of a pool's background workers.
@@ -731,14 +608,7 @@ mod tests {
         pool.parallel_for(0..100, Schedule::Static, |_| {});
         pool.parallel_for(0..50, Schedule::Dynamic { grain: 8 }, |_| {});
         pool.parallel_for(5..5, Schedule::Static, |_| unreachable!()); // empty: uncounted
-        let reduced: u64 = pool.parallel_reduce(
-            0..10,
-            Schedule::Static,
-            0,
-            |s, e| (s..e).map(|i| i as u64).sum(),
-            |a, b| a + b,
-        );
-        assert_eq!(reduced, 45);
+        pool.parallel_for(0..10, Schedule::Static, |_| {});
         let stats = pool.stats();
         assert_eq!(stats.regions_started, 3);
         assert_eq!(stats.regions_finished, 3);
@@ -759,7 +629,7 @@ mod tests {
         // The single-thread inline paths count identically.
         let inline = ThreadPool::new(1);
         inline.parallel_for(0..10, Schedule::Static, |_| {});
-        let _: u64 = inline.parallel_reduce(0..10, Schedule::Static, 0, |_, _| 0, |a, b| a + b);
+        inline.parallel_for(0..10, Schedule::Static, |_| {});
         assert_eq!(inline.stats().regions_started, 2);
         assert_eq!(inline.stats().regions_finished, 2);
 
@@ -774,21 +644,27 @@ mod tests {
 
     #[test]
     fn shared_pool_tenants_do_not_perturb_each_other() {
-        // The multi-model contract: a tenant's reduction over a shared
-        // pool is bit-identical to the same reduction run alone on a
-        // private pool of the same width, no matter what other tenants
-        // are doing concurrently. Chunk layout depends only on
-        // (schedule, len), and the fold is chunk-ordered.
+        // The multi-model contract: a tenant's chunk-ordered reduction
+        // over a shared pool is bit-identical to the same reduction run
+        // alone on a private pool of the same width, no matter what other
+        // tenants are doing concurrently. Chunk layout depends only on
+        // (schedule, len): each chunk's partial sum lands in the slot its
+        // start names, and the slots are folded in order.
         let data_a: Vec<f64> = (0..4096).map(|i| (i as f64).sin()).collect();
         let data_b: Vec<f64> = (0..2999).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let reduce = |pool: &ThreadPool, data: &[f64]| {
-            pool.parallel_reduce(
-                0..data.len(),
-                Schedule::Dynamic { grain: 64 },
-                0.0,
-                |s, e| data[s..e].iter().sum::<f64>(),
-                |a, b| a + b,
-            )
+            const GRAIN: usize = 64;
+            let partials: Vec<AtomicU64> = (0..data.len().div_ceil(GRAIN))
+                .map(|_| AtomicU64::new(0))
+                .collect();
+            pool.parallel_for_chunks(0..data.len(), Schedule::Dynamic { grain: GRAIN }, |s, e| {
+                let sum = data[s..e].iter().sum::<f64>();
+                partials[s / GRAIN].store(sum.to_bits(), Ordering::Relaxed);
+            });
+            partials
+                .iter()
+                .map(|p| f64::from_bits(p.load(Ordering::Relaxed)))
+                .sum::<f64>()
         };
         let private = ThreadPool::new(4);
         let solo_a = reduce(&private, &data_a);

@@ -66,25 +66,6 @@ pub fn fiber_offsets(source: &Domain, target: &Domain) -> Vec<usize> {
     }
 }
 
-/// Fully materialized mapping array: `map[i]` is the `target` index of
-/// `iter_domain` entry `i`. This is the Element engine's GPU-style
-/// precomputed mapping table; other engines compute the mapping on the fly.
-pub fn materialize_map(iter_domain: &Domain, target: &Domain) -> Vec<u32> {
-    assert!(
-        target.size() <= u32::MAX as usize,
-        "mapping table exceeds u32 index range"
-    );
-    let strides = embedding_strides(iter_domain, target);
-    let mut odo = Odometer::new(iter_domain.cards(), &strides);
-    (0..iter_domain.size())
-        .map(|_| {
-            let m = odo.mapped() as u32;
-            odo.advance();
-            m
-        })
-        .collect()
-}
-
 /// Incremental enumerator of a domain's assignments that maintains the
 /// corresponding flat index in a target domain.
 ///
@@ -266,15 +247,6 @@ mod tests {
         let src = source();
         let offsets = fiber_offsets(&src, &Domain::scalar());
         assert_eq!(offsets, (0..src.size()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn materialize_map_matches_odometer() {
-        let (src, tgt) = (source(), target());
-        let map = materialize_map(&src, &tgt);
-        for (idx, &m) in map.iter().enumerate() {
-            assert_eq!(m as usize, reference_map(&src, &tgt, idx));
-        }
     }
 
     #[test]

@@ -7,29 +7,27 @@
 //! (zero out entries inconsistent with evidence).
 //!
 //! The paper's "key step ... is to find the index mappings between the
-//! original and the updated tables"; [`index_map`] implements those
-//! mappings three ways, matching the engines that consume them:
+//! original and the updated tables". Here that step is compiled once:
+//! a [`plan::KernelPlan`] per (clique, separator) domain pair holds the
+//! strides, the fiber offsets and a layout classification, and every table
+//! operation of propagation is a method on it — whole-table kernels
+//! (run programs on small tables, blocked or odometer kernels on large
+//! ones) for a caller that owns the table, and chunkable forms
+//! (`marginalize_fold`, `extend_multiply_range`) for callers that split one
+//! table across workers. Compiled once, executed allocation-free.
+//! [`index_map`] holds the mapping primitives the plans are built from.
 //!
-//! * incremental **odometers** (constant amortized work per entry) for the
-//!   optimized sequential engine,
-//! * **chunk-local odometers** seeded by one mixed-radix decode per chunk
-//!   for the parallel engines, and
-//! * fully **materialized mapping arrays** for the Element engine, which
-//!   reproduces the GPU design of precomputing mapping tables.
-//!
-//! All three consume precompiled [`plan::KernelPlan`]s: one plan per
-//! (source, target) domain pair holds the strides, fiber offsets, and a
-//! layout classification selecting blocked fast paths when the mapped
-//! variables form a contiguous inner or outer block — compiled once,
-//! executed allocation-free.
-//!
-//! Sequential ops live in [`ops`], parallel ops (driven by a
-//! [`fastbn_parallel::ThreadPool`] + [`fastbn_parallel::Schedule`]) in
-//! [`ops_par`]. Parallel results are bit-identical to sequential ones: for
-//! every output entry, contributions are accumulated in ascending source
-//! index order in both paths (DESIGN.md §6). Where these operations sit
-//! in the full stack is mapped in `docs/ARCHITECTURE.md` at the
-//! repository root.
+//! Beside the plans, [`ops`] has the slice helpers that need no mapping
+//! (separator update, evidence reduction, single-variable reads) and
+//! table-level convenience forms for one-shot callers; [`ops_par`] has the
+//! one-region-per-operation entry points (driven by a
+//! [`fastbn_parallel::ThreadPool`] + [`fastbn_parallel::Schedule`]) that
+//! the fine-grained baseline configurations run, including the
+//! materialized mapping arrays of the GPU-style `Element` configuration.
+//! Parallel results are bit-identical to sequential ones: for every output
+//! entry, contributions are accumulated in ascending source index order in
+//! both paths (DESIGN.md §6). Where these operations sit in the full stack
+//! is mapped in `docs/ARCHITECTURE.md` at the repository root.
 
 // Every unsafe operation inside an `unsafe fn` must sit in its own
 // `unsafe {}` block with a SAFETY comment (enforced by fastbn-analyze
@@ -44,6 +42,5 @@ pub mod plan;
 pub mod table;
 
 pub use domain::Domain;
-pub use index_map::{embedding_strides, fiber_offsets, Odometer};
 pub use plan::{multiply_marginalize, KernelPlan, Layout};
 pub use table::PotentialTable;

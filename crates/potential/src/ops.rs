@@ -1,17 +1,20 @@
-//! Sequential potential-table operations.
+//! Sequential potential-table operations: what propagation needs beside
+//! the [`KernelPlan`] kernels.
 //!
-//! These are the "simplified bottleneck operations" of Fast-BNI-seq. Each
-//! table-level entry point compiles a transient [`KernelPlan`] for its
-//! (source, target) domain pair and executes it — one walk, no per-entry
-//! decode. Hot paths that run the same pair repeatedly (propagation) hold
-//! precompiled plans instead and call the plan kernels directly; these
-//! functions are the convenience layer for one-shot callers (preparation,
-//! oracles, tests).
+//! Two groups remain here. The **slice helpers** run on slab regions in
+//! the hot path and have no index mapping to compile: the fused separator
+//! update ([`sep_update`], [`sep_ratio`], both through [`safe_div`]),
+//! evidence reduction ([`reduce_evidence_slice`]) and the single-variable
+//! read ([`marginal_of_var_into`]). The **table-level forms**
+//! ([`marginalize`], [`extend_multiply`], [`reduce_evidence`],
+//! [`marginal_of_var`]) compile a transient plan per call and execute it —
+//! the convenience layer for one-shot callers (preparation, oracles,
+//! tests). Propagation itself holds precompiled plans and calls their
+//! kernels directly.
 //!
 //! fastbn: deny-hot-alloc
 
 use crate::domain::Domain;
-use crate::index_map::embedding_strides;
 use crate::plan::KernelPlan;
 use crate::table::PotentialTable;
 use fastbn_bayesnet::VarId;
@@ -45,30 +48,6 @@ pub fn extend_multiply(table: &mut PotentialTable, msg: &PotentialTable) {
     plan.extend_multiply(table.values_mut(), msg.values());
 }
 
-/// Like [`extend_multiply`] but dividing, with the Hugin convention
-/// `0 / 0 = 0` (a zero in the denominator can only ever be paired with a
-/// zero numerator during propagation).
-pub fn extend_divide(table: &mut PotentialTable, msg: &PotentialTable) {
-    debug_assert!(msg.domain().is_subdomain_of(table.domain()));
-    let plan = KernelPlan::new(table.domain(), msg.domain());
-    plan.extend_divide(table.values_mut(), msg.values());
-}
-
-/// Element-wise `num[i] / den[i]` written into `out[i]`, all on the same
-/// domain, with `0 / 0 = 0`. This is the separator-update step of Hugin
-/// propagation (`ratio = new_sep / old_sep`).
-pub fn divide_into(num: &PotentialTable, den: &PotentialTable, out: &mut PotentialTable) {
-    debug_assert_eq!(num.domain().vars(), den.domain().vars());
-    debug_assert_eq!(num.domain().vars(), out.domain().vars());
-    let out_values = out.values_mut();
-    for (o, (&n, &d)) in out_values
-        .iter_mut()
-        .zip(num.values().iter().zip(den.values()))
-    {
-        *o = safe_div(n, d);
-    }
-}
-
 /// The fused Hugin separator update: given the freshly marginalized
 /// message, computes the `new/old` ratio and installs the new separator in
 /// one pass — `ratio[t] = fresh[t] / sep[t]` (with `0/0 = 0`), then
@@ -95,14 +74,6 @@ pub fn sep_ratio(msg: &mut [f64], saved: &[f64]) {
     debug_assert_eq!(msg.len(), saved.len());
     for (m, &s) in msg.iter_mut().zip(saved) {
         *m = safe_div(*m, s);
-    }
-}
-
-/// Element-wise multiply of two same-domain tables.
-pub fn multiply_into(table: &mut PotentialTable, other: &PotentialTable) {
-    debug_assert_eq!(table.domain().vars(), other.domain().vars());
-    for (a, &b) in table.values_mut().iter_mut().zip(other.values()) {
-        *a *= b;
     }
 }
 
@@ -177,39 +148,6 @@ pub fn marginal_of_var_into(values: &[f64], domain: &Domain, var: VarId, out: &m
     }
 }
 
-/// Max-marginalization: like [`marginalize_into`] but taking the maximum
-/// over each fiber instead of the sum — the core of max-product (MPE)
-/// propagation.
-pub fn max_marginalize_into(src: &PotentialTable, out: &mut PotentialTable) {
-    debug_assert!(out.domain().is_subdomain_of(src.domain()));
-    let plan = KernelPlan::new(src.domain(), out.domain());
-    plan.max_marginalize(src.values(), out.values_mut());
-}
-
-/// Max-marginal of a single variable: `out[s] = max { table[i] :
-/// state_of(i, var) = s }`.
-// fastbn: allow(hot-alloc): allocating convenience form (MPE read path).
-pub fn max_marginal_of_var(table: &PotentialTable, var: VarId) -> Vec<f64> {
-    let stride = table.domain().stride_of(var);
-    let card = table.domain().card_of(var);
-    let values = table.values();
-    let mut out = vec![f64::NEG_INFINITY; card];
-    let block = stride * card;
-    let mut base = 0;
-    while base < values.len() {
-        for (s, slot) in out.iter_mut().enumerate() {
-            let start = base + s * stride;
-            for &v in &values[start..start + stride] {
-                if v > *slot {
-                    *slot = v;
-                }
-            }
-        }
-        base += block;
-    }
-    out
-}
-
 /// Division with the Hugin `0/0 = 0` convention.
 #[inline]
 pub fn safe_div(n: f64, d: f64) -> f64 {
@@ -219,12 +157,6 @@ pub fn safe_div(n: f64, d: f64) -> f64 {
     } else {
         n / d
     }
-}
-
-/// Precomputed strides of `sub` inside `sup`, for callers that run the
-/// extension mapping manually (the hybrid engine's flattened loops).
-pub fn extension_strides(sup: &Domain, sub: &Domain) -> Vec<usize> {
-    embedding_strides(sup, sub)
 }
 
 #[cfg(test)]
@@ -333,23 +265,18 @@ mod tests {
 
     #[test]
     fn divide_handles_zero_over_zero() {
-        let d = dom(&[(0, 2)]);
-        let num = PotentialTable::from_values(d.clone(), vec![0.0, 0.6]);
-        let den = PotentialTable::from_values(d.clone(), vec![0.0, 0.3]);
-        let mut out = PotentialTable::zeros(d);
-        divide_into(&num, &den, &mut out);
-        assert_eq!(out.values()[0], 0.0);
-        assert!((out.values()[1] - 2.0).abs() < 1e-12);
-    }
+        // Both separator-division forms share `safe_div`: 0/0 = 0.
+        let fresh = [0.0, 0.6];
+        let mut sep = [0.0, 0.3];
+        let mut ratio = [f64::NAN; 2];
+        sep_update(&fresh, &mut sep, &mut ratio);
+        assert_eq!(ratio[0], 0.0);
+        assert!((ratio[1] - 2.0).abs() < 1e-12);
+        assert_eq!(sep, fresh);
 
-    #[test]
-    fn extend_divide_matches_divide_semantics() {
-        let cd = dom(&[(0, 2), (1, 2)]);
-        let md = dom(&[(0, 2)]);
-        let mut t = PotentialTable::from_values(cd, vec![0.0, 0.0, 4.0, 6.0]);
-        let msg = PotentialTable::from_values(md, vec![0.0, 2.0]);
-        extend_divide(&mut t, &msg);
-        assert_eq!(t.values(), &[0.0, 0.0, 2.0, 3.0]);
+        let mut msg = [0.0, 0.6];
+        sep_ratio(&mut msg, &[0.0, 0.3]);
+        assert_eq!(msg.map(f64::to_bits), ratio.map(f64::to_bits));
     }
 
     #[test]
@@ -402,10 +329,11 @@ mod tests {
 
     #[test]
     fn multiply_into_same_domain() {
+        // Same scope on both sides: the identity plan, element-wise.
         let d = dom(&[(0, 2)]);
         let mut a = PotentialTable::from_values(d.clone(), vec![2.0, 3.0]);
         let b = PotentialTable::from_values(d, vec![0.5, 2.0]);
-        multiply_into(&mut a, &b);
+        extend_multiply(&mut a, &b);
         assert_eq!(a.values(), &[1.0, 6.0]);
     }
 

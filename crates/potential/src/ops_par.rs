@@ -1,35 +1,36 @@
-//! Parallel potential-table operations.
+//! Parallel potential-table operations: one pool region per call.
+//!
+//! These are the seven entry points the fine-grained baseline
+//! configurations of the inference driver run — `Primitive` the
+//! plan-based ones, `Element` the mapped ones — one region per table
+//! operation, which is the cost shape those baselines exist to show. (The
+//! hybrid configuration does not come through here: it packs a whole
+//! layer into one region and calls the chunkable plan kernels itself.)
 //!
 //! Every operation parallelizes over **output** entries, so no two tasks
 //! ever write the same slot and no atomics are needed on the value arrays.
-//! All kernels execute a precompiled [`KernelPlan`]: each chunk pays one
-//! `seek` (a single mixed-radix decode) and then streams incrementally —
-//! this is the paper's "parallelize the index mapping computations of
-//! different potential table entries", minus the per-call stride/fiber
-//! recomputation the plans amortize away.
+//! All take raw `f64` slices (slab regions) and allocate nothing per call.
 //!
-//! The `*_plan_par` / `*_slice_par` functions are the hot-path entry
-//! points: they take raw `f64` slices (slab regions) plus a prebuilt plan
-//! and allocate nothing. The table-based functions compile a transient
-//! plan and delegate — the convenience layer for one-shot callers.
-//!
-//! The `*_mapped` variants implement the Element engine's two-pass GPU
-//! style: pass one materializes the whole index-mapping array, pass two
-//! applies it. They produce identical results with more parallel regions
-//! and more memory traffic — which is precisely the overhead the paper's
-//! hybrid design avoids.
+//! * [`marginalize_plan_par`], [`extend_multiply_plan_par`] execute a
+//!   precompiled [`KernelPlan`] chunk by chunk: each chunk pays one `seek`
+//!   (a single mixed-radix decode) and then streams incrementally — the
+//!   paper's "parallelize the index mapping computations of different
+//!   potential table entries".
+//! * [`sep_update_par`], [`reduce_evidence_slice_par`] need no mapping.
+//! * [`materialize_map_par`] and the two `*_mapped_slice_par` functions are
+//!   the two-pass GPU style: pass one materializes a whole index-mapping
+//!   array (once per network), pass two applies it. Identical results with
+//!   more memory traffic — the overhead the paper's hybrid design avoids.
 //!
 //! fastbn: audited-raw-ptr
 //! fastbn: deny-hot-alloc
 
-use fastbn_bayesnet::VarId;
 use fastbn_parallel::{Schedule, ThreadPool};
 
 use crate::domain::Domain;
 use crate::index_map::{embedding_strides, Odometer};
 use crate::ops::safe_div;
 use crate::plan::KernelPlan;
-use crate::table::{PotentialTable, ZeroSumError};
 
 /// Raw-pointer wrapper allowing disjoint chunks to write a shared output
 /// slice. Soundness: callers only ever hand each chunk the sub-slice
@@ -99,25 +100,6 @@ pub fn extend_multiply_plan_par(
     });
 }
 
-/// Parallel plan-based extension-divide over raw slices with `0/0 = 0`.
-/// Allocation-free.
-pub fn extend_divide_plan_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    plan: &KernelPlan,
-    table: &mut [f64],
-    msg: &[f64],
-) {
-    debug_assert_eq!(table.len(), plan.sup_size());
-    debug_assert_eq!(msg.len(), plan.sub_size());
-    let ptr = SharedMut(table.as_mut_ptr());
-    pool.parallel_for_chunks(0..plan.sup_size(), sched, |start, end| {
-        // SAFETY: chunks are disjoint sub-ranges of the table.
-        let chunk = unsafe { ptr.range(start, end) };
-        plan.extend_divide_range(chunk, msg, start);
-    });
-}
-
 /// Parallel fused separator update: `ratio[t] = fresh[t] / sep[t]`
 /// (`0/0 = 0`) then `sep[t] = fresh[t]` — the parallel twin of
 /// [`crate::ops::sep_update`], bitwise identical to it (every entry is
@@ -175,115 +157,6 @@ pub fn reduce_evidence_slice_par(
     });
 }
 
-/// Parallel marginalization over tables: compiles a transient plan and
-/// delegates to [`marginalize_plan_par`].
-pub fn marginalize_into_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    src: &PotentialTable,
-    out: &mut PotentialTable,
-) {
-    debug_assert!(out.domain().is_subdomain_of(src.domain()));
-    let plan = KernelPlan::new(src.domain(), out.domain());
-    marginalize_plan_par(pool, sched, &plan, src.values(), out.values_mut());
-}
-
-/// Parallel extension over tables: `table[i] *= msg[m(i)]`.
-pub fn extend_multiply_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    table: &mut PotentialTable,
-    msg: &PotentialTable,
-) {
-    debug_assert!(msg.domain().is_subdomain_of(table.domain()));
-    let plan = KernelPlan::new(table.domain(), msg.domain());
-    extend_multiply_plan_par(pool, sched, &plan, table.values_mut(), msg.values());
-}
-
-/// Parallel extension-divide over tables with `0/0 = 0`.
-pub fn extend_divide_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    table: &mut PotentialTable,
-    msg: &PotentialTable,
-) {
-    debug_assert!(msg.domain().is_subdomain_of(table.domain()));
-    let plan = KernelPlan::new(table.domain(), msg.domain());
-    extend_divide_plan_par(pool, sched, &plan, table.values_mut(), msg.values());
-}
-
-/// Parallel same-domain element-wise division (`out = num / den`,
-/// `0/0 = 0`): the separator-ratio step.
-pub fn divide_into_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    num: &PotentialTable,
-    den: &PotentialTable,
-    out: &mut PotentialTable,
-) {
-    debug_assert_eq!(num.domain().vars(), den.domain().vars());
-    debug_assert_eq!(num.domain().vars(), out.domain().vars());
-    let n = num.values();
-    let d = den.values();
-    let ptr = SharedMut(out.values_mut().as_mut_ptr());
-    pool.parallel_for_chunks(0..n.len(), sched, |start, end| {
-        // SAFETY: chunks are disjoint sub-ranges of the output.
-        let chunk = unsafe { ptr.range(start, end) };
-        for (i, o) in (start..end).zip(chunk) {
-            *o = safe_div(n[i], d[i]);
-        }
-    });
-}
-
-/// Parallel reduction over tables: zeroes entries inconsistent with
-/// `var = state`.
-pub fn reduce_evidence_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    table: &mut PotentialTable,
-    var: VarId,
-    state: usize,
-) {
-    let stride = table.domain().stride_of(var);
-    let card = table.domain().card_of(var);
-    reduce_evidence_slice_par(pool, sched, table.values_mut(), stride, card, state);
-}
-
-/// Parallel sum of all entries (chunk-ordered fold: deterministic across
-/// thread counts under a `Dynamic` schedule).
-pub fn sum_par(pool: &ThreadPool, sched: Schedule, table: &PotentialTable) -> f64 {
-    let values = table.values();
-    pool.parallel_reduce(
-        0..values.len(),
-        sched,
-        0.0,
-        |s, e| values[s..e].iter().sum::<f64>(),
-        |a, b| a + b,
-    )
-}
-
-/// Parallel normalization; returns the pre-normalization sum.
-pub fn normalize_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    table: &mut PotentialTable,
-) -> Result<f64, ZeroSumError> {
-    let sum = sum_par(pool, sched, table);
-    if sum <= 0.0 || !sum.is_finite() {
-        return Err(ZeroSumError);
-    }
-    let inv = 1.0 / sum;
-    let len = table.len();
-    let ptr = SharedMut(table.values_mut().as_mut_ptr());
-    pool.parallel_for_chunks(0..len, sched, |start, end| {
-        // SAFETY: chunks are disjoint sub-ranges of the table.
-        for v in unsafe { ptr.range(start, end) } {
-            *v *= inv;
-        }
-    });
-    Ok(sum)
-}
-
 /// Element-engine pass 1: materializes the full `iter_domain → target`
 /// index-mapping array in parallel.
 // fastbn: allow(hot-alloc): pass-one map materialization — the Element
@@ -335,17 +208,6 @@ pub fn extend_multiply_mapped_slice_par(
     });
 }
 
-/// Element-engine pass 2 (extension) over tables.
-pub fn extend_multiply_mapped_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    table: &mut PotentialTable,
-    msg: &PotentialTable,
-    map: &[u32],
-) {
-    extend_multiply_mapped_slice_par(pool, sched, table.values_mut(), msg.values(), map);
-}
-
 /// Element-engine pass 2 (marginalization) over raw slices:
 /// `out[t] = Σ_f src[bases[t] + fibers[f]]`, with `bases` produced by
 /// [`materialize_map_par`] over `(target → source)`. Allocation-free.
@@ -374,23 +236,12 @@ pub fn marginalize_mapped_slice_par(
     });
 }
 
-/// Element-engine pass 2 (marginalization) over tables.
-pub fn marginalize_mapped_par(
-    pool: &ThreadPool,
-    sched: Schedule,
-    src: &PotentialTable,
-    out: &mut PotentialTable,
-    bases: &[u32],
-    fibers: &[usize],
-) {
-    marginalize_mapped_slice_par(pool, sched, src.values(), out.values_mut(), bases, fibers);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index_map::{fiber_offsets, materialize_map};
     use crate::ops;
+    use crate::table::PotentialTable;
+    use fastbn_bayesnet::VarId;
     use std::sync::Arc;
 
     fn dom(pairs: &[(u32, usize)]) -> Arc<Domain> {
@@ -430,13 +281,13 @@ mod tests {
     fn marginalize_par_is_bit_identical_to_seq() {
         let src = pseudo_random_table(dom(&[(0, 3), (1, 2), (2, 4), (3, 2)]), 1);
         let tgt = dom(&[(1, 2), (3, 2)]);
-        let mut expected = PotentialTable::zeros(tgt.clone());
-        ops::marginalize_into(&src, &mut expected);
+        let plan = KernelPlan::new(src.domain(), &tgt);
+        let expected = ops::marginalize(&src, tgt.clone());
         for pool in pools() {
             for sched in schedules() {
-                let mut got = PotentialTable::zeros(tgt.clone());
-                marginalize_into_par(&pool, sched, &src, &mut got);
-                assert_eq!(got.values(), expected.values(), "{sched:?}");
+                let mut got = vec![f64::NAN; tgt.size()];
+                marginalize_plan_par(&pool, sched, &plan, src.values(), &mut got);
+                assert_eq!(&got[..], expected.values(), "{sched:?}");
             }
         }
     }
@@ -445,45 +296,15 @@ mod tests {
     fn extend_multiply_par_is_bit_identical_to_seq() {
         let base = pseudo_random_table(dom(&[(0, 2), (1, 3), (2, 2)]), 2);
         let msg = pseudo_random_table(dom(&[(1, 3)]), 3);
+        let plan = KernelPlan::new(base.domain(), msg.domain());
         let mut expected = base.clone();
         ops::extend_multiply(&mut expected, &msg);
         for pool in pools() {
             for sched in schedules() {
-                let mut got = base.clone();
-                extend_multiply_par(&pool, sched, &mut got, &msg);
-                assert_eq!(got.values(), expected.values(), "{sched:?}");
+                let mut got = base.values().to_vec();
+                extend_multiply_plan_par(&pool, sched, &plan, &mut got, msg.values());
+                assert_eq!(&got[..], expected.values(), "{sched:?}");
             }
-        }
-    }
-
-    #[test]
-    fn extend_divide_par_matches_seq_including_zeros() {
-        let d = dom(&[(0, 2), (1, 2)]);
-        let md = dom(&[(0, 2)]);
-        let base = PotentialTable::from_values(d, vec![0.0, 0.0, 4.0, 6.0]);
-        let msg = PotentialTable::from_values(md, vec![0.0, 2.0]);
-        let mut expected = base.clone();
-        ops::extend_divide(&mut expected, &msg);
-        let pool = ThreadPool::new(4);
-        let mut got = base.clone();
-        extend_divide_par(&pool, Schedule::Dynamic { grain: 1 }, &mut got, &msg);
-        assert_eq!(got.values(), expected.values());
-    }
-
-    #[test]
-    fn divide_into_par_matches_seq() {
-        let d = dom(&[(0, 4), (1, 3)]);
-        let num = pseudo_random_table(d.clone(), 4);
-        let mut den = pseudo_random_table(d.clone(), 5);
-        den.values_mut()[0] = 0.0; // force a 0/x and pair it with 0 num
-        let mut num = num;
-        num.values_mut()[0] = 0.0;
-        let mut expected = PotentialTable::zeros(d.clone());
-        ops::divide_into(&num, &den, &mut expected);
-        for pool in pools() {
-            let mut got = PotentialTable::zeros(d.clone());
-            divide_into_par(&pool, Schedule::Static, &num, &den, &mut got);
-            assert_eq!(got.values(), expected.values());
         }
     }
 
@@ -514,54 +335,55 @@ mod tests {
     fn reduce_evidence_par_matches_seq() {
         for (var, state) in [(VarId(0), 1usize), (VarId(1), 0), (VarId(2), 3)] {
             let d = dom(&[(0, 2), (1, 3), (2, 4)]);
+            let (stride, card) = (d.stride_of(var), d.card_of(var));
             let base = pseudo_random_table(d, 6);
             let mut expected = base.clone();
             ops::reduce_evidence(&mut expected, var, state);
             for pool in pools() {
                 for sched in schedules() {
-                    let mut got = base.clone();
-                    reduce_evidence_par(&pool, sched, &mut got, var, state);
-                    assert_eq!(got.values(), expected.values(), "{var} {sched:?}");
+                    let mut got = base.values().to_vec();
+                    reduce_evidence_slice_par(&pool, sched, &mut got, stride, card, state);
+                    assert_eq!(&got[..], expected.values(), "{var} {sched:?}");
                 }
             }
         }
     }
 
-    #[test]
-    fn sum_and_normalize_par() {
-        let d = dom(&[(0, 5), (1, 5)]);
-        let base = pseudo_random_table(d, 7);
-        let pool = ThreadPool::new(4);
-        let sched = Schedule::Dynamic { grain: 3 };
-        let total = sum_par(&pool, sched, &base);
-        // Chunk-ordered fold must equal the same chunking sequentially.
-        let seq_chunked: f64 = (0..base.len())
-            .step_by(3)
-            .map(|s| {
-                base.values()[s..(s + 3).min(base.len())]
+    /// `iter → target` entry by entry: full decode, then re-encode the
+    /// variables `target` keeps.
+    fn decoded_map(iter_domain: &Domain, target: &Domain) -> Vec<u32> {
+        let mut states = vec![0usize; iter_domain.num_vars()];
+        (0..iter_domain.size())
+            .map(|i| {
+                iter_domain.decode(i, &mut states);
+                let mapped: usize = target
+                    .vars()
                     .iter()
-                    .sum::<f64>()
+                    .filter_map(|&v| {
+                        Some(states[iter_domain.position_of(v)?] * target.stride_of(v))
+                    })
+                    .sum();
+                mapped as u32
             })
-            .sum();
-        assert_eq!(total, seq_chunked);
-
-        let mut t = base.clone();
-        let z = normalize_par(&pool, sched, &mut t).unwrap();
-        assert_eq!(z, total);
-        assert!((t.sum() - 1.0).abs() < 1e-12);
-
-        let mut zero = PotentialTable::zeros(dom(&[(0, 3)]));
-        assert_eq!(normalize_par(&pool, sched, &mut zero), Err(ZeroSumError));
+            .collect()
     }
 
     #[test]
     fn materialize_map_par_matches_seq() {
         let sup = dom(&[(0, 3), (1, 2), (2, 2)]);
         let sub = dom(&[(0, 3), (2, 2)]);
-        let expected = materialize_map(&sup, &sub);
         for pool in pools() {
-            let got = materialize_map_par(&pool, Schedule::Dynamic { grain: 2 }, &sup, &sub);
-            assert_eq!(got, expected);
+            let sched = Schedule::Dynamic { grain: 2 };
+            // Both directions: clique entry → separator slot, and
+            // separator slot → base index in the clique.
+            assert_eq!(
+                materialize_map_par(&pool, sched, &sup, &sub),
+                decoded_map(&sup, &sub)
+            );
+            assert_eq!(
+                materialize_map_par(&pool, sched, &sub, &sup),
+                decoded_map(&sub, &sup)
+            );
         }
     }
 
@@ -578,18 +400,17 @@ mod tests {
         let mut direct = src.clone();
         ops::extend_multiply(&mut direct, &msg);
         let map = materialize_map_par(&pool, sched, &sup, &sub);
-        let mut mapped = src.clone();
-        extend_multiply_mapped_par(&pool, sched, &mut mapped, &msg, &map);
-        assert_eq!(mapped.values(), direct.values());
+        let mut mapped = src.values().to_vec();
+        extend_multiply_mapped_slice_par(&pool, sched, &mut mapped, msg.values(), &map);
+        assert_eq!(&mapped[..], direct.values());
 
-        // Marginalization via base mapping + fibers.
-        let mut expect = PotentialTable::zeros(sub.clone());
-        ops::marginalize_into(&src, &mut expect);
+        // Marginalization via base mapping + the plan's fibers.
+        let expect = ops::marginalize(&src, sub.clone());
         let bases = materialize_map_par(&pool, sched, &sub, &sup);
-        let fibers = fiber_offsets(&sup, &sub);
-        let mut got = PotentialTable::zeros(sub);
-        marginalize_mapped_par(&pool, sched, &src, &mut got, &bases, &fibers);
-        assert_eq!(got.values(), expect.values());
+        let plan = KernelPlan::new(&sup, &sub);
+        let mut got = vec![f64::NAN; sub.size()];
+        marginalize_mapped_slice_par(&pool, sched, src.values(), &mut got, &bases, plan.fibers());
+        assert_eq!(&got[..], expect.values());
     }
 
     #[test]
@@ -613,11 +434,5 @@ mod tests {
         let mut table = src.values().to_vec();
         extend_multiply_plan_par(&pool, sched, &plan, &mut table, msg.values());
         assert_eq!(&table[..], expect_mul.values());
-
-        let mut expect_div = src.clone();
-        ops::extend_divide(&mut expect_div, &msg);
-        let mut table = src.values().to_vec();
-        extend_divide_plan_par(&pool, sched, &plan, &mut table, msg.values());
-        assert_eq!(&table[..], expect_div.values());
     }
 }

@@ -6,7 +6,7 @@
 //! A [`KernelPlan`] is directional: it maps a *superdomain* table (the
 //! clique) onto a *subdomain* table (the separator or message). One plan
 //! serves every op over that pair — marginalization, max-marginalization,
-//! extension-multiply/divide, and the fused collect kernel
+//! extension-multiply, and the fused collect kernel
 //! [`multiply_marginalize`].
 //!
 //! # Two executions of one mapping
@@ -28,8 +28,8 @@
 //! the subdomain) or onto one slot (it is summed out). The subdomain
 //! index every run starts at is materialised: `bases[k]`, `u32`,
 //! `sup_size / r` of them. The whole-table kernels — [`marginalize`],
-//! [`extend_multiply`], [`max_marginalize`], [`extend_divide`] and the
-//! two-pass arm of [`multiply_marginalize`] — are then
+//! [`extend_multiply`], [`max_marginalize`] and the two-pass arm of
+//! [`multiply_marginalize`] — are then
 //! `for (run, base) in table.chunks_exact(r).zip(bases)` around a
 //! stride-1 inner loop: no odometer, no digit array, no carry branch, no
 //! layout `match`. A suffix separator compiles to all-zero bases (the
@@ -70,8 +70,8 @@
 //!
 //! [`KernelPlan::layout`] reports this classification for every plan,
 //! programmed or not, and the chunked forms ([`marginalize_fold`],
-//! [`extend_multiply_range`], [`extend_divide_range`]) that parallel
-//! callers split across workers always dispatch on it.
+//! [`extend_multiply_range`]) that parallel callers split across workers
+//! always dispatch on it.
 //!
 //! Why the cut, and not the coalesced walk for every size: it was
 //! measured. With the constant lifted to `usize::MAX` the 1.21 M-entry
@@ -103,22 +103,18 @@
 //! the same chain, whichever side of the constant a table falls on.
 //! Max-marginalization keeps the first of equal maxima under the same
 //! visiting order. Extension writes each entry exactly once, so only the
-//! product (or quotient) operands matter, and they are identical across
-//! paths.
+//! product's operands matter, and they are identical across paths.
 //!
 //! [`marginalize`]: KernelPlan::marginalize
 //! [`extend_multiply`]: KernelPlan::extend_multiply
 //! [`max_marginalize`]: KernelPlan::max_marginalize
-//! [`extend_divide`]: KernelPlan::extend_divide
 //! [`marginalize_fold`]: KernelPlan::marginalize_fold
 //! [`extend_multiply_range`]: KernelPlan::extend_multiply_range
-//! [`extend_divide_range`]: KernelPlan::extend_divide_range
 //!
 //! fastbn: deny-hot-alloc
 
 use crate::domain::Domain;
 use crate::index_map::{embedding_strides, fiber_offsets};
-use crate::ops::safe_div;
 
 /// Upper bound on superdomain variables for the inline odometer digits.
 /// A table over more than 32 discrete variables has at least 2³³ entries
@@ -221,30 +217,6 @@ impl KernelPlan {
     #[inline]
     pub fn layout(&self) -> Layout {
         self.layout
-    }
-
-    /// Superdomain cardinalities (odometer radices for source walks).
-    #[inline]
-    pub fn sup_cards(&self) -> &[usize] {
-        &self.sup_cards
-    }
-
-    /// Subdomain cardinalities (odometer radices for output walks).
-    #[inline]
-    pub fn sub_cards(&self) -> &[usize] {
-        &self.sub_cards
-    }
-
-    /// Per-sup-variable strides in the subdomain (the extension mapping).
-    #[inline]
-    pub fn ext_strides(&self) -> &[usize] {
-        &self.ext_strides
-    }
-
-    /// Per-sub-variable strides in the superdomain (output-walk bases).
-    #[inline]
-    pub fn base_strides(&self) -> &[usize] {
-        &self.base_strides
     }
 
     /// Ascending source offsets of the summed-out completions.
@@ -369,7 +341,7 @@ impl KernelPlan {
         debug_assert_eq!(table.len(), self.sup_size);
         debug_assert_eq!(msg.len(), self.sub_size);
         if let Some(program) = &self.program {
-            return program.apply(table, msg, |v, m| *v *= m);
+            return program.multiply(table, msg);
         }
         match self.layout {
             Layout::Identity => {
@@ -401,56 +373,24 @@ impl KernelPlan {
         }
     }
 
-    /// Extension-divide with the Hugin `0/0 = 0` convention.
-    pub fn extend_divide(&self, table: &mut [f64], msg: &[f64]) {
-        debug_assert_eq!(table.len(), self.sup_size);
-        debug_assert_eq!(msg.len(), self.sub_size);
-        if let Some(program) = &self.program {
-            return program.apply(table, msg, |v, m| *v = safe_div(*v, m));
-        }
-        let mut odo = InlineOdometer::new(&self.sup_cards, &self.ext_strides);
-        for v in table {
-            *v = safe_div(*v, msg[odo.mapped()]);
-            odo.advance();
-        }
-    }
-
     /// Chunked extension-multiply: applies `table[lo + j] *= msg[m(lo + j)]`
     /// to `chunk = &mut table[lo..hi]`. Parallel callers hand each worker a
     /// disjoint chunk; results are bitwise equal to the full-table form
     /// because each entry is written exactly once.
     #[inline]
     pub fn extend_multiply_range(&self, chunk: &mut [f64], msg: &[f64], lo: usize) {
-        self.extend_range_apply(chunk, msg, lo, |v, m| *v *= m);
-    }
-
-    /// Chunked extension-divide (`0/0 = 0`); see
-    /// [`KernelPlan::extend_multiply_range`].
-    #[inline]
-    pub fn extend_divide_range(&self, chunk: &mut [f64], msg: &[f64], lo: usize) {
-        self.extend_range_apply(chunk, msg, lo, |v, m| *v = safe_div(*v, m));
-    }
-
-    #[inline]
-    fn extend_range_apply(
-        &self,
-        chunk: &mut [f64],
-        msg: &[f64],
-        lo: usize,
-        mut apply: impl FnMut(&mut f64, f64),
-    ) {
         debug_assert!(lo + chunk.len() <= self.sup_size);
         match self.layout {
             Layout::Identity => {
                 for (v, &m) in chunk.iter_mut().zip(&msg[lo..]) {
-                    apply(v, m);
+                    *v *= m;
                 }
             }
             Layout::InnerBlock => {
                 let sub = self.sub_size;
                 let mut m = lo % sub;
                 for v in chunk {
-                    apply(v, msg[m]);
+                    *v *= msg[m];
                     m += 1;
                     if m == sub {
                         m = 0;
@@ -461,7 +401,7 @@ impl KernelPlan {
                 let mut t = lo / fiber_len;
                 let mut left = fiber_len - lo % fiber_len;
                 for v in chunk {
-                    apply(v, msg[t]);
+                    *v *= msg[t];
                     left -= 1;
                     if left == 0 {
                         t += 1;
@@ -473,7 +413,7 @@ impl KernelPlan {
                 let mut odo = InlineOdometer::new(&self.sup_cards, &self.ext_strides);
                 odo.seek(lo);
                 for v in chunk {
-                    apply(v, msg[odo.mapped()]);
+                    *v *= msg[odo.mapped()];
                     odo.advance();
                 }
             }
@@ -636,22 +576,22 @@ impl RunProgram {
         }
     }
 
-    /// `update(&mut table[i], msg[m(i)])` for every entry.
+    /// `table[i] *= msg[m(i)]` for every entry.
     #[inline]
-    fn apply(&self, table: &mut [f64], msg: &[f64], update: impl Fn(&mut f64, f64)) {
+    fn multiply(&self, table: &mut [f64], msg: &[f64]) {
         let runs = table.chunks_exact_mut(self.run_len).zip(self.bases.iter());
         if self.spread {
             for (run, &base) in runs {
                 let factors = &msg[base as usize..][..self.run_len];
                 for (v, &m) in run.iter_mut().zip(factors) {
-                    update(v, m);
+                    *v *= m;
                 }
             }
         } else {
             for (run, &base) in runs {
                 let m = msg[base as usize];
                 for v in run {
-                    update(v, m);
+                    *v *= m;
                 }
             }
         }
@@ -818,10 +758,6 @@ mod tests {
         plan.extend_multiply(&mut a, &msg);
         odometer.extend_multiply(&mut b, &msg);
         assert_eq!(bits(&a), bits(&b), "extend_multiply {what}");
-
-        plan.extend_divide(&mut a, &msg);
-        odometer.extend_divide(&mut b, &msg);
-        assert_eq!(bits(&a), bits(&b), "extend_divide {what}");
     }
 
     #[test]
@@ -1032,7 +968,7 @@ mod tests {
         let mut got = vec![0.0; sub.size()];
         plan.max_marginalize(&src, &mut got);
         let mut want = vec![f64::NEG_INFINITY; sub.size()];
-        let mut odo = InlineOdometer::new(plan.sup_cards(), plan.ext_strides());
+        let mut odo = InlineOdometer::new(&plan.sup_cards, &plan.ext_strides);
         for &v in &src {
             if v > want[odo.mapped()] {
                 want[odo.mapped()] = v;

@@ -154,7 +154,7 @@ fn plan_kernels_match_decode_reference_bitwise() {
         }
         assert_bits(&got, &want, "max_marginalize", seed);
 
-        // extend_multiply / extend_divide (full and chunked range forms).
+        // extend_multiply (full and chunked range forms).
         let mut got = table.clone();
         plan.extend_multiply(&mut got, &msg);
         let want: Vec<f64> = table
@@ -164,38 +164,11 @@ fn plan_kernels_match_decode_reference_bitwise() {
             .collect();
         assert_bits(&got, &want, "extend_multiply", seed);
 
-        // extend_divide holds the Hugin invariant (0 only ever divides
-        // 0), so zero the table wherever the mapped divisor is zero —
-        // this is exactly the state propagation produces, and it drives
-        // the 0/0 → 0 branch.
-        let table_div: Vec<f64> = table
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| if msg[map[i]] == 0.0 { 0.0 } else { v })
-            .collect();
-        let mut got = table_div.clone();
-        plan.extend_divide(&mut got, &msg);
-        let want_div: Vec<f64> = table_div
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                if msg[map[i]] == 0.0 {
-                    0.0
-                } else {
-                    v / msg[map[i]]
-                }
-            })
-            .collect();
-        assert_bits(&got, &want_div, "extend_divide", seed);
-
         let lo = rng.below(sup.size());
         let hi = lo + 1 + rng.below(sup.size() - lo);
         let mut chunk = table[lo..hi].to_vec();
         plan.extend_multiply_range(&mut chunk, &msg, lo);
         assert_bits(&chunk, &want[lo..hi], "extend_multiply_range", seed);
-        let mut chunk = table_div[lo..hi].to_vec();
-        plan.extend_divide_range(&mut chunk, &msg, lo);
-        assert_bits(&chunk, &want_div[lo..hi], "extend_divide_range", seed);
     }
     assert_eq!(
         seen, [true; 4],
@@ -339,27 +312,6 @@ fn check_case(sup: &Domain, sub: &Domain, mul_sub: &Domain, rng: &mut TestRng, c
         plan.extend_multiply_range(&mut got[cut[0]..cut[1]], &msg, cut[0]);
     }
     assert_bits(&got, &want_mul, "extend_multiply_range", case);
-
-    // Division under the Hugin invariant (0 only ever divides 0).
-    let table_div: Vec<f64> = table
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| if msg[map[i]] == 0.0 { 0.0 } else { v })
-        .collect();
-    let want_div: Vec<f64> = table_div
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            if msg[map[i]] == 0.0 {
-                0.0
-            } else {
-                v / msg[map[i]]
-            }
-        })
-        .collect();
-    let mut got = table_div.clone();
-    plan.extend_divide(&mut got, &msg);
-    assert_bits(&got, &want_div, "extend_divide", case);
 
     // Fused collect kernel: multiply by a message on `mul_sub`, then
     // marginalize onto `sub`, each output slot in ascending source order.

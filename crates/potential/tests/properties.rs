@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use fastbn_bayesnet::VarId;
 use fastbn_parallel::{Schedule, ThreadPool};
-use fastbn_potential::{ops, ops_par, Domain, PotentialTable};
+use fastbn_potential::{ops, ops_par, Domain, KernelPlan, PotentialTable};
 
 /// Minimal deterministic generator (xorshift64*) for test data.
 struct TestRng(u64);
@@ -127,7 +127,7 @@ fn extension_distributes_over_marginalization() {
         let lhs = ops::marginalize(&mul_first, sub.clone());
 
         let mut rhs = ops::marginalize(&table, sub);
-        ops::multiply_into(&mut rhs, &msg);
+        ops::extend_multiply(&mut rhs, &msg);
 
         for (a, b) in lhs.values().iter().zip(rhs.values()) {
             assert!(
@@ -172,11 +172,11 @@ fn parallel_ops_bit_match_sequential() {
         let table = random_table(&mut rng);
         let sub = random_subdomain(&mut rng, table.domain());
 
-        let mut seq_out = PotentialTable::zeros(sub.clone());
-        ops::marginalize_into(&table, &mut seq_out);
-        let mut par_out = PotentialTable::zeros(sub.clone());
-        ops_par::marginalize_into_par(&pool, sched, &table, &mut par_out);
-        assert_eq!(seq_out.values(), par_out.values(), "case {case}");
+        let plan = KernelPlan::new(table.domain(), &sub);
+        let seq_out = ops::marginalize(&table, sub.clone());
+        let mut par_out = vec![f64::NAN; sub.size()];
+        ops_par::marginalize_plan_par(&pool, sched, &plan, table.values(), &mut par_out);
+        assert_eq!(seq_out.values(), &par_out[..], "case {case}");
 
         let msg = PotentialTable::from_values(
             sub.clone(),
@@ -184,9 +184,9 @@ fn parallel_ops_bit_match_sequential() {
         );
         let mut seq_t = table.clone();
         ops::extend_multiply(&mut seq_t, &msg);
-        let mut par_t = table.clone();
-        ops_par::extend_multiply_par(&pool, sched, &mut par_t, &msg);
-        assert_eq!(seq_t.values(), par_t.values(), "case {case}");
+        let mut par_t = table.values().to_vec();
+        ops_par::extend_multiply_plan_par(&pool, sched, &plan, &mut par_t, msg.values());
+        assert_eq!(seq_t.values(), &par_t[..], "case {case}");
     }
 }
 

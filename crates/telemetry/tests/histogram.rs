@@ -122,11 +122,19 @@ fn snapshot_is_consistent_under_8_recording_threads() {
     let metrics = Arc::new(MetricsRegistry::new());
     let h = metrics.histogram("hammer_ns");
     let done = Arc::new(AtomicBool::new(false));
+    // Set by the snapshotter after its first snapshot: the recorders
+    // start only then, so the race below happens on every run and not
+    // only when the scheduler starts the snapshotter in time.
+    let snapshotting = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let h = Arc::clone(&h);
+            let snapshotting = Arc::clone(&snapshotting);
             scope.spawn(move || {
+                while !snapshotting.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
                 // Each thread hits a different value mix so buckets are
                 // updated from many threads at once.
                 for i in 0..PER_THREAD {
@@ -137,6 +145,7 @@ fn snapshot_is_consistent_under_8_recording_threads() {
         let snapshotter = {
             let h = Arc::clone(&h);
             let done = Arc::clone(&done);
+            let snapshotting = Arc::clone(&snapshotting);
             scope.spawn(move || {
                 let mut last_total = 0u64;
                 let mut snapshots = 0u64;
@@ -159,6 +168,7 @@ fn snapshot_is_consistent_under_8_recording_threads() {
                     assert!(p50 <= p99 && p99 <= snap.max.max(p99));
                     last_total = snap.count;
                     snapshots += 1;
+                    snapshotting.store(true, Ordering::Relaxed);
                 }
                 snapshots
             })

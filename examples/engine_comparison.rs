@@ -1,4 +1,4 @@
-//! Runs all six engines on the same workload, verifying they agree
+//! Runs all six engine kinds on the same workload, verifying they agree
 //! bit-for-bit and reporting their speeds — Table 1 in miniature.
 //!
 //! The one-query-at-a-time loop below is deliberate: it reproduces the

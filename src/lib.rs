@@ -163,11 +163,10 @@ pub use fastbn_telemetry as telemetry;
 pub use fastbn_bayesnet::{BayesianNetwork, Evidence, NetworkBuilder, VarId, Variable};
 pub use fastbn_inference::trace::TraceContext;
 pub use fastbn_inference::{
-    make_engine, CacheConfig, CacheStats, DirectJt, ElementJt, EngineKind, EvidenceDelta, HybridJt,
-    InferenceEngine, InferenceError, LikelihoodDefect, LiveSession, MpeResult, OwnedSession,
-    Posteriors, Prepared, PrimitiveJt, Query, QueryBatch, QueryCache, QueryKey, QueryMode,
-    QueryResult, ReferenceJt, SeqJt, Session, SessionCore, Solver, SolverBuilder, VirtualEvidence,
-    WorkState,
+    make_engine, CacheConfig, CacheStats, EngineKind, EvidenceDelta, InferenceEngine,
+    InferenceError, LikelihoodDefect, LiveSession, MpeResult, OwnedSession, Posteriors, Prepared,
+    Query, QueryBatch, QueryCache, QueryKey, QueryMode, QueryResult, Session, SessionCore, Solver,
+    SolverBuilder, VirtualEvidence, WorkState,
 };
 pub use fastbn_jtree::JtreeOptions;
 pub use fastbn_parallel::{Schedule, ThreadPool};
@@ -183,6 +182,3 @@ pub use fastbn_telemetry::{
     prometheus_text, Counter, Histogram, HistogramSnapshot, Introspection, IntrospectionBuilder,
     MetricsRegistry, MetricsSnapshot, SlowEntry, SpanRecord, TraceConfig, TraceView, Tracer,
 };
-
-#[allow(deprecated)]
-pub use fastbn_inference::{build_engine, LegacyEngine};

@@ -10,7 +10,7 @@ use fastbn::{EngineKind, Evidence, Posteriors, Prepared, Query, Solver};
 const QUERY_THREADS: usize = 8;
 const ROUNDS: usize = 10;
 
-/// Sequential ground truth: SeqJt, one thread, one session.
+/// Sequential ground truth: `Seq`, one thread, one session.
 fn baseline(prepared: &Arc<Prepared>, cases: &[Evidence]) -> Vec<Posteriors> {
     let seq = Solver::from_prepared(prepared.clone())
         .engine(EngineKind::Seq)

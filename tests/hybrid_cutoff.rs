@@ -6,7 +6,10 @@
 //!   marginal and on `prob_evidence`, through `Session::run`,
 //!   `run_batch` and a `LiveSession` edit stream;
 //! * it is visible in the pool's existing counters: small models open no
-//!   region at all, a large one does, and width 1 never does.
+//!   region at all, a large one does, and width 1 never does;
+//! * the other configurations of the same driver — `Direct`, `Primitive`,
+//!   `Element` — equal `Seq` on the same networks, whose cliques also sit
+//!   on both sides of the run-program constant.
 
 use std::sync::Arc;
 
@@ -18,11 +21,15 @@ use fastbn::{
 };
 use fastbn_bench::workloads::{adaptivity_workloads, workload_by_name};
 
-fn hybrid(prepared: &Arc<Prepared>, threads: usize) -> Solver {
+fn solver(prepared: &Arc<Prepared>, kind: EngineKind, threads: usize) -> Solver {
     Solver::from_prepared(prepared.clone())
-        .engine(EngineKind::Hybrid)
+        .engine(kind)
         .threads(threads)
         .build()
+}
+
+fn hybrid(prepared: &Arc<Prepared>, threads: usize) -> Solver {
+    solver(prepared, EngineKind::Hybrid, threads)
 }
 
 /// Pool regions `solver` opens for one all-marginals query per case,
@@ -57,10 +64,10 @@ fn assert_bitwise(label: &str, a: &Posteriors, b: &Posteriors) {
 }
 
 /// `solver` answers `queries` with exactly `expected`'s bits through
-/// `Session::run`, `run_batch` and a `LiveSession` edit stream.
-fn assert_paths_match(
+/// `Session::run` and `run_batch`.
+fn assert_run_and_batch_match(
     label: &str,
-    solver: &Arc<Solver>,
+    solver: &Solver,
     queries: &[Query],
     expected: &[Posteriors],
 ) {
@@ -76,6 +83,17 @@ fn assert_paths_match(
         };
         assert_bitwise(&format!("{label} batch {i}"), &got, &expected[i]);
     }
+}
+
+/// [`assert_run_and_batch_match`], and the same bits again through a
+/// `LiveSession` edit stream.
+fn assert_paths_match(
+    label: &str,
+    solver: &Arc<Solver>,
+    queries: &[Query],
+    expected: &[Posteriors],
+) {
+    assert_run_and_batch_match(label, solver, queries, expected);
 
     // An edit stream: each case's findings arrive one at a time,
     // then are retracted again.
@@ -159,6 +177,37 @@ fn decision_boundary_is_bitwise_safe() {
             assert!(as_expected, "{label}: {regions}/{phases}, want {expect:?}");
 
             assert_paths_match(&label, &solver, &queries, &expected);
+        }
+    }
+}
+
+/// The paper's baselines are configurations of the same driver as
+/// `Hybrid` and `Seq`. On the networks above — phases on both sides of
+/// the break-even, cliques on both sides of the run-program constant —
+/// each of them, at every pool width, equals `Seq` on every marginal and
+/// on `prob_evidence`.
+#[test]
+fn baseline_configurations_match_seq_across_the_boundary() {
+    for (net, _) in straddling_networks() {
+        let prepared = Arc::new(Prepared::new(&net, &Default::default()));
+        let queries = queries_for(&net, 3, 0xBA5E);
+        let seq = Solver::from_prepared(prepared.clone()).build();
+        let mut seq_session = seq.session();
+        let expected: Vec<Posteriors> = queries
+            .iter()
+            .map(|q| seq_session.run(q).unwrap().into_posteriors().unwrap())
+            .collect();
+
+        for kind in [
+            EngineKind::Direct,
+            EngineKind::Primitive,
+            EngineKind::Element,
+        ] {
+            for threads in [1usize, 2, 4] {
+                let label = format!("{} {kind} t={threads}", net.name());
+                let solver = solver(&prepared, kind, threads);
+                assert_run_and_batch_match(&label, &solver, &queries, &expected);
+            }
         }
     }
 }
