@@ -1,7 +1,7 @@
 //! Seeded synthetic network generators.
 //!
 //! The paper evaluates on six bnlearn-repository networks that are not
-//! redistributable here; DESIGN.md §1 substitutes seeded analogues whose
+//! redistributable here, so the workloads substitute seeded analogues whose
 //! node counts, arc counts and arity distributions match the published
 //! statistics. The **windowed DAG** generator is the workhorse: restricting
 //! each node's parents to a trailing window of recent nodes bounds the

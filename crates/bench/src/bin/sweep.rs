@@ -7,29 +7,16 @@
 //! ```text
 //! cargo run -p fastbn-bench --release --bin sweep -- \
 //!     [--cases N] [--threads 1,2,4,8,16,32] [--networks pigs,...] \
-//!     [--engines hybrid,direct] [--batch] [--cache] [--distinct D] \
-//!     [--quick] [--json PATH]
+//!     [--engines hybrid,direct] [--quick]
 //! ```
 //! Defaults: 10 cases, threads {1, 2, 4, 8, 16, 32} (counts above the
 //! core count oversubscribe, as the paper's 32 threads did on 52 cores),
 //! the four parallel engines. `--engines` is parsed via
 //! `EngineKind::from_str` (ids or display names, case-insensitive).
-//! With `--batch`, each engine prints two rows — the naive
-//! one-query-at-a-time loop and the same cases through `run_batch` —
-//! plus the per-thread-count batching speedup. With `--cache`, the case
-//! stream cycles `--distinct` (default 8) evidence sets and each engine
-//! prints the uncached loop against the cache-enabled loop (warm cache,
-//! steady-state repeated traffic) plus the speedup and hit rate.
-//! `--quick` is the CI smoke preset (a few cases, threads {1, 2}, the
-//! smallest network, the hybrid and direct engines); `--json PATH`
-//! additionally writes the measured rows as a schema-v1 `BENCH_*.json`
-//! perf record (see `fastbn_bench::report`) for the committed baselines
-//! in `perf/` and the CI regression gate.
+//! `--quick` is the CI smoke preset (192 cases, threads {1, 2}, the
+//! smallest network, the hybrid and direct engines).
 
-use std::path::PathBuf;
-
-use fastbn_bench::measure::{prepare, repeat_cases, run_cases, run_cases_batch, run_cases_cached};
-use fastbn_bench::report::{BenchReport, BenchRow};
+use fastbn_bench::measure::{prepare, run_cases};
 use fastbn_bench::workloads::all_workloads;
 use fastbn_inference::EngineKind;
 
@@ -38,32 +25,16 @@ fn main() {
     let mut threads = vec![1usize, 2, 4, 8, 16, 32];
     let mut networks: Option<Vec<String>> = None;
     let mut engines: Vec<EngineKind> = EngineKind::parallel().to_vec();
-    let mut batch = false;
-    let mut cache = false;
-    let mut distinct = 8usize;
-    let mut quick = false;
-    let mut json: Option<PathBuf> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--batch" => batch = true,
-            "--cache" => cache = true,
             "--quick" => {
                 // Enough cases that each cell covers tens of
-                // milliseconds — the regression gate compares these
-                // throughputs, so they must clear OS-jitter noise.
-                quick = true;
+                // milliseconds, well clear of clock jitter.
                 cases_n = 192;
                 threads = vec![1, 2];
                 networks = Some(vec!["hailfinder".into()]);
                 engines = vec![EngineKind::Hybrid, EngineKind::Direct];
-            }
-            "--json" => json = Some(PathBuf::from(it.next().expect("--json PATH"))),
-            "--distinct" => {
-                distinct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--distinct D")
             }
             "--cases" => cases_n = it.next().and_then(|v| v.parse().ok()).expect("--cases N"),
             "--threads" => {
@@ -98,26 +69,7 @@ fn main() {
         }
     }
 
-    if batch {
-        // run_batch only takes the outer-parallel path when the batch is
-        // at least as wide as the pool; with fewer cases than threads the
-        // "batch" row would silently re-measure the naive loop and print
-        // a meaningless ~1.0x speedup. Widen the case set instead.
-        let widest = threads.iter().copied().max().unwrap_or(1);
-        if cases_n < widest {
-            println!("(--batch: raising cases from {cases_n} to {widest} so every thread count exercises the batch path)");
-            cases_n = widest;
-        }
-        println!("Thread sweep (batched): {cases_n} cases/network, naive loop vs run_batch seconds by t\n");
-    } else if cache {
-        println!(
-            "Thread sweep (cached): {cases_n} cases/network cycling {distinct} distinct \
-             evidence sets, uncached loop vs warm cache-enabled loop seconds by t\n"
-        );
-    } else {
-        println!("Thread sweep: {cases_n} cases/network, per-engine seconds by t\n");
-    }
-    let mut report = BenchReport::new("sweep", quick);
+    println!("Thread sweep: {cases_n} cases/network, per-engine seconds by t\n");
     for w in all_workloads() {
         if let Some(filter) = &networks {
             if !filter.iter().any(|n| n == w.name) {
@@ -126,10 +78,7 @@ fn main() {
         }
         let net = w.build();
         let prepared = prepare(&net);
-        let mut cases = w.cases(&net, cases_n);
-        if cache {
-            cases = repeat_cases(&cases, distinct);
-        }
+        let cases = w.cases(&net, cases_n);
         println!(
             "== {} ({}, {} nodes) ==",
             w.name,
@@ -142,116 +91,19 @@ fn main() {
         }
         println!();
         for &kind in &engines {
-            if batch {
-                let naive: Vec<f64> = threads
-                    .iter()
-                    .map(|&t| {
-                        run_cases(kind, prepared.clone(), t, &cases)
-                            .total
-                            .as_secs_f64()
-                    })
-                    .collect();
-                let batched: Vec<f64> = threads
-                    .iter()
-                    .map(|&t| {
-                        run_cases_batch(kind, prepared.clone(), t, &cases)
-                            .total
-                            .as_secs_f64()
-                    })
-                    .collect();
-                print!("{:<14}", format!("{} loop", kind.id()));
-                for s in &naive {
-                    print!(" {s:>9.3}");
+            print!("{kind:<14}");
+            let mut best = (0usize, f64::INFINITY);
+            for &t in &threads {
+                let s = run_cases(kind, prepared.clone(), t, &cases)
+                    .total
+                    .as_secs_f64();
+                if s < best.1 {
+                    best = (t, s);
                 }
-                println!();
-                print!("{:<14}", format!("{} batch", kind.id()));
-                for s in &batched {
-                    print!(" {s:>9.3}");
-                }
-                println!();
-                print!("{:<14}", "  speedup");
-                for (n, b) in naive.iter().zip(&batched) {
-                    print!(" {:>8.2}x", n / b);
-                }
-                println!();
-                for (i, &t) in threads.iter().enumerate() {
-                    report.push(
-                        BenchRow::new(w.name, kind.id(), "loop", t, 0).timed(cases.len(), naive[i]),
-                    );
-                    report.push(
-                        BenchRow::new(w.name, kind.id(), "batch", t, 0)
-                            .timed(cases.len(), batched[i]),
-                    );
-                }
-            } else if cache {
-                let uncached: Vec<f64> = threads
-                    .iter()
-                    .map(|&t| {
-                        run_cases(kind, prepared.clone(), t, &cases)
-                            .total
-                            .as_secs_f64()
-                    })
-                    .collect();
-                let cached: Vec<(f64, fastbn_inference::CacheStats)> = threads
-                    .iter()
-                    .map(|&t| {
-                        let (timing, stats) = run_cases_cached(kind, prepared.clone(), t, &cases);
-                        (timing.total.as_secs_f64(), stats)
-                    })
-                    .collect();
-                print!("{:<14}", format!("{} loop", kind.id()));
-                for s in &uncached {
-                    print!(" {s:>9.3}");
-                }
-                println!();
-                print!("{:<14}", format!("{} cache", kind.id()));
-                for (s, _) in &cached {
-                    print!(" {s:>9.3}");
-                }
-                println!();
-                print!("{:<14}", "  speedup");
-                for (u, (c, _)) in uncached.iter().zip(&cached) {
-                    print!(" {:>8.2}x", u / c);
-                }
-                let stats = &cached[0].1;
-                println!(
-                    "   [{} hits / {} misses per timed pass, {} entries]",
-                    stats.hits, stats.misses, stats.entries
-                );
-                for (i, &t) in threads.iter().enumerate() {
-                    report.push(
-                        BenchRow::new(w.name, kind.id(), "loop", t, 0)
-                            .timed(cases.len(), uncached[i]),
-                    );
-                    let (s, stats) = &cached[i];
-                    report.push(
-                        BenchRow::new(w.name, kind.id(), "cache", t, 0)
-                            .timed(cases.len(), *s)
-                            .counter("cache.hits", stats.hits)
-                            .counter("cache.misses", stats.misses),
-                    );
-                }
-            } else {
-                print!("{kind:<14}");
-                let mut best = (0usize, f64::INFINITY);
-                for &t in &threads {
-                    let timing = run_cases(kind, prepared.clone(), t, &cases);
-                    let s = timing.total.as_secs_f64();
-                    if s < best.1 {
-                        best = (t, s);
-                    }
-                    print!(" {s:>9.3}");
-                    report
-                        .push(BenchRow::new(w.name, kind.id(), "loop", t, 0).timed(cases.len(), s));
-                }
-                println!("   best: t={}", best.0);
+                print!(" {s:>9.3}");
             }
+            println!("   best: t={}", best.0);
         }
         println!();
-    }
-
-    if let Some(path) = &json {
-        report.write(path).expect("write --json report");
-        println!("wrote {} ({} rows)", path.display(), report.rows.len());
     }
 }

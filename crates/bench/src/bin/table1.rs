@@ -8,25 +8,18 @@
 //! ```text
 //! cargo run -p fastbn-bench --release --bin table1 -- \
 //!     [--cases N] [--threads 1,2,4] [--networks hailfinder,pigs,...] \
-//!     [--engines direct,hybrid] [--quick] [--json PATH]
+//!     [--engines direct,hybrid] [--quick]
 //! ```
 //! Defaults: 20 cases (the paper uses 2,000 — scale up with `--cases`),
 //! thread sweep {1, 2, 4}, all six networks, all four parallel engines.
-//! `--engines` accepts the canonical ids (`direct`, `primitive`,
-//! `element`, `hybrid`) or display names (`Fast-BNI-par`), parsed via
-//! `EngineKind::from_str`; skipped columns print `-`. `--quick` is the
-//! CI smoke preset — 48 cases, threads {1, 2}, the smallest network
-//! only (later flags still override it) — sized so every timing covers
-//! tens of milliseconds, enough for the regression gate to compare
-//! without drowning in jitter. `--json PATH` additionally writes
-//! the measured rows as a schema-v1 `BENCH_*.json` perf record (see
-//! `fastbn_bench::report`) for the committed baselines in `perf/` and
-//! the CI regression gate.
-
-use std::path::PathBuf;
+//! `--engines` picks the parallel columns by canonical id (`direct`,
+//! `primitive`, `element`, `hybrid`) or display name (`Fast-BNI-par`),
+//! parsed via `EngineKind::from_str`; unpicked columns print `-`. The two
+//! sequential columns always run, so `seq` and `reference` are rejected.
+//! `--quick` is the CI smoke preset — 48 cases, threads {1, 2}, the
+//! smallest network only (later flags still override it).
 
 use fastbn_bench::measure::{best_over_threads, prepare, run_cases, EngineTiming};
-use fastbn_bench::report::{BenchReport, BenchRow};
 use fastbn_bench::workloads::all_workloads;
 use fastbn_inference::EngineKind;
 
@@ -35,8 +28,22 @@ struct Args {
     threads: Vec<usize>,
     networks: Option<Vec<String>>,
     engines: Vec<EngineKind>,
-    quick: bool,
-    json: Option<PathBuf>,
+}
+
+/// Parses one `--engines` entry; only the parallel columns are optional.
+fn parallel_engine(name: &str) -> EngineKind {
+    let kind = name
+        .parse::<EngineKind>()
+        .unwrap_or_else(|err| panic!("{err}"));
+    if !EngineKind::parallel().contains(&kind) {
+        let valid: Vec<_> = EngineKind::parallel().iter().map(EngineKind::id).collect();
+        panic!(
+            "engine {name:?} is a sequential column, which always runs; \
+             --engines expects one of: {}",
+            valid.join(", ")
+        );
+    }
+    kind
 }
 
 fn parse_args() -> Args {
@@ -45,24 +52,16 @@ fn parse_args() -> Args {
         threads: vec![1, 2, 4],
         networks: None,
         engines: EngineKind::parallel().to_vec(),
-        quick: false,
-        json: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--quick" => {
                 // Enough cases that the slow reference engine still
-                // covers tens of milliseconds: these timings feed the
-                // `gate` regression check, which a sub-millisecond
-                // measurement would turn into a coin flip.
-                args.quick = true;
+                // covers tens of milliseconds, well clear of clock jitter.
                 args.cases = 48;
                 args.threads = vec![1, 2];
                 args.networks = Some(vec!["hailfinder".to_string()]);
-            }
-            "--json" => {
-                args.json = Some(PathBuf::from(it.next().expect("--json PATH")));
             }
             "--cases" => {
                 args.cases = it.next().and_then(|v| v.parse().ok()).expect("--cases N");
@@ -80,13 +79,7 @@ fn parse_args() -> Args {
             }
             "--engines" => {
                 let list = it.next().expect("--engines direct,hybrid");
-                args.engines = list
-                    .split(',')
-                    .map(|e| {
-                        e.parse::<EngineKind>()
-                            .unwrap_or_else(|err| panic!("{err}"))
-                    })
-                    .collect();
+                args.engines = list.split(',').map(parallel_engine).collect();
             }
             other => panic!("unknown flag {other:?}"),
         }
@@ -106,7 +99,10 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!("(paper speedups in parentheses; absolute seconds are not comparable — see EXPERIMENTS.md)\n");
+    println!(
+        "(paper speedups in parentheses; absolute seconds are not comparable — the analogues \
+         keep the paper networks' relative clique sizes, not their absolute ones)\n"
+    );
     println!(
         "{:<12} | {:>9} {:>9} {:>16} | {:>9} {:>9} {:>9} {:>9} {:>14} {:>14} {:>14}",
         "BN",
@@ -122,7 +118,6 @@ fn main() {
         "vs Elem"
     );
 
-    let mut report = BenchReport::new("table1", args.quick);
     let selected = |kind: EngineKind| args.engines.contains(&kind);
     for w in all_workloads() {
         if let Some(filter) = &args.networks {
@@ -173,33 +168,5 @@ fn main() {
             speedup(secs(&primitive), secs(&hybrid), w.paper.prim_speedup),
             speedup(secs(&element), secs(&hybrid), w.paper.elem_speedup),
         );
-
-        // Perf-trajectory rows: the two sequential loops at t=1, and
-        // each parallel engine under the paper's best-over-threads
-        // methodology. Best rows are keyed at t=0 — the winning thread
-        // count may differ run to run, and a varying key would read as
-        // a vanished row to the regression gate — with the winner
-        // recorded as a counter instead.
-        report.push(BenchRow::new(w.name, "reference", "loop", 1, 0).timed(cases.len(), ref_s));
-        report.push(BenchRow::new(w.name, "seq", "loop", 1, 0).timed(cases.len(), seq_s));
-        for (kind, timing) in [
-            (EngineKind::Direct, &direct),
-            (EngineKind::Primitive, &primitive),
-            (EngineKind::Element, &element),
-            (EngineKind::Hybrid, &hybrid),
-        ] {
-            if let Some(t) = timing {
-                report.push(
-                    BenchRow::new(w.name, kind.id(), "best", 0, 0)
-                        .timed(cases.len(), t.total.as_secs_f64())
-                        .counter("best_threads", t.threads as u64),
-                );
-            }
-        }
-    }
-
-    if let Some(path) = &args.json {
-        report.write(path).expect("write --json report");
-        println!("\nwrote {} ({} rows)", path.display(), report.rows.len());
     }
 }

@@ -1,25 +1,26 @@
 //! # fastbn-bench
 //!
-//! Workload definitions and measurement helpers reproducing the Fast-BNI
-//! (PPoPP'23) evaluation. The paper's six bnlearn networks are replaced by
-//! seeded analogues with matching node counts, arc counts and arity
-//! distributions (DESIGN.md §1); the paper's published Table-1 numbers are
-//! carried alongside each workload so harness output can print
-//! paper-vs-measured side by side.
+//! Workload definitions and report binaries reproducing the Fast-BNI
+//! (PPoPP'23) evaluation. The paper's six bnlearn networks are not
+//! redistributable, so they are replaced by seeded analogues with matching
+//! node counts, arc counts and arity distributions; the paper's published
+//! Table-1 numbers are carried alongside each workload so the reports can
+//! print paper-vs-measured side by side.
 //!
-//! Three measurement paths cover the three ways queries execute (see
-//! `docs/ARCHITECTURE.md` at the repository root): [`measure::run_cases`]
-//! (one session, one query at a time), [`measure::run_cases_batch`] (one
-//! `run_batch` call), and [`measure::run_cases_serve`] (closed-loop
-//! concurrent clients against a `fastbn_serve::Server`, with p50/p99
-//! latency percentiles).
+//! Four binaries:
 //!
-//! The report binaries (`table1`, `sweep`, `serve`) additionally emit
-//! their measurements as schema-versioned `BENCH_*.json` perf records
-//! via `--json PATH` (the [`report`] module); committed baselines live
-//! in `perf/` at the repository root, and the `gate` binary compares a
-//! fresh run against a baseline — failing on a >30% throughput
-//! regression — as CI's perf-trajectory check.
+//! * `table1` — the paper's Table 1: sequential and parallel engines on
+//!   the six analogues, each parallel engine at its best thread count;
+//! * `sweep` — the paper's thread sweep: per-engine seconds at every
+//!   thread count, and the count with the shortest time;
+//! * `structure` — the junction-tree statistics (clique sizes, layer
+//!   counts) that explain both;
+//! * `trace` — an observability tool: renders request span trees and
+//!   self-scrapes the introspection endpoint. It does not measure
+//!   performance.
+//!
+//! Performance claims are not decided here: the `benchmark/` package at
+//! the repository root is the only arbiter (see `docs/ARCHITECTURE.md`).
 
 // No unsafe code: raw-pointer and atomics tricks live in the audited
 // modules of fastbn-potential/parallel/inference (see FB-L4 in
@@ -27,12 +28,4 @@
 #![forbid(unsafe_code)]
 
 pub mod measure;
-pub mod report;
 pub mod workloads;
-
-pub use measure::{
-    batch_of, best_over_threads, percentile, prepare, run_cases, run_cases_batch, run_cases_serve,
-    run_cases_serve_with, solver_for, EngineTiming, LatencySummary, ServeOpts, ServeRun,
-};
-pub use report::{compare, BenchReport, BenchRow, GateOutcome, MachineInfo, RowComparison};
-pub use workloads::{adaptivity_workloads, all_workloads, workload_by_name, PaperRow, Workload};

@@ -6,7 +6,7 @@
 //! bandwidth so the triangulated width (and thus the clique-table sizes)
 //! stays in the range a 2-core container can propagate in milliseconds —
 //! preserving the *relative* clique-size distribution that drives the
-//! paper's engine comparisons, not the absolute seconds (DESIGN.md §1).
+//! paper's engine comparisons, not the absolute seconds.
 
 use fastbn_bayesnet::generators::{windowed_dag, ArityDist, CptStyle, WindowedDagSpec};
 use fastbn_bayesnet::sampler::generate_cases;

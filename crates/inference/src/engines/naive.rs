@@ -1,7 +1,7 @@
 //! The `Reference` configuration's table operations — the
 //! UnBBayes-substitute cost model.
 //!
-//! DESIGN.md §1: the paper's sequential comparison target is UnBBayes, a
+//! The paper's sequential comparison target is UnBBayes, a
 //! Java junction-tree implementation whose per-entry cost is dominated by
 //! object/dictionary overhead rather than asymptotics. These routines
 //! reproduce that cost model faithfully in safe Rust:

@@ -61,7 +61,7 @@
 //! Propagation is one driver (module [`engines`]) behind the stateless
 //! [`InferenceEngine`] trait — `&self` plus an explicit [`WorkState`] — so
 //! one engine instance serves any number of sessions. An [`EngineKind`]
-//! configures it (DESIGN.md §2.5) along two axes — how a layer's messages
+//! configures it along two axes — how a layer's messages
 //! are ordered, and which table operations an eager message runs — and
 //! the paper's baselines are configurations, not separate engines:
 //!

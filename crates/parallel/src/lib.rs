@@ -17,7 +17,8 @@
 //!
 //! A work-stealing runtime would blur all three, so this crate implements a
 //! persistent fork-join pool from scratch on top of `crossbeam-channel` and
-//! `parking_lot` (see DESIGN.md §2.3). Concurrent regions from multiple
+//! `parking_lot` (both vendored as minimal shims under `vendor/`, see
+//! `docs/ARCHITECTURE.md`). Concurrent regions from multiple
 //! threads and nested regions from inside a body are both supported —
 //! the batch and serving layers above rely on them (see
 //! `docs/ARCHITECTURE.md` at the repository root).

@@ -26,7 +26,8 @@
 //! materialized mapping arrays of the GPU-style `Element` configuration.
 //! Parallel results are bit-identical to sequential ones: for every output
 //! entry, contributions are accumulated in ascending source index order in
-//! both paths (DESIGN.md §6). Where these operations sit in the full stack
+//! both paths, so both perform the same floating-point sums in the same
+//! order. Where these operations sit in the full stack
 //! is mapped in `docs/ARCHITECTURE.md` at the repository root.
 
 // Every unsafe operation inside an `unsafe fn` must sit in its own

@@ -1,14 +1,13 @@
 //! A minimal, stable JSON codec for the telemetry snapshots and the
-//! `BENCH_*.json` perf records.
+//! trace documents the introspection endpoint serves.
 //!
 //! The build environment has no crates.io access (no `serde`), and the
-//! emitted files are **committed and diffed**, so stability matters
+//! emitted documents are **scraped and diffed**, so stability matters
 //! more than generality: object keys keep their insertion order, floats
 //! print with Rust's shortest round-trip formatting, and the writer
 //! emits deterministic 2-space-indented output. The parser accepts
 //! standard JSON (objects, arrays, strings with escapes, numbers,
-//! booleans, null) — enough to read back what the writer (or a human
-//! editing a baseline) produces.
+//! booleans, null) — enough to read back what the writer produces.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

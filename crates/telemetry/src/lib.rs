@@ -3,7 +3,7 @@
 //! The measurement substrate for the fastbn serving stack: where time
 //! goes (per-stage latency histograms), what happened (atomic event
 //! counters), and a durable record of both (a stable JSON codec for
-//! `BENCH_*.json` perf-trajectory files and metric snapshots).
+//! metric snapshots and trace documents).
 //!
 //! Design constraints, in order:
 //!

@@ -48,7 +48,7 @@ fn main() {
     let clients = 8;
     let per_client = 25;
     let start = Instant::now();
-    let latencies: Vec<Duration> = std::thread::scope(|scope| {
+    let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let server = &server;
@@ -81,7 +81,9 @@ fn main() {
     let wall = start.elapsed();
 
     let count = latencies.len();
-    let summary = fastbn_bench::LatencySummary::from_samples(latencies);
+    latencies.sort_unstable();
+    // Nearest-rank percentile over the sorted round trips.
+    let percentile = |p: usize| latencies[(p * count).div_ceil(100).max(1) - 1];
     let stats = server.stats();
     println!(
         "{count} requests from {clients} clients in {:.1} ms  ({:.0} req/s)",
@@ -90,9 +92,9 @@ fn main() {
     );
     println!(
         "latency p50 {:.3} ms  p99 {:.3} ms  max {:.3} ms",
-        summary.p50.as_secs_f64() * 1e3,
-        summary.p99.as_secs_f64() * 1e3,
-        summary.max.as_secs_f64() * 1e3,
+        percentile(50).as_secs_f64() * 1e3,
+        percentile(99).as_secs_f64() * 1e3,
+        latencies[count - 1].as_secs_f64() * 1e3,
     );
     println!(
         "micro-batching: {} requests coalesced into {} batches ({:.1} per dispatch, \

@@ -196,6 +196,91 @@ fn edit_script_differential_hailfinder() {
     run_script(&workload.build(), 0x4A11, 12);
 }
 
+/// A monitoring stream: `steps` single-finding observes rotating through
+/// up to eight hot variables outside `exclude`. Consecutive visits to a
+/// variable pick a different state, so every edit is effective.
+fn hot_variable_stream(
+    net: &BayesianNetwork,
+    steps: usize,
+    exclude: &[VarId],
+) -> Vec<EvidenceDelta> {
+    let n = net.num_vars();
+    let mut hot: Vec<VarId> = Vec::new();
+    for i in 0..n {
+        let var = VarId::from_index((i * 7 + 3) % n);
+        if !exclude.contains(&var) && !hot.contains(&var) {
+            hot.push(var);
+        }
+        if hot.len() == 8 {
+            break;
+        }
+    }
+    (0..steps)
+        .map(|i| {
+            let var = hot[i % hot.len()];
+            EvidenceDelta::observe(var, (i / hot.len()) % net.cardinality(var))
+        })
+        .collect()
+}
+
+/// Lazy distribute across many epochs: after each edit only one watched
+/// variable is read, through `marginal_into`, so cliques off its path stay
+/// stale from one edit to the next — `run_script`'s full read after every
+/// step brings every clique current again and never lets that happen.
+/// Every read must equal a from-scratch targeted query bit for bit
+/// (marginal and `P(e)`), or fail with the same error. (The scratch side
+/// is one `Seq` session: `run_script` already pins every engine and
+/// thread count to the live session.)
+#[test]
+fn watched_marginal_stays_exact_across_stale_epochs() {
+    let asia = datasets::asia();
+    // Observing Asia's deterministic or-gate can make the evidence
+    // impossible; keep the stream on findings that propagate.
+    let or_gate = vec![asia.var_id("TbOrCa").unwrap()];
+    let hailfinder = fastbn_bench::workloads::workload_by_name("hailfinder")
+        .unwrap()
+        .build();
+    for (name, net, exclude) in [
+        ("sprinkler", datasets::sprinkler(), Vec::new()),
+        ("asia", asia, or_gate),
+        ("hailfinder", hailfinder, Vec::new()),
+    ] {
+        let solver = Arc::new(Solver::new(&net));
+        let mut live = solver.live_session();
+        let mut scratch = solver.session();
+        let watch = VarId::from_index(net.num_vars() - 1);
+        let mut buf = vec![0.0; net.cardinality(watch)];
+        for (step, edit) in hot_variable_stream(&net, 200, &exclude)
+            .into_iter()
+            .enumerate()
+        {
+            live.apply(edit).unwrap();
+            let read = live.marginal_into(watch, &mut buf);
+            let expected = scratch
+                .run(
+                    &Query::new()
+                        .evidence(live.evidence().clone())
+                        .targets([watch]),
+                )
+                .map(|r| r.into_posteriors().unwrap());
+            match (read, expected) {
+                (Ok(()), Ok(p)) => {
+                    assert_eq!(
+                        live.prob_evidence().to_bits(),
+                        p.prob_evidence.to_bits(),
+                        "{name} step {step}: P(e)"
+                    );
+                    for (x, y) in buf.iter().zip(p.marginal(watch)) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{name} step {step}: {x} vs {y}");
+                    }
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{name} step {step}"),
+                (a, b) => panic!("{name} step {step}: live {a:?} but scratch {b:?}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn marginal_into_matches_full_posteriors_under_edits() {
     let net = datasets::asia();
