@@ -98,20 +98,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// The counter deltas since `baseline` (an earlier snapshot of the
-    /// same cache), keeping this snapshot's occupancy — how benchmarks
-    /// report a timed window with the warm-up traffic baselined away.
-    pub fn delta_since(&self, baseline: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - baseline.hits,
-            misses: self.misses - baseline.misses,
-            insertions: self.insertions - baseline.insertions,
-            evictions: self.evictions - baseline.evictions,
-            entries: self.entries,
-            bytes: self.bytes,
-        }
-    }
 }
 
 /// One cached result plus its accounting. The result sits behind an
@@ -422,20 +408,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.insertions), (0, 0));
         assert_eq!(stats.misses, 1, "lookups still count");
-    }
-
-    #[test]
-    fn delta_since_subtracts_counters_and_keeps_occupancy() {
-        let cache = QueryCache::new(CacheConfig::default());
-        cache.insert(key(0), &result(0.5));
-        let _ = cache.get(&key(0));
-        let baseline = cache.stats();
-        let _ = cache.get(&key(0));
-        let _ = cache.get(&key(1));
-        cache.insert(key(1), &result(0.25));
-        let delta = cache.stats().delta_since(&baseline);
-        assert_eq!((delta.hits, delta.misses, delta.insertions), (1, 1, 1));
-        assert_eq!(delta.entries, 2, "occupancy is final, not a delta");
     }
 
     #[test]

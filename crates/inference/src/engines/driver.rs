@@ -84,18 +84,21 @@
 //! little work should pay it zero times. Every phase therefore carries a
 //! decision compiled at construction from the plans' entry counts:
 //!
-//! * its **work estimate** `W` in table entries — separator phase:
-//!   Σ sender-clique entries (what the marginalization scans); receiver
-//!   phase: Σ receiver entries over the layer's messages (what the
-//!   extension touches);
+//! * its **work estimate** `W` in table entries, counting only tables
+//!   whose plan has **no run program** (`KernelPlan::is_programmed`) —
+//!   separator phase: Σ sender-clique entries (what the marginalization
+//!   scans) over messages whose sender→separator plan is unprogrammed;
+//!   receiver phase: Σ receiver entries (what the extension touches) over
+//!   messages whose receiver→separator plan is unprogrammed;
 //! * `W ≥ PARALLEL_MIN_ENTRIES` on a pool wider than one ⇒ a **parallel**
 //!   phase: one pool region over `threads × CHUNKS_PER_THREAD`
-//!   entry-range slices under a dynamic schedule, through the chunkable
-//!   kernels `marginalize_fold` / `extend_multiply_range`;
+//!   entry-range slices of *every* table of the phase under a dynamic
+//!   schedule, through the chunkable kernels `marginalize_fold` /
+//!   `extend_multiply_range`;
 //! * otherwise an **inline** phase: the calling thread runs it without
 //!   touching the pool (no region, no wake-up, no `Arc`) and without a
 //!   task list, through the whole-table kernels, which on tables of at
-//!   most 4 096 entries execute compiled run programs
+//!   most 32 768 entries execute compiled run programs
 //!   (`fastbn_potential::plan`). Slicing a 70-entry range, or gathering
 //!   it fiber by fiber, only multiplies kernel set-up.
 //!
@@ -125,6 +128,35 @@
 //! Pennock's depth-bound analysis (arXiv:1301.7406) is why a 50-layer
 //! tree of 700-entry cliques has nothing to gain from per-layer regions
 //! at any dispatch cost this pool could reach.
+//!
+//! `c` above is the layout kernels' rate, and it is the rate a region
+//! runs at: the chunked kernels dispatch on the layout classification
+//! whether or not the table has a run program. Inline, a programmed
+//! table runs its program at `c_program`; a region runs it through the
+//! layout kernels at `c_layout`. Over the 4 097–32 768-entry tables of
+//! the pathfinder, munin2 and `few-large-cliques` analogues a
+//! marginalize + extend pair costs 0.58–0.88 ns per entry programmed
+//! against 1.88–2.33 ns through the layout kernels (the per-kernel
+//! pairs are in the `plan.rs` header), so `c_layout/c_program` ≈
+//! 2.6–3.4. Split over `T` threads, the region costs at least
+//! `W·c_layout/T + D`, which never beats `W·c_program` while
+//! `T ≤ c_layout/c_program`: at `T = 2`, the width of every recorded
+//! run, a region over programmed tables always loses. So programmed
+//! entries do not count toward `W` at all — the break-even above is
+//! judged on the unprogrammed entries alone, and a phase of programmed
+//! tables only runs inline. The pathfinder analogue (69 cliques, the
+//! largest 16 128 entries) thus compiles fully inline. Counting every
+//! entry, with tables above 4 096 entries unprogrammed, it opened 4
+//! regions per query at width 2 and took 295 µs per query against
+//! `Seq`'s 226 µs; now it opens none, at 182 µs against 181 µs (64
+//! cases, best of six 0.5 s windows, 2-core VM). The benchmark runs
+//! `T = min(nproc, 4)`; at `T = 4` the bound is at its edge, and the
+//! chunked kernels are no faster than the whole-table layout kernels
+//! (a `Generic` `marginalize_fold` gathers fiber by fiber), so a region
+//! over programmed tables is not expected to pay there either. That is
+//! unmeasured until a machine with more than two cores is recorded;
+//! past `T ≈ 4` a region could pay again, and would want chunked forms
+//! of the run programs.
 //!
 //! The decision lives here and not in the pool:
 //! [`ThreadPool::parallel_for`] dispatches whatever it is given, because
@@ -666,6 +698,15 @@ fn compile_layer(
     let msgs: Vec<Msg> = ids.iter().map(oriented).collect();
     let clique_size = |c: usize| prepared.clique_domains[c].size();
     let sep_size = |s: usize| prepared.sep_domains[s].size();
+    // A phase's work estimate: the entries of the tables whose plan onto
+    // the separator has no run program (a programmed table runs faster
+    // whole on the caller than split through the chunked kernels).
+    let work = |side: fn(&Msg) -> usize| -> usize {
+        msgs.iter()
+            .filter(|m| !prepared.plan_for(side(m), m.sep).is_programmed())
+            .map(|m| clique_size(side(m)))
+            .sum()
+    };
     let slices = threads * CHUNKS_PER_THREAD;
 
     let run = match order {
@@ -675,19 +716,17 @@ fn compile_layer(
         Order::Flattened => {
             // Separator tasks: pack all sep entries of the layer, cut by
             // grain. The work behind them is the scan of each sender.
-            let sep_work: usize = msgs.iter().map(|m| clique_size(m.sender)).sum();
-            let sep_tasks = pays_for_region(sep_work, threads).then(|| {
+            let sep_tasks = pays_for_region(work(|m| m.sender), threads).then(|| {
                 let total_sep: usize = msgs.iter().map(|m| sep_size(m.sep)).sum();
                 let sep_grain = (total_sep / slices).max(1);
                 cut_tables(msgs.iter().map(|m| (sep_size(m.sep), sep_grain)))
             });
 
-            // Receiver tasks: weight = entries × incoming messages, which
-            // is also the phase's work estimate.
-            let recv_work: usize = msgs.iter().map(|m| clique_size(m.receiver)).sum();
-            let recv_region = pays_for_region(recv_work, threads).then(|| {
+            // Receiver tasks: weight = entries × incoming messages.
+            let recv_region = pays_for_region(work(|m| m.receiver), threads).then(|| {
                 let groups = group_by_receiver(&msgs);
-                let weight_grain = (recv_work / slices).max(1);
+                let recv_weight: usize = msgs.iter().map(|m| clique_size(m.receiver)).sum();
+                let weight_grain = (recv_weight / slices).max(1);
                 let tasks = cut_tables(groups.iter().map(|g| {
                     let grain = (weight_grain / g.msgs.len()).max(1);
                     (clique_size(g.receiver), grain)

@@ -213,16 +213,18 @@ pub fn make_engine_on(
 }
 
 /// A tree whose phases sit on both sides of the break-even: arity 6 over
-/// a window of 4 gives cliques of 6^4 = 1 296 and 6^5 = 7 776 entries.
+/// a window of 6 gives cliques of 6^4 = 1 296 and 6^5 = 7 776 entries,
+/// which run compiled run programs and count for no phase's work, and
+/// one of 6^6 = 46 656, which does.
 #[cfg(test)]
 fn straddling_tree() -> Arc<Prepared> {
     use fastbn_bayesnet::generators::{windowed_dag, ArityDist, WindowedDagSpec};
     let net = windowed_dag(&WindowedDagSpec {
         target_arcs: 60,
         max_parents: 3,
-        window: 4,
+        window: 6,
         arity: ArityDist::Fixed(6),
-        seed: 3,
+        seed: 4,
         ..WindowedDagSpec::new("straddle", 30)
     });
     Arc::new(Prepared::new(&net, &Default::default()))

@@ -8,8 +8,8 @@ use fastbn_bayesnet::VarId;
 ///
 /// Keeping every domain sorted by `VarId` gives a canonical ordering, so
 /// any two tables over intersecting scopes agree on how shared variables
-/// are laid out — which is what makes the index mappings in
-/// [`crate::index_map`] pure stride arithmetic.
+/// are laid out — which is what makes the index mappings of a
+/// [`KernelPlan`](crate::KernelPlan) pure stride arithmetic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Domain {
     vars: Box<[VarId]>,

@@ -23,7 +23,7 @@ use crate::domain::Domain;
 /// With these strides, `target_index(i) = Σ_v digit_v(i) * strides[v]`,
 /// which is exactly the "index mapping" of the paper's extension and
 /// marginalization primitives.
-pub fn embedding_strides(iter_domain: &Domain, target: &Domain) -> Vec<usize> {
+pub(crate) fn embedding_strides(iter_domain: &Domain, target: &Domain) -> Vec<usize> {
     iter_domain
         .vars()
         .iter()
@@ -38,7 +38,7 @@ pub fn embedding_strides(iter_domain: &Domain, target: &Domain) -> Vec<usize> {
 /// `source[base + off]` over these offsets; enumerating them in mixed-radix
 /// order makes that sum ascend in source index, which keeps sequential and
 /// parallel summation orders identical.
-pub fn fiber_offsets(source: &Domain, target: &Domain) -> Vec<usize> {
+pub(crate) fn fiber_offsets(source: &Domain, target: &Domain) -> Vec<usize> {
     let summed = source.minus(target);
     let mut offsets = Vec::with_capacity(summed.size());
     // Strides of the summed variables inside the *source* table.
@@ -75,7 +75,7 @@ pub fn fiber_offsets(source: &Domain, target: &Domain) -> Vec<usize> {
 /// odometer per parallel chunk costs a single small `digits` allocation —
 /// no stride-vector clones on the hot path.
 #[derive(Debug, Clone)]
-pub struct Odometer<'a> {
+pub(crate) struct Odometer<'a> {
     cards: &'a [usize],
     /// Stride of each iterated variable in the *target* table (0 if the
     /// variable is not part of the target), e.g. from

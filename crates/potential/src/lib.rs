@@ -14,8 +14,9 @@
 //! (run programs on small tables, blocked or odometer kernels on large
 //! ones) for a caller that owns the table, and chunkable forms
 //! (`marginalize_fold`, `extend_multiply_range`) for callers that split one
-//! table across workers. Compiled once, executed allocation-free.
-//! [`index_map`] holds the mapping primitives the plans are built from.
+//! table across workers. Compiled once, executed allocation-free. The
+//! crate-private `index_map` module holds the mapping primitives the plans
+//! are built from.
 //!
 //! Beside the plans, [`ops`] has the slice helpers that need no mapping
 //! (separator update, evidence reduction, single-variable reads) and
@@ -36,7 +37,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod domain;
-pub mod index_map;
+mod index_map;
 pub mod ops;
 pub mod ops_par;
 pub mod plan;

@@ -16,11 +16,12 @@
 //! `m(i) = Σ digit_v(i) · stride_sub(v)` is executed in one of two ways,
 //! chosen once, at plan-compile time, from the superdomain's size alone:
 //!
-//! ## Small tables: run programs
+//! ## L2-resident tables: run programs
 //!
 //! A non-identity plan whose superdomain has at most
-//! `RUN_PROGRAM_MAX_ENTRIES` = 4 096 entries is compiled into a **run
-//! program**. Cardinality-1 variables are dropped (they move neither
+//! `RUN_PROGRAM_MAX_ENTRIES` = 32 768 entries is compiled into a **run
+//! program** ([`KernelPlan::is_programmed`] says whether it was).
+//! Cardinality-1 variables are dropped (they move neither
 //! index), neighbouring variables with the same membership in the
 //! subdomain are merged into one mixed-radix digit, and the innermost
 //! merged group becomes a *run* of `r` consecutive source entries that
@@ -37,16 +38,28 @@
 //! `OuterBlock` loop), a scattered one to whatever the mapping is; the
 //! program replaces all three.
 //!
-//! The constant is one L1 data cache of `f64` (4 096 × 8 B = 32 KiB): a
-//! table under it, and its program (at most 2 048 `u32`), are
-//! cache-resident while a kernel runs, so the cost there is instructions
-//! per entry, which is what the program removes. On the 376-clique pigs
-//! analogue (tables of at most 729 entries, 55 % of entries in `Generic`
-//! plans whose odometer carried — and mispredicted — every third entry)
-//! the benchmark's kernel pass (`potential.kernel_pass_us`) fell from
-//! 386 µs to 89 µs, 2.3 → 0.54 ns per entry; a prototype of the same
-//! coalesced walk that stepped an odometer over the merged groups instead
-//! of reading materialised bases measured 110 µs.
+//! The constant keeps a table and its program in the L2 cache: 32 768 ×
+//! 8 B = 256 KiB of `f64`, plus at most 64 KiB of bases (a run holds at
+//! least two entries, so there are at most 16 384 `u32`), against 2 MiB
+//! of L2 per core on the machine the numbers below come from. A table
+//! under it is cache-resident while a kernel runs, so the cost there is
+//! instructions per entry, which is what the program removes. On the
+//! 376-clique pigs analogue (tables of at most 729 entries, 55 % of
+//! entries in `Generic` plans whose odometer carried — and mispredicted —
+//! every third entry) the benchmark's kernel pass
+//! (`potential.kernel_pass_us`) fell from 386 µs to 89 µs, 2.3 → 0.54 ns
+//! per entry; a prototype of the same coalesced walk that stepped an
+//! odometer over the merged groups instead of reading materialised bases
+//! measured 110 µs. The same holds above one L1 (4 096 entries, where
+//! the cut first sat). Whole-table `marginalize` / `extend_multiply` in
+//! ns per entry over every plan of 4 097–32 768 entries (best of seven
+//! passes, 2-core VM):
+//!
+//! | tables | layout kernels | run program |
+//! |---|---|---|
+//! | pathfinder analogue (4 plans, 41 472 entries) | 0.98 / 0.90 | 0.36 / 0.22 |
+//! | munin2 analogue (24 plans, 182 252 entries) | 1.23 / 1.07 | 0.38 / 0.29 |
+//! | `few-large-cliques` (its 15 625-entry cliques) | 1.20 / 1.13 | 0.54 / 0.34 |
 //!
 //! ## Larger tables: layout kernels
 //!
@@ -74,20 +87,28 @@
 //! always dispatch on it.
 //!
 //! Why the cut, and not the coalesced walk for every size: it was
-//! measured. With the constant lifted to `usize::MAX` the 1.21 M-entry
+//! measured. Past the L2 a table streams from DRAM, and there the
+//! program makes the sequential engine fast without making the parallel
+//! one faster. With the constant lifted to `usize::MAX` the 1.21 M-entry
 //! `large-cliques` kernel pass goes from 10.4 ms to 2.5 ms and the
 //! sequential engine from 77 to 227 queries/s — but the two-thread
 //! hybrid engine, whose parallel phases run the chunked kernels, stays at
 //! 135, so its speed-up over sequential falls from 1.66 to 0.60. Giving
 //! the chunked kernels the same walk does not rescue it: the prototype
-//! that did reached 237 queries/s against 196 sequential (1.21). On the
-//! 2-core machine all of this is recorded on, one core already saturates
-//! DRAM (a scale pass over 10 MB: 531 µs on one thread, 506 µs split
-//! over two), so a bandwidth-efficient kernel for large tables leaves the
+//! that did reached 237 queries/s against 196 sequential (1.21). Even a
+//! cut of 262 144 entries (2 MiB, the whole L2) already takes
+//! `large-cliques`' `par_speedup` from 1.82 to 1.64 over four benchmark
+//! pairs: the sequential engine gains 21 %, the two-thread one 8 %. On
+//! the 2-core machine all of this is recorded on, one core already
+//! saturates DRAM (a scale pass over 10 MB: 531 µs on one thread, 506 µs
+//! split over two), so a bandwidth-efficient kernel for large tables leaves the
 //! second core nothing to add. Large tables need a design that moves less
 //! memory (cache-blocked, collect/distribute fused) and a machine with
 //! more cores to show it on; until then they keep the kernels above, bit
-//! for bit.
+//! for bit. Tables under the cut are the ones the hybrid engine no longer
+//! splits across a pool region at all (`fastbn-inference`'s driver counts
+//! only unprogrammed entries toward a region), so their program is never
+//! traded against a second core.
 //!
 //! # Bit-identity
 //!
@@ -212,11 +233,23 @@ impl KernelPlan {
     }
 
     /// The layout classification of this plan's mapping (reported for
-    /// every plan; small tables execute a run program instead of
+    /// every plan; programmed plans execute their run program instead of
     /// dispatching on it).
     #[inline]
     pub fn layout(&self) -> Layout {
         self.layout
+    }
+
+    /// Whether the whole-table kernels of this plan execute a compiled
+    /// run program: `true` for a non-identity plan whose superdomain has
+    /// at most `RUN_PROGRAM_MAX_ENTRIES` (32 768) entries. The chunked
+    /// forms ([`KernelPlan::marginalize_fold`],
+    /// [`KernelPlan::extend_multiply_range`]) dispatch on
+    /// [`KernelPlan::layout`] either way, so a caller that could split
+    /// the table across workers learns here what running it whole costs.
+    #[inline]
+    pub fn is_programmed(&self) -> bool {
+        self.program.is_some()
     }
 
     /// Ascending source offsets of the summed-out completions.
@@ -473,10 +506,10 @@ pub fn multiply_marginalize(
 }
 
 /// Largest superdomain, in entries, that is compiled into a run program:
-/// 4 096 `f64` = 32 KiB, one L1 data cache, so the table and its program
-/// are both cache-resident while a kernel runs (see the module header for
-/// why larger tables keep the layout kernels).
-const RUN_PROGRAM_MAX_ENTRIES: usize = 4096;
+/// 32 768 `f64` = 256 KiB plus at most 64 KiB of bases, so the table and
+/// its program are both L2-resident while a kernel runs (see the module
+/// header for why larger tables keep the layout kernels).
+const RUN_PROGRAM_MAX_ENTRIES: usize = 32_768;
 
 /// The coalesced index mapping of one small plan, fully resolved at
 /// compile time: the superdomain is cut into runs of `run_len`
@@ -890,35 +923,32 @@ mod tests {
 
     #[test]
     fn program_boundary_picks_different_paths_that_agree() {
-        // 16 × 256 = 4 096 entries is the largest programmed table;
-        // 17 × 241 = 4 097 keeps the layout kernels. Both equal the
+        // 128 × 256 = 32 768 entries is the largest programmed table;
+        // 99 × 331 = 32 769 keeps the layout kernels. Both equal the
         // odometer on every kernel, for each way the separator can sit.
-        let at = dom(&[(0, 16), (1, 256)]);
-        let above = dom(&[(0, 17), (1, 241)]);
+        let at = dom(&[(0, 128), (1, 256)]);
+        let above = dom(&[(0, 99), (1, 331)]);
         assert_eq!(at.size(), RUN_PROGRAM_MAX_ENTRIES);
         assert_eq!(above.size(), RUN_PROGRAM_MAX_ENTRIES + 1);
         for (sup, programmed) in [(&at, true), (&above, false)] {
             for keep in [0usize, 1] {
                 let sub = dom(&[(keep as u32, sup.cards()[keep])]);
                 let plan = KernelPlan::new(sup, &sub);
-                assert_eq!(plan.program.is_some(), programmed);
+                assert_eq!(plan.is_programmed(), programmed);
                 assert_matches_odometer(sup, &sub);
             }
             let plan = KernelPlan::new(sup, &Domain::scalar());
-            assert_eq!(plan.program.is_some(), programmed);
+            assert_eq!(plan.is_programmed(), programmed);
             assert_matches_odometer(sup, &Domain::scalar());
         }
         // Scattered separators on both sides of the constant.
-        let at = dom(&[(0, 16), (1, 16), (2, 16)]);
-        let above = dom(&[(0, 17), (1, 16), (2, 16)]);
+        let at = dom(&[(0, 32), (1, 32), (2, 32)]);
+        let above = dom(&[(0, 33), (1, 32), (2, 32)]);
         for sup in [&at, &above] {
-            let sub = dom(&[(0, sup.cards()[0]), (2, 16)]);
+            let sub = dom(&[(0, sup.cards()[0]), (2, 32)]);
             let plan = KernelPlan::new(sup, &sub);
             assert_eq!(plan.layout(), Layout::Generic);
-            assert_eq!(
-                plan.program.is_some(),
-                sup.size() <= RUN_PROGRAM_MAX_ENTRIES
-            );
+            assert_eq!(plan.is_programmed(), sup.size() <= RUN_PROGRAM_MAX_ENTRIES);
             assert_matches_odometer(sup, &sub);
         }
     }

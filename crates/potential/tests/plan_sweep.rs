@@ -93,16 +93,26 @@ fn random_values(rng: &mut TestRng, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Per-entry reference mapping: flat `sup` index → flat `sub` index, via
-/// full decode and project (what the plans' `ext_strides` precompute).
-fn mapped_index(sup: &Domain, sub: &Domain, idx: usize) -> usize {
-    let mut states = vec![0usize; sup.num_vars()];
-    sup.decode(idx, &mut states);
-    sub.vars()
+/// Per-entry reference mapping: every flat `sup` index → its flat `sub`
+/// index, via full decode and project (what the plans' `ext_strides`
+/// precompute).
+fn reference_map(sup: &Domain, sub: &Domain) -> Vec<usize> {
+    let positions: Vec<usize> = sub
+        .vars()
         .iter()
-        .enumerate()
-        .map(|(pos, &v)| states[sup.position_of(v).unwrap()] * sub.strides()[pos])
-        .sum()
+        .map(|&v| sup.position_of(v).unwrap())
+        .collect();
+    let mut states = vec![0usize; sup.num_vars()];
+    (0..sup.size())
+        .map(|idx| {
+            sup.decode(idx, &mut states);
+            positions
+                .iter()
+                .zip(sub.strides())
+                .map(|(&p, &stride)| states[p] * stride)
+                .sum()
+        })
+        .collect()
 }
 
 #[test]
@@ -120,9 +130,7 @@ fn plan_kernels_match_decode_reference_bitwise() {
             Layout::Generic => 3,
         }] = true;
 
-        let map: Vec<usize> = (0..sup.size())
-            .map(|i| mapped_index(&sup, &sub, i))
-            .collect();
+        let map = reference_map(&sup, &sub);
         let table = random_values(&mut rng, sup.size());
         let msg = random_values(&mut rng, sub.size());
 
@@ -222,22 +230,27 @@ fn every_membership_pattern_matches_decode_reference_bitwise() {
     // Every way a separator can sit inside a clique of up to 6 variables
     // — all 2^n membership masks, not a sample — over cardinalities drawn
     // from {1, 2, 3, 5}: unit variables anywhere, tables on both sides of
-    // the run-program constant (5^6 = 15 625 entries at the top), every
-    // kernel against the decode-per-entry mapping.
+    // the run-program constant (32 768 entries; 5^6 = 15 625 is under it,
+    // an extra all-6 draw at six variables, 6^6 = 46 656 entries, is
+    // over it), every kernel against the decode-per-entry mapping.
     const CARDS: [usize; 4] = [1, 2, 3, 5];
     const DRAWS: u64 = 6;
+    const PROGRAM_MAX_ENTRIES: usize = 32_768;
     let (mut cases, mut small, mut large) = (0u64, 0u64, 0u64);
     for n in 1..=6usize {
         for mask in 0u32..1 << n {
-            for draw in 0..DRAWS {
+            let draws = if n == 6 { DRAWS + 1 } else { DRAWS };
+            for draw in 0..draws {
                 let case = (n as u64) << 32 | (mask as u64) << 8 | draw;
                 let mut rng = TestRng::new(0xC11C ^ case);
                 // The first two draws of each pattern are all-5 and all-2,
-                // so the large side is reached on purpose.
+                // and six variables get a last, all-6 draw, so the large
+                // side is reached on purpose.
                 let cards: Vec<usize> = (0..n)
                     .map(|_| match draw {
                         0 => 5,
                         1 => 2,
+                        DRAWS => 6,
                         _ => CARDS[rng.below(4)],
                     })
                     .collect();
@@ -255,7 +268,7 @@ fn every_membership_pattern_matches_decode_reference_bitwise() {
                 let mul_sub = vars(rng.below(1 << n) as u32);
                 check_case(&sup, &sub, &mul_sub, &mut rng, case);
                 cases += 1;
-                if sup.size() <= 4096 {
+                if sup.size() <= PROGRAM_MAX_ENTRIES {
                     small += 1;
                 } else {
                     large += 1;
@@ -263,15 +276,15 @@ fn every_membership_pattern_matches_decode_reference_bitwise() {
             }
         }
     }
-    assert_eq!(cases, 126 * DRAWS);
-    assert!(small > 400 && large > 60, "{small} small, {large} large");
+    assert_eq!(cases, 126 * DRAWS + 64);
+    assert!(small > 400 && large == 64, "{small} small, {large} large");
 }
 
 /// All seven kernels of `sup → sub` (and the fused kernel with `mul_sub`
 /// as the multiplier's separator) against the decode reference.
 fn check_case(sup: &Domain, sub: &Domain, mul_sub: &Domain, rng: &mut TestRng, case: u64) {
     let plan = KernelPlan::new(sup, sub);
-    let map: Vec<usize> = (0..sup.size()).map(|i| mapped_index(sup, sub, i)).collect();
+    let map = reference_map(sup, sub);
     let table = random_values(rng, sup.size());
     let msg = random_values(rng, sub.size());
 
@@ -317,10 +330,11 @@ fn check_case(sup: &Domain, sub: &Domain, mul_sub: &Domain, rng: &mut TestRng, c
     // marginalize onto `sub`, each output slot in ascending source order.
     let mul = KernelPlan::new(sup, mul_sub);
     let mul_msg = random_values(rng, mul_sub.size());
+    let mul_map = reference_map(sup, mul_sub);
     let mut want_table = table.clone();
     let mut want_out = vec![0.0; sub.size()];
     for (i, v) in want_table.iter_mut().enumerate() {
-        *v *= mul_msg[mapped_index(sup, mul_sub, i)];
+        *v *= mul_msg[mul_map[i]];
         want_out[map[i]] += *v;
     }
     let mut got_table = table.clone();

@@ -956,11 +956,6 @@ fn dispatch_window(window: &mut Vec<Request>, dedup: bool, telemetry: &ServerTel
     }
 }
 
-/// Runs one model's share of a window as a single `QueryBatch` and
-/// delivers each slot's result. With `dedup` on, requests whose
-/// canonical `QueryKey`s match collapse into one computed slot whose
-/// result fans out to every waiter (bit-identical by the key
-/// contract — and only ever within one solver instance).
 /// One undelivered reply: the oneshot plus the request's acceptance
 /// time (so delivery can record the end-to-end span).
 type Waiter = (
@@ -977,6 +972,11 @@ struct GroupTrace {
     batch: u64,
 }
 
+/// Runs one model's share of a window as a single `QueryBatch` and
+/// delivers each slot's result. With `dedup` on, requests whose
+/// canonical `QueryKey`s match collapse into one computed slot whose
+/// result fans out to every waiter (bit-identical by the key
+/// contract — and only ever within one solver instance).
 fn dispatch_group(group: Vec<Request>, dedup: bool, telemetry: &ServerTelemetry) {
     debug_assert!(!group.is_empty());
     let solver = Arc::clone(&group[0].solver);

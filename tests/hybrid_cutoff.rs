@@ -6,7 +6,9 @@
 //!   marginal and on `prob_evidence`, through `Session::run`,
 //!   `run_batch` and a `LiveSession` edit stream;
 //! * it is visible in the pool's existing counters: small models open no
-//!   region at all, a large one does, and width 1 never does;
+//!   region at all, a large one does, width 1 never does, and neither
+//!   does a phase whose tables all run compiled run programs, however
+//!   many entries it holds;
 //! * the other configurations of the same driver — `Direct`, `Primitive`,
 //!   `Element` — equal `Seq` on the same networks, whose cliques also sit
 //!   on both sides of the run-program constant.
@@ -20,6 +22,13 @@ use fastbn::{
     QueryResult, Solver,
 };
 use fastbn_bench::workloads::{adaptivity_workloads, workload_by_name};
+
+/// The largest table the kernels run as a compiled run program
+/// (`fastbn_potential::plan`'s private constant).
+const PROGRAM_MAX_ENTRIES: usize = 32_768;
+
+/// The break-even work of a hybrid phase (the driver's private constant).
+const PARALLEL_MIN_ENTRIES: usize = 16_384;
 
 fn solver(prepared: &Arc<Prepared>, kind: EngineKind, threads: usize) -> Solver {
     Solver::from_prepared(prepared.clone())
@@ -119,20 +128,25 @@ enum Regions {
     All,
 }
 
-/// Networks whose phases sit on both sides of the break-even. Arity-6
-/// windowed DAGs have cliques of 6^4 = 1 296 and 6^5 = 7 776 entries, so
-/// one query mixes inline and parallel phases. A naive-Bayes tree is a
-/// star — every phase moves `(features − 1) × 48 × 24` entries through
-/// the hub, the multi-child receiver — so the pair of hubs straddles the
-/// constant between them: 11 × 1 152 entries stay inline, 19 × 1 152 do
-/// not.
+/// Networks whose phases sit on both sides of the break-even. A phase's
+/// work counts only tables above the run-program constant (32 768
+/// entries). Arity-6 windowed DAGs over a window of 6 have cliques of
+/// 6^4 = 1 296 and 6^5 = 7 776 entries, which count for nothing, and a
+/// few of 6^6 = 46 656, which do: one query mixes inline and parallel
+/// phases. A naive-Bayes tree is a star — every phase moves
+/// `(features − 1) × class × feature` entries through the hub, the
+/// multi-child receiver — so the pair of hubs straddles the constant
+/// between them: 19 × 1 152 entries are past the break-even but all
+/// programmed, so they stay inline; 2 × 33 280 are not programmed, so
+/// every phase is a region.
 fn straddling_networks() -> Vec<(BayesianNetwork, Regions)> {
-    let mut nets: Vec<(BayesianNetwork, Regions)> = (1..=3)
+    let mut nets: Vec<(BayesianNetwork, Regions)> = [1, 2, 4]
+        .into_iter()
         .map(|seed| {
             let net = generators::windowed_dag(&WindowedDagSpec {
                 target_arcs: 60,
                 max_parents: 3,
-                window: 4,
+                window: 6,
                 arity: ArityDist::Fixed(6),
                 seed,
                 ..WindowedDagSpec::new(format!("straddle-{seed}"), 30)
@@ -140,8 +154,8 @@ fn straddling_networks() -> Vec<(BayesianNetwork, Regions)> {
             (net, Regions::Some)
         })
         .collect();
-    nets.push((generators::naive_bayes(12, 48, 24, 11), Regions::None));
-    nets.push((generators::naive_bayes(20, 48, 24, 11), Regions::All));
+    nets.push((generators::naive_bayes(20, 48, 24, 11), Regions::None));
+    nets.push((generators::naive_bayes(3, 64, 520, 11), Regions::All));
     nets
 }
 
@@ -212,7 +226,7 @@ fn baseline_configurations_match_seq_across_the_boundary() {
     }
 }
 
-/// Tables of at most 4 096 entries execute compiled run programs and
+/// Tables of at most 32 768 entries execute compiled run programs and
 /// fully inline layers run the sequential engine's per-message routine
 /// with deferred ratios; larger tables keep the layout kernels and
 /// parallel phases read cliques directly. On trees that have all four
@@ -221,8 +235,7 @@ fn baseline_configurations_match_seq_across_the_boundary() {
 /// shares none of that machinery.
 #[test]
 fn program_boundary_is_bitwise_safe() {
-    const PROGRAM_MAX_ENTRIES: usize = 4096;
-    for (window, seed) in [(4, 7), (5, 3), (5, 4)] {
+    for (window, seed) in [(5, 3), (5, 4), (6, 4)] {
         let net = generators::windowed_dag(&WindowedDagSpec {
             target_arcs: 60,
             max_parents: 3,
@@ -266,6 +279,82 @@ fn program_boundary_is_bitwise_safe() {
                     "{name}: {regions}/{phases}"
                 );
             }
+            assert_paths_match(&format!("{name} t={threads}"), &solver, &queries, &expected);
+        }
+    }
+}
+
+/// Entries of the largest phase of either pass, counting every table: a
+/// separator phase scans its senders, a receiver phase its receivers.
+fn largest_phase(prepared: &Prepared) -> usize {
+    let schedule = &prepared.built.schedule;
+    let size = |c: usize| prepared.clique_domains[c].size();
+    let passes = [&schedule.collect_layers, &schedule.distribute_layers];
+    passes
+        .into_iter()
+        .flatten()
+        .flat_map(|ids| {
+            let edges = ids.iter().map(|&id| &schedule.messages[id]);
+            let children: usize = edges.clone().map(|m| size(m.child)).sum();
+            let parents: usize = edges.map(|m| size(m.parent)).sum();
+            [children, parents]
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// A phase whose tables all run compiled run programs stays on the
+/// caller however many entries it holds: split across a two- or
+/// four-thread pool through the chunked layout kernels it would run
+/// slower than whole. Windowed DAGs with the pathfinder analogue's arity
+/// mix have every clique under the program constant and phases past the
+/// break-even; the hybrid engine opens no region on them and still
+/// equals `Seq` and `Reference` to the bit on every path.
+#[test]
+fn programmed_tables_never_open_a_region() {
+    let arity = ArityDist::Weighted(vec![
+        (2, 0.50),
+        (3, 0.22),
+        (4, 0.18),
+        (8, 0.06),
+        (32, 0.02),
+        (63, 0.02),
+    ]);
+    for (nodes, seed) in [(40, 9), (60, 1)] {
+        let net = generators::windowed_dag(&WindowedDagSpec {
+            target_arcs: nodes * 9 / 5,
+            max_parents: 5,
+            window: 6,
+            arity: arity.clone(),
+            seed,
+            ..WindowedDagSpec::new(format!("programmed-{nodes}-{seed}"), nodes)
+        });
+        let name = net.name().to_string();
+        let prepared = Arc::new(Prepared::new(&net, &Default::default()));
+        let largest = prepared.clique_domains.iter().map(|d| d.size()).max();
+        assert!(largest <= Some(PROGRAM_MAX_ENTRIES), "{name}: {largest:?}");
+        let phase = largest_phase(&prepared);
+        assert!(
+            phase >= PARALLEL_MIN_ENTRIES,
+            "{name}: largest phase {phase}"
+        );
+        let queries = queries_for(&net, 4, 0x9A7);
+
+        let reference = Solver::from_prepared(prepared.clone())
+            .engine(EngineKind::Reference)
+            .build();
+        let mut reference_session = reference.session();
+        let expected: Vec<Posteriors> = queries
+            .iter()
+            .map(|q| reference_session.run(q).unwrap().into_posteriors().unwrap())
+            .collect();
+
+        let seq = Arc::new(Solver::from_prepared(prepared.clone()).build());
+        assert_paths_match(&format!("{name} seq"), &seq, &queries, &expected);
+        for threads in [2usize, 4] {
+            let solver = Arc::new(hybrid(&prepared, threads));
+            let regions = regions_opened(&solver, &queries);
+            assert_eq!(regions, 0, "{name} t={threads}: every phase is inline");
             assert_paths_match(&format!("{name} t={threads}"), &solver, &queries, &expected);
         }
     }
