@@ -26,7 +26,7 @@
 //! distribute. Every materialized value is bit-identical to a from-scratch
 //! propagation because a distribute message depends only on its parent's
 //! final value — the same operands flow through the same
-//! [`KernelPlan`]s in the same order.
+//! [`KernelPlan`](fastbn_potential::KernelPlan)s in the same order.
 //!
 //! # Retraction semantics
 //!
@@ -40,17 +40,17 @@
 //! would produce.
 //!
 //! The steady-state single-finding edit allocates nothing: every table
-//! lives in the one live slab, every index mapping in precompiled plans
-//! (including one per-variable likelihood plan compiled at session
-//! construction), and the path walk reuses a preallocated buffer —
-//! enforced by the counting-allocator test in `tests/alloc.rs`.
+//! lives in the one live slab, every index mapping in the precompiled
+//! separator plans, every finding and every single-variable read goes
+//! through the single-variable kernels on the variable's stored home
+//! axis (`Prepared::axes`), and the path walk reuses a preallocated
+//! buffer — enforced by the counting-allocator test in `tests/alloc.rs`.
 //!
 //! fastbn: deny-hot-alloc
 
 use std::sync::Arc;
 
 use fastbn_bayesnet::{Evidence, VarId};
-use fastbn_potential::{ops, Domain, KernelPlan};
 
 use crate::error::InferenceError;
 use crate::posterior::Posteriors;
@@ -163,9 +163,6 @@ pub struct LiveSession {
     /// Incoming collect message ids of each clique (ascending, which is
     /// the engines' canonical ratio-application order).
     children: Vec<Vec<u32>>,
-    /// One precompiled likelihood plan per variable (home-clique domain →
-    /// single-variable domain), so virtual-evidence replay never compiles.
-    var_plans: Vec<KernelPlan>,
     /// Epoch stamp per clique: the clique's active region holds **final**
     /// (post-distribute) values iff `dist_epoch[c] == epoch`.
     dist_epoch: Box<[u64]>,
@@ -178,11 +175,10 @@ pub struct LiveSession {
 
 impl LiveSession {
     /// Opens a live session over `solver`, fully propagating its (empty)
-    /// evidence state. Construction allocates the live slab and compiles
-    /// the per-variable likelihood plans; edits afterwards do not
-    /// allocate.
+    /// evidence state. Construction allocates the live slab and the
+    /// per-clique replay lists; edits afterwards do not allocate.
     // fastbn: allow(hot-alloc): one-time session construction — builds the
-    // live slab, child lists and per-variable likelihood plans.
+    // live slab and the per-clique variable and child lists.
     pub fn new(solver: Arc<Solver>) -> Self {
         let prepared = Arc::clone(solver.prepared());
         let n_cliques = prepared.num_cliques();
@@ -195,15 +191,6 @@ impl LiveSession {
         for (id, m) in prepared.built.schedule.messages.iter().enumerate() {
             children[m.parent].push(id as u32);
         }
-        let var_plans: Vec<KernelPlan> = (0..n_vars)
-            .map(|v| {
-                let id = VarId::from_index(v);
-                KernelPlan::new(
-                    &prepared.clique_domains[prepared.home[v]],
-                    &Domain::new(vec![(id, prepared.cards[v])]),
-                )
-            })
-            .collect();
         let state = WorkState::with_saved(&prepared);
         let path = Vec::with_capacity(prepared.built.rooted.max_depth + 1);
         let mut live = LiveSession {
@@ -214,7 +201,6 @@ impl LiveSession {
             likelihoods: vec![None; n_vars].into_boxed_slice(),
             home_vars,
             children,
-            var_plans,
             dist_epoch: vec![0; n_cliques].into_boxed_slice(),
             epoch: 0,
             path,
@@ -350,6 +336,8 @@ impl LiveSession {
     /// normalized posterior into a caller-provided buffer of length
     /// `card(var)` — the steady-state monitored read of a streaming UI
     /// (edit, then refresh a dashboard variable, with zero allocations).
+    /// A buffer of any other length fails with
+    /// [`InferenceError::InvalidBuffer`] before the session is touched.
     pub fn marginal_into(&mut self, var: VarId, out: &mut [f64]) -> Result<(), InferenceError> {
         let prepared = Arc::clone(&self.prepared);
         if var.index() >= prepared.num_vars() {
@@ -358,7 +346,14 @@ impl LiveSession {
                 num_vars: prepared.num_vars(),
             });
         }
-        debug_assert_eq!(out.len(), prepared.cards[var.index()]);
+        let expected = prepared.cards[var.index()];
+        if out.len() != expected {
+            return Err(InferenceError::InvalidBuffer {
+                var: var.index(),
+                expected,
+                got: out.len(),
+            });
+        }
         let prob_evidence = self.prob_evidence();
         if prob_evidence <= 0.0 || !prob_evidence.is_finite() {
             return Err(InferenceError::ImpossibleEvidence);
@@ -370,12 +365,7 @@ impl LiveSession {
         }
         let home = prepared.home[var.index()];
         self.materialize(&prepared, home);
-        ops::marginal_of_var_into(
-            self.state.clique(home),
-            &prepared.clique_domains[home],
-            var,
-            out,
-        );
+        prepared.axes[var.index()].marginal(self.state.clique(home), out);
         let total: f64 = out.iter().sum();
         if total <= 0.0 || !total.is_finite() {
             return Err(InferenceError::ImpossibleEvidence);
@@ -424,15 +414,12 @@ impl LiveSession {
         let prepared = Arc::clone(&self.prepared);
         self.state.reset(&prepared);
         for (var, state) in self.evidence.iter() {
-            let home = prepared.home[var.index()];
-            let dom = &prepared.clique_domains[home];
-            let (stride, card) = (dom.stride_of(var), dom.card_of(var));
-            ops::reduce_evidence_slice(self.state.clique_mut(home), stride, card, state);
+            let v = var.index();
+            prepared.axes[v].select(self.state.clique_mut(prepared.home[v]), state);
         }
         for v in 0..prepared.num_vars() {
             if let Some(likelihood) = &self.likelihoods[v] {
-                let home = prepared.home[v];
-                self.var_plans[v].extend_multiply(self.state.clique_mut(home), likelihood);
+                prepared.axes[v].scale(self.state.clique_mut(prepared.home[v]), likelihood);
             }
         }
         let schedule = &prepared.built.schedule;
@@ -486,16 +473,14 @@ impl LiveSession {
     /// applies to `c`, hence bit-identical.
     fn rebuild_clique(&mut self, prepared: &Prepared, c: usize, recomputed_child: Option<usize>) {
         self.state.load_initial_clique(prepared, c);
-        let dom = &prepared.clique_domains[c];
         for &var in &self.home_vars[c] {
             if let Some(state) = self.evidence.get(var) {
-                let (stride, card) = (dom.stride_of(var), dom.card_of(var));
-                ops::reduce_evidence_slice(self.state.clique_mut(c), stride, card, state);
+                prepared.axes[var.index()].select(self.state.clique_mut(c), state);
             }
         }
         for &var in &self.home_vars[c] {
             if let Some(likelihood) = &self.likelihoods[var.index()] {
-                self.var_plans[var.index()].extend_multiply(self.state.clique_mut(c), likelihood);
+                prepared.axes[var.index()].scale(self.state.clique_mut(c), likelihood);
             }
         }
         for &id in &self.children[c] {
@@ -648,6 +633,45 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         for (x, y) in buf.iter().zip(full.marginal(intel)) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn mis_sized_marginal_buffer_is_a_typed_error() {
+        let net = datasets::asia();
+        let solver = Arc::new(Solver::new(&net));
+        let mut live = solver.live_session();
+        let xray = net.var_id("XRay").unwrap();
+        let tub = net.var_id("Tuberculosis").unwrap();
+        live.apply(EvidenceDelta::observe(xray, 0)).unwrap();
+        let epoch = live.epoch;
+        // Too short and too long, for a free and for an observed variable:
+        // the error names the variable, and the buffer and the session are
+        // left as they were.
+        for var in [tub, xray] {
+            for len in [0, 1, 3] {
+                let mut buf = vec![f64::NAN; len];
+                assert_eq!(
+                    live.marginal_into(var, &mut buf).unwrap_err(),
+                    InferenceError::InvalidBuffer {
+                        var: var.index(),
+                        expected: 2,
+                        got: len,
+                    }
+                );
+                assert!(buf.iter().all(|v| v.is_nan()));
+            }
+        }
+        assert_eq!(live.epoch, epoch);
+        assert!(live.dist_epoch.iter().all(|&e| e != epoch), "nothing read");
+        // Still usable, and still exact.
+        let mut buf = [0.0; 2];
+        live.marginal_into(tub, &mut buf).unwrap();
+        let scratch = solver
+            .posteriors(&Evidence::from_pairs([(xray, 0)]))
+            .unwrap();
+        for (x, y) in buf.iter().zip(scratch.marginal(tub)) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }

@@ -801,14 +801,20 @@ impl InferenceEngine for JtDriver {
         };
         for (var, observed) in evidence.iter() {
             let home = prepared.home[var.index()];
-            let dom = &prepared.clique_domains[home];
             let clique = state.clique_mut(home);
             match region {
                 Some((pool, sched)) => {
-                    let (stride, card) = (dom.stride_of(var), dom.card_of(var));
-                    ops_par::reduce_evidence_slice_par(pool, sched, clique, stride, card, observed);
+                    let axis = prepared.axes[var.index()];
+                    ops_par::reduce_evidence_slice_par(
+                        pool,
+                        sched,
+                        clique,
+                        axis.stride,
+                        axis.card,
+                        observed,
+                    );
                 }
-                None => naive::reduce(clique, dom, var, observed),
+                None => naive::reduce(clique, &prepared.clique_domains[home], var, observed),
             }
         }
     }

@@ -37,6 +37,17 @@ pub enum InferenceError {
         /// What is wrong with the vector.
         defect: LikelihoodDefect,
     },
+    /// A caller-provided output buffer does not hold one slot per state
+    /// of the variable read into it
+    /// ([`LiveSession::marginal_into`](crate::delta::LiveSession::marginal_into)).
+    InvalidBuffer {
+        /// The variable being read.
+        var: usize,
+        /// The variable's cardinality.
+        expected: usize,
+        /// The buffer's length.
+        got: usize,
+    },
 }
 
 /// Why a likelihood vector was rejected as malformed.
@@ -80,6 +91,11 @@ impl std::fmt::Display for InferenceError {
             InferenceError::MalformedLikelihood { var, defect } => write!(
                 f,
                 "likelihood for variable {var} is malformed: it has {defect}"
+            ),
+            InferenceError::InvalidBuffer { var, expected, got } => write!(
+                f,
+                "output buffer for variable {var} has {got} slots, expected {expected} \
+                 (the variable's cardinality)"
             ),
         }
     }

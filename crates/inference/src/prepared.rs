@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use fastbn_bayesnet::{BayesianNetwork, VarId};
 use fastbn_jtree::{build_junction_tree, BuiltTree, JtreeOptions};
-use fastbn_potential::{ops, Domain, KernelPlan, PotentialTable};
+use fastbn_potential::ops::{self, VarAxis};
+use fastbn_potential::{Domain, KernelPlan, PotentialTable};
 
 /// Offsets of every table inside a [`crate::state::WorkState`] slab.
 ///
@@ -95,6 +96,10 @@ pub struct Prepared {
     /// `home[v]` = smallest clique containing `v`; used both for evidence
     /// entry and for reading the variable's posterior.
     pub home: Vec<usize>,
+    /// `axes[v]` = `v`'s stride and cardinality in its home clique: all
+    /// the single-variable kernels need to enter a finding or read a
+    /// marginal there, without a plan.
+    pub(crate) axes: Vec<VarAxis>,
 }
 
 impl Prepared {
@@ -155,6 +160,10 @@ impl Prepared {
                     .expect("every variable appears in some clique"),
             );
         }
+
+        let axes = (0..net.num_vars())
+            .map(|v| VarAxis::of(&clique_domains[home[v]], VarId::from_index(v)))
+            .collect();
 
         // Slab layout: cliques, then seps, then fresh, then ratio.
         let mut layout = SlabLayout {
@@ -228,6 +237,7 @@ impl Prepared {
             initial_slab,
             assignment,
             home,
+            axes,
         }
     }
 
@@ -289,6 +299,9 @@ mod tests {
             let clique = &prepared.built.tree.cliques[prepared.assignment[v]];
             assert!(clique.contains_all(&fam), "family of {v} in its clique");
             assert!(prepared.built.tree.cliques[prepared.home[v]].contains(id));
+            let home = &prepared.clique_domains[prepared.home[v]];
+            assert_eq!(prepared.axes[v].stride, home.stride_of(id));
+            assert_eq!(prepared.axes[v].card, net.cardinality(id));
         }
     }
 

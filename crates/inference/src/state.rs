@@ -406,9 +406,12 @@ impl WorkState {
     /// One on-demand distribute step: marginalizes the (final) `parent`
     /// clique onto `sep`'s fresh scratch, folds it into a ratio against
     /// the saved collect message ([`ops::sep_ratio`]), then rebuilds
-    /// `child` as its saved post-collect snapshot times that ratio —
-    /// exactly the arithmetic of the driver's eager distribute message,
-    /// operand for operand.
+    /// `child` as its saved post-collect snapshot times that ratio, in one
+    /// pass ([`KernelPlan::extend_multiply_from`]) — exactly the
+    /// arithmetic of the driver's eager distribute message, operand for
+    /// operand.
+    ///
+    /// [`KernelPlan::extend_multiply_from`]: fastbn_potential::KernelPlan::extend_multiply_from
     pub(crate) fn distribute_from_parent(
         &mut self,
         prepared: &Prepared,
@@ -438,8 +441,7 @@ impl WorkState {
             );
             send_plan.marginalize(parent_v, fresh);
             ops::sep_ratio(fresh, saved_msg);
-            child_v.copy_from_slice(child_saved);
-            recv_plan.extend_multiply(child_v, fresh);
+            recv_plan.extend_multiply_from(child_saved, child_v, fresh);
         }
     }
 
@@ -462,10 +464,8 @@ impl WorkState {
     /// propagation spreads it).
     pub fn absorb_evidence(&mut self, prepared: &Prepared, evidence: &Evidence) {
         for (var, state) in evidence.iter() {
-            let home = prepared.home[var.index()];
-            let dom = &prepared.clique_domains[home];
-            let (stride, card) = (dom.stride_of(var), dom.card_of(var));
-            ops::reduce_evidence_slice(self.clique_mut(home), stride, card, state);
+            let v = var.index();
+            prepared.axes[v].select(self.clique_mut(prepared.home[v]), state);
         }
     }
 
@@ -497,9 +497,9 @@ impl WorkState {
             point[state] = 1.0;
             return Ok(point);
         }
-        let home = prepared.home[var.index()];
-        let mut m =
-            ops::marginal_of_var_slice(self.clique(home), &prepared.clique_domains[home], var);
+        let axis = prepared.axes[var.index()];
+        let mut m = vec![0.0; axis.card];
+        axis.marginal(self.clique(prepared.home[var.index()]), &mut m);
         let total: f64 = m.iter().sum();
         if total <= 0.0 || !total.is_finite() {
             return Err(InferenceError::ImpossibleEvidence);

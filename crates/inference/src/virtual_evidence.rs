@@ -12,7 +12,6 @@
 //! variable-elimination oracle.
 
 use fastbn_bayesnet::VarId;
-use fastbn_potential::{Domain, KernelPlan};
 
 use crate::prepared::Prepared;
 use crate::state::WorkState;
@@ -145,25 +144,22 @@ pub(crate) fn canonicalize_likelihood(likelihood: &mut [f64]) {
 }
 
 /// Absorbs virtual findings into a work state (after hard evidence,
-/// before propagation). Each vector is absorbed in its
-/// [`canonical_likelihood`] form, so proportional findings perform
-/// identical arithmetic.
+/// before propagation): each finding scales its variable's home clique
+/// through the single-variable kernel ([`VarAxis::scale`]), so the only
+/// allocation is the vector's [`canonical_likelihood`] form — which is
+/// what makes proportional findings perform identical arithmetic.
+///
+/// [`VarAxis::scale`]: fastbn_potential::ops::VarAxis::scale
 pub(crate) fn absorb_virtual(
     state: &mut WorkState,
     prepared: &Prepared,
     virtual_evidence: &VirtualEvidence,
 ) {
     for (var, likelihood) in virtual_evidence.iter() {
-        debug_assert_eq!(likelihood.len(), prepared.cards[var.index()]);
+        let v = var.index();
+        debug_assert_eq!(likelihood.len(), prepared.cards[v]);
         let msg = canonical_likelihood(likelihood);
-        let home = prepared.home[var.index()];
-        // One-off plan per finding — absorption is per-query, not
-        // steady-state, so the transient compile is acceptable here.
-        let plan = KernelPlan::new(
-            &prepared.clique_domains[home],
-            &Domain::new(vec![(var, likelihood.len())]),
-        );
-        plan.extend_multiply(state.clique_mut(home), &msg);
+        prepared.axes[v].scale(state.clique_mut(prepared.home[v]), &msg);
     }
 }
 

@@ -14,7 +14,8 @@ use std::sync::Arc;
 
 use fastbn_bayesnet::{datasets, generators, sampler, BayesianNetwork, Evidence};
 use fastbn_inference::{
-    make_engine, EngineKind, EvidenceDelta, InferenceEngine, Prepared, Solver, WorkState,
+    make_engine, EngineKind, EvidenceDelta, InferenceEngine, Prepared, Query, Session, Solver,
+    WorkState,
 };
 use fastbn_jtree::JtreeOptions;
 
@@ -197,6 +198,36 @@ fn live_session_single_finding_edits_are_allocation_free() {
     }
     let delta = allocations() - before;
     assert_eq!(delta, 0, "steady-state delta edits allocated {delta} times");
+}
+
+/// A likelihood finding is entered through the single-variable kernel on
+/// its variable's stored home axis: a warm `Seq` query that carries one
+/// costs at most one allocation more than the same query without it —
+/// the finding's canonical (max = 1) vector — and compiles nothing.
+#[test]
+fn likelihood_finding_compiles_no_plan() {
+    let net = datasets::asia();
+    let solver = Solver::new(&net);
+    let mut session = solver.session();
+    let dysp = net.var_id("Dyspnea").unwrap();
+    let xray = net.var_id("XRay").unwrap();
+    let hard = Query::new().observe(xray, 0);
+    let soft = hard.clone().likelihood(dysp, vec![0.7, 0.3]);
+    let cost = |session: &mut Session<'_>, query: &Query| {
+        session.run(query).unwrap(); // warm
+        let before = allocations();
+        let result = session.run(query).unwrap();
+        let delta = allocations() - before;
+        drop(result);
+        delta
+    };
+    let without = cost(&mut session, &hard);
+    let with = cost(&mut session, &soft);
+    assert!(
+        with <= without + 1,
+        "a likelihood finding cost {} allocations beyond the canonical vector",
+        with - without - 1
+    );
 }
 
 #[test]

@@ -18,9 +18,10 @@
 //! crate-private `index_map` module holds the mapping primitives the plans
 //! are built from.
 //!
-//! Beside the plans, [`ops`] has the slice helpers that need no mapping
-//! (separator update, evidence reduction, single-variable reads) and
-//! table-level convenience forms for one-shot callers; [`ops_par`] has the
+//! Beside the plans, [`ops`] has what needs no mapping — the separator
+//! update and the single-variable kernels of [`ops::VarAxis`] (evidence
+//! reduction, likelihoods, marginal reads) — and table-level convenience
+//! forms for one-shot callers; [`ops_par`] has the
 //! one-region-per-operation entry points (driven by a
 //! [`fastbn_parallel::ThreadPool`] + [`fastbn_parallel::Schedule`]) that
 //! the fine-grained baseline configurations run, including the

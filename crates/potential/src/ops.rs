@@ -1,16 +1,20 @@
 //! Sequential potential-table operations: what propagation needs beside
 //! the [`KernelPlan`] kernels.
 //!
-//! Two groups remain here. The **slice helpers** run on slab regions in
+//! Three groups remain here. The **slice helpers** run on slab regions in
 //! the hot path and have no index mapping to compile: the fused separator
-//! update ([`sep_update`], [`sep_ratio`], both through [`safe_div`]),
-//! evidence reduction ([`reduce_evidence_slice`]) and the single-variable
-//! read ([`marginal_of_var_into`]). The **table-level forms**
+//! update ([`sep_update`], [`sep_ratio`], both through [`safe_div`]). The
+//! **single-variable kernels** of [`VarAxis`] — `select` (a hard finding),
+//! `marginal` (a posterior read) and `scale` (a likelihood) — walk a
+//! table as `blocks × card × stride` from one variable's stride and
+//! cardinality, which the inference layer stores once per variable: every
+//! finding a query enters and every marginal it reads goes through them,
+//! with no plan and no index decoding. The **table-level forms**
 //! ([`marginalize`], [`extend_multiply`], [`reduce_evidence`],
-//! [`marginal_of_var`]) compile a transient plan per call and execute it —
-//! the convenience layer for one-shot callers (preparation, oracles,
-//! tests). Propagation itself holds precompiled plans and calls their
-//! kernels directly.
+//! [`marginal_of_var`]) compile a transient plan (or axis) per call and
+//! execute it — the convenience layer for one-shot callers (preparation,
+//! oracles, tests). Propagation itself holds precompiled plans and calls
+//! their kernels directly.
 //!
 //! fastbn: deny-hot-alloc
 
@@ -77,74 +81,114 @@ pub fn sep_ratio(msg: &mut [f64], saved: &[f64]) {
     }
 }
 
-/// The paper's **reduction** primitive: zeroes every entry inconsistent
-/// with the observation `var = state`, leaving the table size unchanged
-/// (as in FastBN).
-///
-/// Walks the table as `blocks × card × stride`, touching only the
-/// mismatching slices — contiguous writes, no index decoding at all.
+/// The paper's **reduction** primitive on a table: zeroes every entry
+/// inconsistent with the observation `var = state`, leaving the table
+/// size unchanged (as in FastBN). [`VarAxis::select`] is the kernel.
 pub fn reduce_evidence(table: &mut PotentialTable, var: VarId, state: usize) {
-    let stride = table.domain().stride_of(var);
-    let card = table.domain().card_of(var);
-    reduce_evidence_slice(table.values_mut(), stride, card, state);
-}
-
-/// Slice form of [`reduce_evidence`] for tables living in a slab: zeroes
-/// every entry whose `(i / stride) % card != state`, walking contiguous
-/// stride segments.
-pub fn reduce_evidence_slice(values: &mut [f64], stride: usize, card: usize, state: usize) {
-    debug_assert!(state < card);
-    let block = stride * card;
-    let len = values.len();
-    let mut base = 0;
-    while base < len {
-        for s in 0..card {
-            if s != state {
-                values[base + s * stride..base + (s + 1) * stride].fill(0.0);
-            }
-        }
-        base += block;
-    }
+    VarAxis::of(table.domain(), var).select(table.values_mut(), state);
 }
 
 /// Single-variable marginal of a table: sums all entries by the state of
 /// `var`. Returns a vector of length `card(var)` (unnormalized).
+/// [`VarAxis::marginal`] is the kernel.
+// fastbn: allow(hot-alloc): allocating convenience form for one-shot
+// callers.
 pub fn marginal_of_var(table: &PotentialTable, var: VarId) -> Vec<f64> {
-    marginal_of_var_slice(table.values(), table.domain(), var)
-}
-
-/// Slice form of [`marginal_of_var`] for tables living in a slab.
-// fastbn: allow(hot-alloc): allocating convenience form; hot paths use
-// `marginal_of_var_into`.
-pub fn marginal_of_var_slice(values: &[f64], domain: &Domain, var: VarId) -> Vec<f64> {
-    let mut out = vec![0.0; domain.card_of(var)];
-    marginal_of_var_into(values, domain, var, &mut out);
+    let axis = VarAxis::of(table.domain(), var);
+    let mut out = vec![0.0; axis.card];
+    axis.marginal(table.values(), &mut out);
     out
 }
 
-/// Allocation-free form of [`marginal_of_var_slice`]: accumulates the
-/// unnormalized marginal into a caller-provided buffer of length
-/// `card(var)` (overwritten, not added to). This is the steady-state
-/// monitored-read primitive of the incremental re-propagation path.
-pub fn marginal_of_var_into(values: &[f64], domain: &Domain, var: VarId, out: &mut [f64]) {
-    let stride = domain.stride_of(var);
-    let card = domain.card_of(var);
-    debug_assert_eq!(out.len(), card);
-    out.fill(0.0);
-    let block = stride * card;
-    let mut base = 0;
-    while base < values.len() {
-        for (s, slot) in out.iter_mut().enumerate() {
-            let start = base + s * stride;
-            // Element-by-element accumulation (not a per-segment partial
-            // sum) so the f64 addition chain per state is identical to a
-            // flat ascending-index scan — the bit-identity contract every
-            // engine's extraction relies on.
-            for &v in &values[start..start + stride] {
-                *slot += v;
+/// One variable's place in a row-major table: the table is
+/// `blocks × card × stride` entries, and entry `i` holds state
+/// `(i / stride) % card` of the variable. The **single-variable
+/// kernels** — [`VarAxis::select`] (a hard finding), [`VarAxis::marginal`]
+/// (a posterior read) and [`VarAxis::scale`] (a likelihood) — walk that
+/// shape directly, without decoding an index or compiling a plan: a
+/// stride-1 arm when the variable is the table's fastest (each block is
+/// `card` consecutive entries) and a strided arm, over contiguous stride
+/// segments, otherwise.
+///
+/// Bit-identity: `select` writes `+0.0` to exactly the inconsistent
+/// entries and leaves the rest untouched; `marginal` starts each state's
+/// sum at `0.0` and adds its entries in ascending index, the chain of a
+/// flat scan; `scale` forms each product `values[i] · factors[s]` once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VarAxis {
+    /// Entries between consecutive states of the variable.
+    pub stride: usize,
+    /// The variable's cardinality.
+    pub card: usize,
+}
+
+impl VarAxis {
+    /// `var`'s axis in tables over `domain` (which must contain it).
+    pub fn of(domain: &Domain, var: VarId) -> Self {
+        VarAxis {
+            stride: domain.stride_of(var),
+            card: domain.card_of(var),
+        }
+    }
+
+    /// Hard finding: zeroes every entry whose state is not `state`.
+    pub fn select(self, values: &mut [f64], state: usize) {
+        debug_assert!(state < self.card);
+        if self.stride == 1 {
+            for block in values.chunks_exact_mut(self.card) {
+                for (s, v) in block.iter_mut().enumerate() {
+                    if s != state {
+                        *v = 0.0;
+                    }
+                }
+            }
+        } else {
+            let (keep, stride) = (state * self.stride, self.stride);
+            for block in values.chunks_exact_mut(stride * self.card) {
+                block[..keep].fill(0.0);
+                block[keep + stride..].fill(0.0);
             }
         }
-        base += block;
+    }
+
+    /// Unnormalized marginal: `out[s]` (overwritten) is the sum of the
+    /// entries in state `s`, in ascending index.
+    pub fn marginal(self, values: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.card);
+        out.fill(0.0);
+        if self.stride == 1 {
+            for block in values.chunks_exact(self.card) {
+                for (slot, &v) in out.iter_mut().zip(block) {
+                    *slot += v;
+                }
+            }
+        } else {
+            for block in values.chunks_exact(self.stride * self.card) {
+                for (slot, seg) in out.iter_mut().zip(block.chunks_exact(self.stride)) {
+                    *slot = seg.iter().fold(*slot, |acc, &v| acc + v);
+                }
+            }
+        }
+    }
+
+    /// Likelihood: multiplies every entry in state `s` by `factors[s]`.
+    pub fn scale(self, values: &mut [f64], factors: &[f64]) {
+        debug_assert_eq!(factors.len(), self.card);
+        if self.stride == 1 {
+            for block in values.chunks_exact_mut(self.card) {
+                for (v, &f) in block.iter_mut().zip(factors) {
+                    *v *= f;
+                }
+            }
+        } else {
+            for block in values.chunks_exact_mut(self.stride * self.card) {
+                for (seg, &f) in block.chunks_exact_mut(self.stride).zip(factors) {
+                    for v in seg {
+                        *v *= f;
+                    }
+                }
+            }
+        }
     }
 }
 

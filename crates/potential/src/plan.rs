@@ -29,7 +29,8 @@
 //! the subdomain) or onto one slot (it is summed out). The subdomain
 //! index every run starts at is materialised: `bases[k]`, `u32`,
 //! `sup_size / r` of them. The whole-table kernels — [`marginalize`],
-//! [`extend_multiply`], [`max_marginalize`] and the two-pass arm of
+//! [`extend_multiply`], [`max_marginalize`], the one-pass rebuild
+//! [`extend_multiply_from`] and the two-pass arm of
 //! [`multiply_marginalize`] — are then
 //! `for (run, base) in table.chunks_exact(r).zip(bases)` around a
 //! stride-1 inner loop: no odometer, no digit array, no carry branch, no
@@ -60,6 +61,32 @@
 //! | pathfinder analogue (4 plans, 41 472 entries) | 0.98 / 0.90 | 0.36 / 0.22 |
 //! | munin2 analogue (24 plans, 182 252 entries) | 1.23 / 1.07 | 0.38 / 0.29 |
 //! | `few-large-cliques` (its 15 625-entry cliques) | 1.20 / 1.13 | 0.54 / 0.34 |
+//!
+//! ### Fixed-arity run loops
+//!
+//! With the mapping gone, what a small table still pays is the run loop
+//! itself: per run, a trip count, a loop exit and a short inner loop that
+//! cannot vectorize. Most runs are short — a binary or ternary innermost
+//! variable, or two binary ones merged — so every program kernel
+//! dispatches once per call on `(spread, run_len)`: run lengths 2, 3 and
+//! 4 take a const-generic arm over `[f64; N]` runs whose inner loop
+//! unrolls completely; every other length keeps the generic loop. The arm
+//! is chosen by `run_len`, a property of the compiled plan; nothing else
+//! selects it. Each arm visits runs and slots in the generic loop's order
+//! and folds each slot from its current value, so the arm never changes
+//! a bit. Whole-table `marginalize` / `extend_multiply` in ns per entry
+//! over every programmed plan (best of fifteen passes, 2-core VM):
+//!
+//! | tables | generic run loop | fixed-arity arms |
+//! |---|---|---|
+//! | pigs analogue (702 plans, 87 012 entries, 44 % in 3-runs) | 0.73 / 0.87 | 0.51 / 0.44 |
+//! | pathfinder analogue (128 plans, 88 296 entries, 24 % in 2- to 4-runs) | 0.47 / 0.49 | 0.38 / 0.31 |
+//! | munin2 analogue (1 250 plans, 514 898 entries, 18 % in 2- to 4-runs) | 0.87 / 0.88 | 0.62 / 0.58 |
+//!
+//! On the benchmark's `small-cliques` workload (the pigs analogue) the
+//! traced kernel pass (`potential.kernel_pass_us`) fell from 121–140 µs
+//! to 67–69 µs with them (two traced runs each), 0.64–0.74 / 0.80–0.92
+//! → 0.47–0.49 / 0.36–0.38 ns per entry.
 //!
 //! ## Larger tables: layout kernels
 //!
@@ -124,10 +151,13 @@
 //! the same chain, whichever side of the constant a table falls on.
 //! Max-marginalization keeps the first of equal maxima under the same
 //! visiting order. Extension writes each entry exactly once, so only the
-//! product's operands matter, and they are identical across paths.
+//! product's operands matter, and they are identical across paths — and
+//! for the one-pass rebuild, which forms the same products from a source
+//! table into a destination instead of in place.
 //!
 //! [`marginalize`]: KernelPlan::marginalize
 //! [`extend_multiply`]: KernelPlan::extend_multiply
+//! [`extend_multiply_from`]: KernelPlan::extend_multiply_from
 //! [`max_marginalize`]: KernelPlan::max_marginalize
 //! [`marginalize_fold`]: KernelPlan::marginalize_fold
 //! [`extend_multiply_range`]: KernelPlan::extend_multiply_range
@@ -369,6 +399,45 @@ impl KernelPlan {
         }
     }
 
+    /// One-pass rebuild: `dst[i] = src[i] · msg[m(i)]`, `dst` overwritten.
+    /// Bitwise equal to copying `src` into `dst` and then
+    /// [`KernelPlan::extend_multiply`] (same products, each entry written
+    /// once), in one pass over the table on a programmed plan; a plan
+    /// without a program runs exactly that copy and extension.
+    pub fn extend_multiply_from(&self, src: &[f64], dst: &mut [f64], msg: &[f64]) {
+        debug_assert_eq!(src.len(), self.sup_size);
+        debug_assert_eq!(dst.len(), self.sup_size);
+        debug_assert_eq!(msg.len(), self.sub_size);
+        match &self.program {
+            Some(program) => program.multiply_from(src, dst, msg),
+            None => {
+                dst.copy_from_slice(src);
+                self.extend_multiply(dst, msg);
+            }
+        }
+    }
+
+    /// `(spread, run_len)` of this plan's run program, or `None` without
+    /// one: which arm of the run loops the whole-table kernels take.
+    /// Exposed for the kernel sweeps, which count plans per arm.
+    #[doc(hidden)]
+    pub fn run_shape(&self) -> Option<(bool, usize)> {
+        self.program.as_ref().map(|p| (p.spread, p.run_len))
+    }
+
+    /// Test hook: this plan with its run program executed by the generic
+    /// run loop even where a fixed-arity arm applies — the reference the
+    /// kernel sweeps hold every fixed-arity arm to.
+    #[doc(hidden)]
+    // fastbn: allow(hot-alloc): test hook, never on a query path.
+    pub fn with_generic_run_loop(&self) -> KernelPlan {
+        let mut plan = self.clone();
+        if let Some(program) = &mut plan.program {
+            program.fixed_arity = false;
+        }
+        plan
+    }
+
     /// Extension-multiply: `table[i] *= msg[m(i)]`.
     pub fn extend_multiply(&self, table: &mut [f64], msg: &[f64]) {
         debug_assert_eq!(table.len(), self.sup_size);
@@ -525,6 +594,24 @@ struct RunProgram {
     spread: bool,
     /// Subdomain index of each run's first entry (`sup_size / run_len`).
     bases: Box<[u32]>,
+    /// Whether a run length of 2, 3 or 4 takes its fixed-arity arm;
+    /// `false` only in a plan made by
+    /// [`KernelPlan::with_generic_run_loop`].
+    fixed_arity: bool,
+}
+
+/// Dispatches one run-program kernel on its arity: the const-generic arm
+/// `$fixed::<N>` for run lengths 2, 3 and 4, the generic run loop
+/// `$generic` for every other length.
+macro_rules! by_arity {
+    ($arity:expr, $fixed:ident($($arg:expr),*), $generic:expr) => {
+        match $arity {
+            2 => $fixed::<2>($($arg),*),
+            3 => $fixed::<3>($($arg),*),
+            4 => $fixed::<4>($($arg),*),
+            _ => $generic,
+        }
+    };
 }
 
 impl RunProgram {
@@ -584,6 +671,17 @@ impl RunProgram {
             run_len,
             spread,
             bases: bases.into(),
+            fixed_arity: true,
+        }
+    }
+
+    /// The arm that executes this program: `run_len` for the fixed-arity
+    /// arms (2, 3 and 4), 0 for the generic run loop.
+    #[inline]
+    fn arity(&self) -> usize {
+        match self.run_len {
+            2..=4 if self.fixed_arity => self.run_len,
+            _ => 0,
         }
     }
 
@@ -593,40 +691,153 @@ impl RunProgram {
     #[inline]
     fn reduce(&self, src: &[f64], out: &mut [f64], init: f64, fold: impl Fn(f64, f64) -> f64) {
         out.fill(init);
-        let runs = src.chunks_exact(self.run_len).zip(self.bases.iter());
+        let (n, bases) = (self.run_len, &*self.bases);
         if self.spread {
-            for (run, &base) in runs {
-                let slots = &mut out[base as usize..][..self.run_len];
-                for (slot, &v) in slots.iter_mut().zip(run) {
-                    *slot = fold(*slot, v);
+            by_arity!(self.arity(), reduce_spread(src, bases, out, fold), {
+                for (run, &base) in src.chunks_exact(n).zip(bases) {
+                    let slots = &mut out[base as usize..][..n];
+                    for (slot, &v) in slots.iter_mut().zip(run) {
+                        *slot = fold(*slot, v);
+                    }
                 }
-            }
+            })
         } else {
-            for (run, &base) in runs {
-                let slot = &mut out[base as usize];
-                *slot = run.iter().fold(*slot, |acc, &v| fold(acc, v));
-            }
+            by_arity!(self.arity(), reduce_summed(src, bases, out, fold), {
+                for (run, &base) in src.chunks_exact(n).zip(bases) {
+                    let slot = &mut out[base as usize];
+                    *slot = run.iter().fold(*slot, |acc, &v| fold(acc, v));
+                }
+            })
         }
     }
 
     /// `table[i] *= msg[m(i)]` for every entry.
     #[inline]
     fn multiply(&self, table: &mut [f64], msg: &[f64]) {
-        let runs = table.chunks_exact_mut(self.run_len).zip(self.bases.iter());
+        let (n, bases) = (self.run_len, &*self.bases);
         if self.spread {
-            for (run, &base) in runs {
-                let factors = &msg[base as usize..][..self.run_len];
-                for (v, &m) in run.iter_mut().zip(factors) {
-                    *v *= m;
+            by_arity!(self.arity(), multiply_spread(table, bases, msg), {
+                for (run, &base) in table.chunks_exact_mut(n).zip(bases) {
+                    let factors = &msg[base as usize..][..n];
+                    for (v, &m) in run.iter_mut().zip(factors) {
+                        *v *= m;
+                    }
                 }
-            }
+            })
         } else {
-            for (run, &base) in runs {
-                let m = msg[base as usize];
-                for v in run {
-                    *v *= m;
+            by_arity!(self.arity(), multiply_summed(table, bases, msg), {
+                for (run, &base) in table.chunks_exact_mut(n).zip(bases) {
+                    let m = msg[base as usize];
+                    for v in run {
+                        *v *= m;
+                    }
                 }
-            }
+            })
+        }
+    }
+
+    /// `dst[i] = src[i] · msg[m(i)]` for every entry.
+    #[inline]
+    fn multiply_from(&self, src: &[f64], dst: &mut [f64], msg: &[f64]) {
+        let (n, bases) = (self.run_len, &*self.bases);
+        if self.spread {
+            by_arity!(self.arity(), multiply_from_spread(src, dst, bases, msg), {
+                let runs = src.chunks_exact(n).zip(dst.chunks_exact_mut(n));
+                for ((run, out), &base) in runs.zip(bases) {
+                    let factors = &msg[base as usize..][..n];
+                    for ((d, &v), &m) in out.iter_mut().zip(run).zip(factors) {
+                        *d = v * m;
+                    }
+                }
+            })
+        } else {
+            by_arity!(self.arity(), multiply_from_summed(src, dst, bases, msg), {
+                let runs = src.chunks_exact(n).zip(dst.chunks_exact_mut(n));
+                for ((run, out), &base) in runs.zip(bases) {
+                    let m = msg[base as usize];
+                    for (d, &v) in out.iter_mut().zip(run) {
+                        *d = v * m;
+                    }
+                }
+            })
+        }
+    }
+}
+
+// The fixed-arity arms: the generic run loops above with the run length a
+// constant, so every run is one `[f64; N]` and its inner loop unrolls —
+// no trip count, no per-run loop overhead. Each folds and multiplies in
+// the generic loop's order, hence the same bits.
+
+#[inline(always)]
+fn reduce_spread<const N: usize>(
+    src: &[f64],
+    bases: &[u32],
+    out: &mut [f64],
+    fold: impl Fn(f64, f64) -> f64,
+) {
+    for (run, &base) in src.as_chunks::<N>().0.iter().zip(bases) {
+        let base = base as usize;
+        let slots: &mut [f64; N] = (&mut out[base..base + N]).try_into().expect("N slots");
+        for k in 0..N {
+            slots[k] = fold(slots[k], run[k]);
+        }
+    }
+}
+
+#[inline(always)]
+fn reduce_summed<const N: usize>(
+    src: &[f64],
+    bases: &[u32],
+    out: &mut [f64],
+    fold: impl Fn(f64, f64) -> f64,
+) {
+    for (run, &base) in src.as_chunks::<N>().0.iter().zip(bases) {
+        let slot = &mut out[base as usize];
+        *slot = run.iter().fold(*slot, |acc, &v| fold(acc, v));
+    }
+}
+
+#[inline(always)]
+fn multiply_spread<const N: usize>(table: &mut [f64], bases: &[u32], msg: &[f64]) {
+    for (run, &base) in table.as_chunks_mut::<N>().0.iter_mut().zip(bases) {
+        let base = base as usize;
+        let factors: &[f64; N] = msg[base..base + N].try_into().expect("N factors");
+        for k in 0..N {
+            run[k] *= factors[k];
+        }
+    }
+}
+
+#[inline(always)]
+fn multiply_summed<const N: usize>(table: &mut [f64], bases: &[u32], msg: &[f64]) {
+    for (run, &base) in table.as_chunks_mut::<N>().0.iter_mut().zip(bases) {
+        let m = msg[base as usize];
+        for v in run {
+            *v *= m;
+        }
+    }
+}
+
+#[inline(always)]
+fn multiply_from_spread<const N: usize>(src: &[f64], dst: &mut [f64], bases: &[u32], msg: &[f64]) {
+    let runs = src.as_chunks::<N>().0.iter();
+    for ((run, out), &base) in runs.zip(dst.as_chunks_mut::<N>().0).zip(bases) {
+        let base = base as usize;
+        let factors: &[f64; N] = msg[base..base + N].try_into().expect("N factors");
+        for k in 0..N {
+            out[k] = run[k] * factors[k];
+        }
+    }
+}
+
+#[inline(always)]
+fn multiply_from_summed<const N: usize>(src: &[f64], dst: &mut [f64], bases: &[u32], msg: &[f64]) {
+    let runs = src.as_chunks::<N>().0.iter();
+    for ((run, out), &base) in runs.zip(dst.as_chunks_mut::<N>().0).zip(bases) {
+        let m = msg[base as usize];
+        for k in 0..N {
+            out[k] = run[k] * m;
         }
     }
 }

@@ -6,9 +6,12 @@
 //! equivalent.) A second, exhaustive sweep walks every membership
 //! pattern of up to six variables, so the run programs small tables
 //! execute and the layout kernels larger ones keep are both held to the
-//! same reference.
+//! same reference. The single-variable kernels ([`VarAxis`]) and the
+//! one-pass rebuild (`extend_multiply_from`) are held to it too, and
+//! every fixed-arity arm of the run loops to the generic run loop.
 
 use fastbn_bayesnet::VarId;
+use fastbn_potential::ops::VarAxis;
 use fastbn_potential::{multiply_marginalize, Domain, KernelPlan, Layout};
 
 /// Minimal deterministic generator (xorshift64*) for test data.
@@ -123,12 +126,7 @@ fn plan_kernels_match_decode_reference_bitwise() {
         let sup = random_sup(&mut rng);
         let sub = random_sub(&mut rng, &sup);
         let plan = KernelPlan::new(&sup, &sub);
-        seen[match plan.layout() {
-            Layout::Identity => 0,
-            Layout::InnerBlock => 1,
-            Layout::OuterBlock { .. } => 2,
-            Layout::Generic => 3,
-        }] = true;
+        seen[layout_index(plan.layout())] = true;
 
         let map = reference_map(&sup, &sub);
         let table = random_values(&mut rng, sup.size());
@@ -237,6 +235,8 @@ fn every_membership_pattern_matches_decode_reference_bitwise() {
     const DRAWS: u64 = 6;
     const PROGRAM_MAX_ENTRIES: usize = 32_768;
     let (mut cases, mut small, mut large) = (0u64, 0u64, 0u64);
+    // Layouts seen by `extend_multiply_from`, without and with a program.
+    let mut rebuilt = [[false; 4]; 2];
     for n in 1..=6usize {
         for mask in 0u32..1 << n {
             let draws = if n == 6 { DRAWS + 1 } else { DRAWS };
@@ -266,7 +266,8 @@ fn every_membership_pattern_matches_decode_reference_bitwise() {
                 let sub = vars(mask);
                 // A second separator for the fused kernel's multiplier.
                 let mul_sub = vars(rng.below(1 << n) as u32);
-                check_case(&sup, &sub, &mul_sub, &mut rng, case);
+                let plan = check_case(&sup, &sub, &mul_sub, &mut rng, case);
+                rebuilt[plan.is_programmed() as usize][layout_index(plan.layout())] = true;
                 cases += 1;
                 if sup.size() <= PROGRAM_MAX_ENTRIES {
                     small += 1;
@@ -278,11 +279,30 @@ fn every_membership_pattern_matches_decode_reference_bitwise() {
     }
     assert_eq!(cases, 126 * DRAWS + 64);
     assert!(small > 400 && large == 64, "{small} small, {large} large");
+    // Every layout ran the copy-and-extend fallback, and every layout but
+    // `Identity` (which never has a program) the one-pass program.
+    assert_eq!(rebuilt, [[true; 4], [false, true, true, true]]);
 }
 
-/// All seven kernels of `sup → sub` (and the fused kernel with `mul_sub`
-/// as the multiplier's separator) against the decode reference.
-fn check_case(sup: &Domain, sub: &Domain, mul_sub: &Domain, rng: &mut TestRng, case: u64) {
+fn layout_index(layout: Layout) -> usize {
+    match layout {
+        Layout::Identity => 0,
+        Layout::InnerBlock => 1,
+        Layout::OuterBlock { .. } => 2,
+        Layout::Generic => 3,
+    }
+}
+
+/// All eight kernels of `sup → sub` (and the fused kernel with `mul_sub`
+/// as the multiplier's separator) against the decode reference; returns
+/// the plan.
+fn check_case(
+    sup: &Domain,
+    sub: &Domain,
+    mul_sub: &Domain,
+    rng: &mut TestRng,
+    case: u64,
+) -> KernelPlan {
     let plan = KernelPlan::new(sup, sub);
     let map = reference_map(sup, sub);
     let table = random_values(rng, sup.size());
@@ -326,6 +346,12 @@ fn check_case(sup: &Domain, sub: &Domain, mul_sub: &Domain, rng: &mut TestRng, c
     }
     assert_bits(&got, &want_mul, "extend_multiply_range", case);
 
+    // One-pass rebuild into a stale destination: the same products as
+    // copy + extend_multiply.
+    let mut got = vec![f64::NAN; sup.size()];
+    plan.extend_multiply_from(&table, &mut got, &msg);
+    assert_bits(&got, &want_mul, "extend_multiply_from", case);
+
     // Fused collect kernel: multiply by a message on `mul_sub`, then
     // marginalize onto `sub`, each output slot in ascending source order.
     let mul = KernelPlan::new(sup, mul_sub);
@@ -342,6 +368,152 @@ fn check_case(sup: &Domain, sub: &Domain, mul_sub: &Domain, rng: &mut TestRng, c
     multiply_marginalize(&mul, &plan, &mut got_table, &mul_msg, &mut got_out);
     assert_bits(&got_table, &want_table, "multiply_marginalize clique", case);
     assert_bits(&got_out, &want_out, "multiply_marginalize message", case);
+    plan
+}
+
+#[test]
+fn fixed_arity_arms_match_the_generic_run_loop_bitwise() {
+    // Every membership pattern of up to five variables over cards drawn
+    // from {1, 2, 3, 4, 5}: run lengths 2, 3 and 4 arise both from one
+    // innermost variable and from merged pairs (2 × 2). Each programmed
+    // plan is counted under its `(spread, run_len)` arm, and each kernel
+    // it runs must equal the same program forced through the generic run
+    // loop, bit for bit.
+    const CARDS: [usize; 5] = [1, 2, 3, 4, 5];
+    let mut arms = [[0u32; 5]; 2]; // [summed, spread] × [generic, -, 2, 3, 4]
+    for n in 1..=5usize {
+        for mask in 0u32..1 << n {
+            for draw in 0..8u64 {
+                let case = (n as u64) << 32 | (mask as u64) << 8 | draw;
+                let mut rng = TestRng::new(0xA417 ^ case);
+                let cards: Vec<usize> = (0..n).map(|_| CARDS[rng.below(5)]).collect();
+                let vars = |keep: u32| {
+                    Domain::new(
+                        (0..n)
+                            .filter(|&p| keep >> p & 1 == 1)
+                            .map(|p| (VarId(p as u32), cards[p]))
+                            .collect(),
+                    )
+                };
+                let (sup, sub) = (vars(u32::MAX), vars(mask));
+                let plan = KernelPlan::new(&sup, &sub);
+                let Some((spread, run_len)) = plan.run_shape() else {
+                    continue;
+                };
+                arms[spread as usize][if (2..=4).contains(&run_len) {
+                    run_len
+                } else {
+                    0
+                }] += 1;
+                check_against_generic_runs(&plan, &mut rng, case);
+            }
+        }
+    }
+    for spread in [false, true] {
+        for run_len in 2..=4 {
+            assert!(
+                arms[spread as usize][run_len] > 0,
+                "arm (spread {spread}, run_len {run_len}) never exercised: {arms:?}"
+            );
+        }
+        assert!(arms[spread as usize][0] > 0, "generic arm: {arms:?}");
+    }
+}
+
+/// Every whole-table kernel of `plan` against the same plan run through
+/// the generic run loop, each reduction onto a stale output.
+fn check_against_generic_runs(plan: &KernelPlan, rng: &mut TestRng, case: u64) {
+    let generic = plan.with_generic_run_loop();
+    let table = random_values(rng, plan.sup_size());
+    let msg = random_values(rng, plan.sub_size());
+    let (mut got, mut want) = (vec![f64::NAN; plan.sub_size()], vec![0.5; plan.sub_size()]);
+    plan.marginalize(&table, &mut got);
+    generic.marginalize(&table, &mut want);
+    assert_bits(&got, &want, "fixed-arity marginalize", case);
+    plan.max_marginalize(&table, &mut got);
+    generic.max_marginalize(&table, &mut want);
+    assert_bits(&got, &want, "fixed-arity max_marginalize", case);
+
+    let (mut got, mut want) = (table.clone(), table.clone());
+    plan.extend_multiply(&mut got, &msg);
+    generic.extend_multiply(&mut want, &msg);
+    assert_bits(&got, &want, "fixed-arity extend_multiply", case);
+    let mut got = vec![f64::NAN; plan.sup_size()];
+    plan.extend_multiply_from(&table, &mut got, &msg);
+    assert_bits(&got, &want, "fixed-arity extend_multiply_from", case);
+    generic.extend_multiply_from(&table, &mut got, &msg);
+    assert_bits(&got, &want, "generic extend_multiply_from", case);
+}
+
+#[test]
+fn single_variable_kernels_match_decode_reference_bitwise() {
+    // The observed variable first, in the middle, last and alone, at
+    // every cardinality the engines meet in practice and every state;
+    // each table both with mixed values (exact and negative zeros among
+    // them) and all zeros.
+    for card in [1usize, 2, 3, 5, 7] {
+        let shapes: [&[usize]; 4] = [&[card], &[card, 3, 2], &[2, card, 3], &[3, 2, card]];
+        for (shape, (cards, pos)) in shapes.iter().zip([0, 0, 1, 2]).enumerate() {
+            let dom = Domain::new(
+                cards
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &c)| (VarId(3 * p as u32 + 2), c))
+                    .collect(),
+            );
+            let var = dom.vars()[pos];
+            let axis = VarAxis::of(&dom, var);
+            assert_eq!((axis.stride, axis.card), (dom.stride_of(var), card));
+            let state_of: Vec<usize> = {
+                let mut states = vec![0; dom.num_vars()];
+                (0..dom.size())
+                    .map(|i| {
+                        dom.decode(i, &mut states);
+                        states[pos]
+                    })
+                    .collect()
+            };
+            let case = (card * 10 + shape) as u64;
+            let mut rng = TestRng::new(case);
+            let mut mixed = random_values(&mut rng, dom.size());
+            for v in mixed.iter_mut().step_by(5) {
+                *v = -0.0;
+            }
+            let zeros: Vec<f64> = (0..dom.size())
+                .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+                .collect();
+            for table in [&mixed, &zeros] {
+                let mut want = vec![0.0; card];
+                for (i, &v) in table.iter().enumerate() {
+                    want[state_of[i]] += v;
+                }
+                let mut got = vec![f64::NAN; card];
+                axis.marginal(table, &mut got);
+                assert_bits(&got, &want, "marginal", case);
+
+                for state in 0..card {
+                    let mut got = table.clone();
+                    axis.select(&mut got, state);
+                    let want: Vec<f64> = table
+                        .iter()
+                        .zip(&state_of)
+                        .map(|(&v, &s)| if s == state { v } else { 0.0 })
+                        .collect();
+                    assert_bits(&got, &want, "select", case);
+                }
+
+                let factors: Vec<f64> = (0..card).map(|s| 0.25 + s as f64 / 3.0).collect();
+                let mut got = table.clone();
+                axis.scale(&mut got, &factors);
+                let want: Vec<f64> = table
+                    .iter()
+                    .zip(&state_of)
+                    .map(|(&v, &s)| v * factors[s])
+                    .collect();
+                assert_bits(&got, &want, "scale", case);
+            }
+        }
+    }
 }
 
 fn assert_bits(got: &[f64], want: &[f64], what: &str, seed: u64) {
