@@ -55,6 +55,18 @@
 //! `Hybrid` on a pool of width 1, and on any tree of small cliques: that
 //! is one code path, not two engines that happen to agree.
 //!
+//! # Pristine cliques
+//!
+//! Above a size cut, `WorkState::reset` leaves every clique *pristine*:
+//! its values are still in `Prepared`'s initial slab, and its own slab
+//! region is stale (`state.rs` header). The deferred and flattened
+//! paths — the product's — never copy one: a phase reads a pristine
+//! sender through `WorkState::sender_values`, and a pristine receiver's
+//! first ratio rebuilds it from `WorkState::pristine_values` in the same
+//! pass (`extend_multiply_range_from` per task in a region,
+//! `WorkState::apply_ratio` inline). The eager and grouped orders — the
+//! paper's baselines — copy a pristine clique in before they touch it.
+//!
 //! # Flattened layers (the paper's §2)
 //!
 //! "At the beginning of each layer, all the potential table entries
@@ -471,6 +483,11 @@ impl JtDriver {
                 }
             }
             Run::Grouped(groups) => {
+                // The region reads and writes cliques in place.
+                for m in &layer.msgs {
+                    state.copy_pristine(m.sender);
+                    state.copy_pristine(m.receiver);
+                }
                 // One tracking generation for the layer's one region.
                 let raw = state.raw();
                 self.region(groups, |group| {
@@ -533,8 +550,11 @@ impl JtDriver {
 
         // ---- Phase 1: fresh marginal, ratio against the old value,
         // separator updated in place. `raw()` opens its tracking
-        // generation.
+        // generation; `shared` is the state read-only, for the initial
+        // values of pristine cliques (none of its slab is read through
+        // it, and its flags change only after the last region).
         let raw = state.raw();
+        let shared: &WorkState = state;
         match sep_tasks {
             // Flat over sep entries: each entry is owned by exactly one
             // task, so read-then-overwrite is safe.
@@ -546,8 +566,7 @@ impl JtDriver {
                 // exactly one task, and sep/ratio regions are disjoint
                 // slab ranges.
                 unsafe {
-                    let sender =
-                        raw.slice(layout.clique_off[m.sender], layout.clique_len[m.sender]);
+                    let sender = shared.sender_values(&raw, m.sender);
                     let sep = raw.slice_mut(layout.sep_off[m.sep] + task.lo, task.hi - task.lo);
                     let ratio = raw.slice_mut(layout.ratio_off[m.sep] + task.lo, task.hi - task.lo);
                     prepared.plan_for(m.sender, m.sep).marginalize_fold(
@@ -568,8 +587,7 @@ impl JtDriver {
                     // regions are pairwise-disjoint slab ranges, and this
                     // phase runs on the calling thread alone.
                     unsafe {
-                        let sender =
-                            raw.slice(layout.clique_off[m.sender], layout.clique_len[m.sender]);
+                        let sender = shared.sender_values(&raw, m.sender);
                         let fresh = raw.slice_mut(layout.fresh_off[m.sep], layout.sep_len[m.sep]);
                         let sep = raw.slice_mut(layout.sep_off[m.sep], layout.sep_len[m.sep]);
                         let ratio = raw.slice_mut(layout.ratio_off[m.sep], layout.sep_len[m.sep]);
@@ -582,47 +600,56 @@ impl JtDriver {
             }
         }
 
-        // ---- Phase 2: extension of the receivers. The barrier between
-        // the phases (the pool's, or program order when both ran on the
-        // caller) is what makes re-claiming phase-1 regions sound, so the
-        // tracker generation resets here too.
-        raw.begin_phase();
-        // The *receiver*-side plan maps its entries onto the separator.
-        let extension = |m: &Msg| {
-            // SAFETY: ratios are read-only in this phase.
-            let ratio = unsafe { raw.slice(layout.ratio_off[m.sep], layout.sep_len[m.sep]) };
-            (prepared.plan_for(m.receiver, m.sep), ratio)
-        };
+        // ---- Phase 2: extension of the receivers, a pristine receiver's
+        // first ratio rebuilding it from its initial values. Layer order
+        // is ascending message order within every receiver, which is all
+        // the product depends on.
         match recv_region {
-            Some(region) => self.region(&region.tasks, |task| {
-                let group = &region.groups[task.of];
-                // SAFETY: the task ranges tile each group's receiver, the
-                // groups' receivers are distinct, and sender cliques are
-                // untouched this phase — `[lo, hi)` of this receiver
-                // belongs to exactly one task.
-                let chunk = unsafe {
-                    raw.slice_mut(
-                        layout.clique_off[group.receiver] + task.lo,
-                        task.hi - task.lo,
-                    )
+            Some(region) => {
+                // The barrier between the phases (the pool's, or program
+                // order when phase 1 ran on the caller) is what makes
+                // re-claiming phase-1 regions sound, so the tracker
+                // generation resets here.
+                raw.begin_phase();
+                // The *receiver*-side plan maps its entries onto the
+                // separator.
+                let extension = |m: &Msg| {
+                    let (off, len) = (layout.ratio_off[m.sep], layout.sep_len[m.sep]);
+                    // SAFETY: ratios are read-only in this phase.
+                    let ratio = unsafe { raw.slice(off, len) };
+                    (prepared.plan_for(m.receiver, m.sep), ratio)
                 };
-                for m in &group.msgs {
-                    let (plan, ratio) = extension(m);
-                    plan.extend_multiply_range(chunk, ratio, task.lo);
-                }
-            }),
-            None => {
-                // Layer order is ascending message order within every
-                // receiver, which is all the product depends on.
-                for m in msgs {
-                    // SAFETY: this phase runs on the calling thread alone,
-                    // and a clique region is disjoint from every ratio
-                    // region.
-                    let receiver = unsafe {
-                        raw.slice_mut(layout.clique_off[m.receiver], layout.clique_len[m.receiver])
+                self.region(&region.tasks, |task| {
+                    let group = &region.groups[task.of];
+                    // SAFETY: the task ranges tile each group's receiver,
+                    // the groups' receivers are distinct, and sender
+                    // cliques are untouched this phase — `[lo, hi)` of this
+                    // receiver belongs to exactly one task.
+                    let chunk = unsafe {
+                        raw.slice_mut(
+                            layout.clique_off[group.receiver] + task.lo,
+                            task.hi - task.lo,
+                        )
                     };
-                    let (plan, ratio) = extension(m);
-                    plan.extend_multiply(receiver, ratio);
+                    let mut msgs = group.msgs.iter();
+                    if let Some(initial) = shared.pristine_values(group.receiver) {
+                        let first = msgs.next().expect("a receiver group is never empty");
+                        let (plan, ratio) = extension(first);
+                        let src = &initial[task.lo..task.hi];
+                        plan.extend_multiply_range_from(src, chunk, ratio, task.lo);
+                    }
+                    for m in msgs {
+                        let (plan, ratio) = extension(m);
+                        plan.extend_multiply_range(chunk, ratio, task.lo);
+                    }
+                });
+                for group in &region.groups {
+                    state.mark_written(group.receiver);
+                }
+            }
+            None => {
+                for m in msgs {
+                    state.apply_ratio(prepared, m.receiver, m.sep);
                 }
             }
         }

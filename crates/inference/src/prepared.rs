@@ -46,7 +46,7 @@ pub struct SlabLayout {
     /// Start of separator `s`'s `ratio` scratch.
     pub ratio_off: Vec<usize>,
     /// Slab length in `f64`s for a plain query state (the four active
-    /// regions; also the prefix a reset restores).
+    /// regions; also the prefix a whole-slab reset restores).
     pub total: usize,
     /// Start of clique `c`'s saved post-collect snapshot (live states
     /// only; the saved clique block begins at `total`).
@@ -88,8 +88,10 @@ pub struct Prepared {
     pub layout: Arc<SlabLayout>,
     /// The slab every query starts from: clique regions hold the initial
     /// potentials (all assigned CPT factors multiplied in), separator and
-    /// scratch regions hold `1.0`.
-    pub initial_slab: Box<[f64]>,
+    /// scratch regions hold `1.0`. Shared with every
+    /// [`WorkState`](crate::state::WorkState), which reads a clique's
+    /// initial values from here until its first write.
+    pub initial_slab: Arc<[f64]>,
     /// `assignment[v]` = clique that absorbed the CPT of variable `v`
     /// (the smallest clique containing the family).
     pub assignment: Vec<usize>,
@@ -100,6 +102,11 @@ pub struct Prepared {
     /// the single-variable kernels need to enter a finding or read a
     /// marginal there, without a plan.
     pub(crate) axes: Vec<VarAxis>,
+    /// Whether [`WorkState::reset`](crate::state::WorkState::reset) leaves
+    /// the clique regions to be rebuilt from the initial slab at their
+    /// first write instead of copying them: set for an active slab above
+    /// `LAZY_RESET_MIN_ENTRIES` (`state.rs`).
+    pub(crate) lazy_reset: bool,
 }
 
 impl Prepared {
@@ -212,7 +219,7 @@ impl Prepared {
         layout.live_total = off;
 
         // Initial potentials: ones, then multiply in each assigned factor
-        // (prep-time allocation is fine; queries only copy the slab).
+        // (prep-time allocation is fine; queries never allocate).
         let mut initial_cliques: Vec<PotentialTable> = clique_domains
             .iter()
             .map(|d| PotentialTable::ones(d.clone()))
@@ -221,11 +228,16 @@ impl Prepared {
             let factor = PotentialTable::from_cpt(net.cpt(VarId::from_index(v)), &cards);
             ops::extend_multiply(&mut initial_cliques[assignment[v]], &factor);
         }
-        let mut initial_slab = vec![1.0f64; layout.total].into_boxed_slice();
+        // Built in its `Arc` allocation: an exact-length iterator is
+        // collected in place, and the `Arc` is unique until it is
+        // returned, so the clique tables are written straight into it.
+        let mut initial_slab: Arc<[f64]> = std::iter::repeat_n(1.0, layout.total).collect();
+        let slab = Arc::get_mut(&mut initial_slab).expect("a fresh Arc is unique");
         for (c, table) in initial_cliques.iter().enumerate() {
             let off = layout.clique_off[c];
-            initial_slab[off..off + layout.clique_len[c]].copy_from_slice(table.values());
+            slab[off..off + layout.clique_len[c]].copy_from_slice(table.values());
         }
+        let lazy_reset = crate::state::resets_lazily(layout.total);
 
         Prepared {
             cards,
@@ -238,7 +250,19 @@ impl Prepared {
             assignment,
             home,
             axes,
+            lazy_reset,
         }
+    }
+
+    /// Test hook: this preparation with the reset mode of its
+    /// [`WorkState`](crate::state::WorkState)s forced — `true` leaves
+    /// every clique to be rebuilt from the initial slab at its first
+    /// write, `false` copies the whole slab — whatever the slab's size.
+    /// Lets the differential suites run both modes on small networks.
+    #[doc(hidden)]
+    pub fn with_lazy_reset(mut self, lazy: bool) -> Self {
+        self.lazy_reset = lazy;
+        self
     }
 
     /// The precompiled plan mapping `clique`'s domain onto separator

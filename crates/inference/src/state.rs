@@ -1,13 +1,33 @@
 //! Per-query mutable state (one contiguous slab) and the shared pieces of
 //! Hugin propagation.
 //!
+//! # Lazy reset
+//!
+//! A query starts from `Prepared`'s initial slab. On a slab of at most
+//! `LAZY_RESET_MIN_ENTRIES` entries, [`WorkState::reset`] copies it in
+//! whole. Above that it refills only the separator region and marks every
+//! clique **pristine**: its values are its initial values, read from the
+//! shared initial slab, not from the state's own. A pristine clique is
+//! never copied on its own; the first kernel that writes it reads the
+//! initial values in the same pass — a finding through
+//! `VarAxis::select_from`, a ratio through
+//! `KernelPlan::extend_multiply_from` (or its chunked and fused forms) —
+//! and a pristine sender is marginalized straight from the initial slab.
+//! Each of those forms the same products and sums from bitwise-equal
+//! operands, so the mode never changes a bit. Only this module knows the
+//! rule: readers go through [`WorkState::clique`] (initial values while
+//! pristine), callers that write by hand through
+//! [`WorkState::clique_mut`] or [`WorkState::message_slices`] (which copy
+//! first), and the propagation driver asks for a sender's values and for
+//! the initial values a receiver's first write reads.
+//!
 //! fastbn: audited-raw-ptr
 //! fastbn: deny-hot-alloc
 
 use std::sync::Arc;
 
 use fastbn_bayesnet::{Evidence, VarId};
-use fastbn_potential::{multiply_marginalize, ops};
+use fastbn_potential::{multiply_marginalize, multiply_marginalize_from, ops};
 
 use crate::error::InferenceError;
 use crate::posterior::Posteriors;
@@ -17,6 +37,25 @@ use crate::slab_track;
 /// Sentinel for "no deferred message" in the pending array.
 const NO_PENDING: u32 = u32::MAX;
 
+/// Active slab size, in entries, above which a reset leaves the cliques
+/// pristine instead of copying them: 262 144 `f64` = 2 MiB, one core's
+/// L2. Above it the copy streams through the shared cache, and the first
+/// kernels then read the same values again: on the benchmark's
+/// `large-cliques` (10 MB slab, 2-core VM) it took 1.31–1.39 ms, about a
+/// fifth of a two-thread query, and reading the initial values in the
+/// first-write kernels instead raised `qps` by 22 %. At or below it the
+/// copy is L2-resident and cheap: lazy at every size, `small-cliques`
+/// (the pigs analogue) saved 12 µs of reset but its propagation grew by
+/// 2–18 µs, and `qps` moved by −6.7 … +1.9 % over three pairs — no gain,
+/// so small slabs keep the one copy (which a live state needs anyway).
+const LAZY_RESET_MIN_ENTRIES: usize = 262_144;
+
+/// Whether a state over an active slab of `total` entries resets lazily
+/// (see [`LAZY_RESET_MIN_ENTRIES`]).
+pub(crate) fn resets_lazily(total: usize) -> bool {
+    total > LAZY_RESET_MIN_ENTRIES
+}
+
 /// The mutable tables of one in-flight query — clique potentials,
 /// separator potentials, plus two per-separator scratch buffers (the
 /// freshly marginalized message and the `new/old` ratio) — packed into a
@@ -24,15 +63,22 @@ const NO_PENDING: u32 = u32::MAX;
 ///
 /// A `WorkState` is the unit of scratch a [`Session`](crate::solver::Session)
 /// holds: allocated once (one slab allocation, not 4×N table `Vec`s),
-/// reset per query with a single `copy_from_slice`, and recycled through
-/// the solver's scratch pool when the session drops. Steady-state
-/// propagation touches only slab regions through precompiled
-/// [`KernelPlan`](fastbn_potential::KernelPlan)s, so it performs **zero
-/// heap allocations**.
+/// reset per query — by one `copy_from_slice`, or above
+/// `LAZY_RESET_MIN_ENTRIES` by refilling the separators and leaving each
+/// clique to be rebuilt from the initial slab at its first write (see the
+/// module header) — and recycled through the solver's scratch pool when
+/// the session drops. Steady-state propagation touches only slab regions
+/// through precompiled [`KernelPlan`](fastbn_potential::KernelPlan)s, so
+/// it performs **zero heap allocations**.
 #[derive(Debug, Clone)]
 pub struct WorkState {
     /// All tables, contiguously: cliques, seps, fresh, ratio.
     slab: Box<[f64]>,
+    /// `Prepared`'s initial slab: a pristine clique's values.
+    initial: Arc<[f64]>,
+    /// Per clique: its values are its initial values, and its slab region
+    /// is stale (set by a lazy reset, cleared by the first write).
+    pristine: Box<[bool]>,
     /// Per-clique deferred-ratio slot of deferred layers' fused
     /// collect/distribute path: the separator whose ratio still has to be
     /// multiplied into this clique, or [`NO_PENDING`].
@@ -48,7 +94,9 @@ impl WorkState {
     // query pays (then recycled through the solver's scratch pool).
     pub fn new(prepared: &Prepared) -> Self {
         WorkState {
-            slab: prepared.initial_slab.clone(),
+            slab: Box::from(&*prepared.initial_slab),
+            initial: Arc::clone(&prepared.initial_slab),
+            pristine: vec![false; prepared.num_cliques()].into_boxed_slice(),
             pending: vec![NO_PENDING; prepared.num_cliques()].into_boxed_slice(),
             layout: prepared.layout.clone(),
         }
@@ -66,6 +114,8 @@ impl WorkState {
         slab[..prepared.initial_slab.len()].copy_from_slice(&prepared.initial_slab);
         WorkState {
             slab,
+            initial: Arc::clone(&prepared.initial_slab),
+            pristine: vec![false; prepared.num_cliques()].into_boxed_slice(),
             pending: vec![NO_PENDING; prepared.num_cliques()].into_boxed_slice(),
             layout,
         }
@@ -78,27 +128,100 @@ impl WorkState {
         self.slab.len() == self.layout.live_total
     }
 
-    /// Restores the pre-evidence state with one bulk copy, reusing the
-    /// allocation. On a live state ([`WorkState::with_saved`]) only the
-    /// active prefix is restored; the saved-message regions are owned by
-    /// the incremental bookkeeping that rewrites them.
+    /// Restores the pre-evidence state, reusing the allocation.
+    /// `prepared` must be the preparation this state was built from.
+    ///
+    /// On an active slab above `LAZY_RESET_MIN_ENTRIES` entries it
+    /// refills only the separator region and marks every clique pristine
+    /// (module header); `fresh` and `ratio` scratch is always written
+    /// before it is read, so it is left as it is. Otherwise — and always
+    /// on a live state ([`WorkState::with_saved`]) — it is one bulk copy
+    /// of the active prefix; the saved-message regions are owned by the
+    /// incremental bookkeeping that rewrites them.
     pub fn reset(&mut self, prepared: &Prepared) {
-        self.slab[..prepared.initial_slab.len()].copy_from_slice(&prepared.initial_slab);
+        debug_assert!(Arc::ptr_eq(&self.initial, &prepared.initial_slab));
+        let lazy = prepared.lazy_reset && !self.has_saved();
+        if lazy {
+            // The separator region: from the first separator to the first
+            // `fresh` scratch (empty on a one-clique tree).
+            let layout = &*self.layout;
+            let (start, end) = match (layout.sep_off.first(), layout.fresh_off.first()) {
+                (Some(&start), Some(&end)) => (start, end),
+                _ => (0, 0),
+            };
+            self.slab[start..end].copy_from_slice(&self.initial[start..end]);
+        } else {
+            self.slab[..self.initial.len()].copy_from_slice(&self.initial);
+        }
+        self.pristine.fill(lazy);
         self.pending.fill(NO_PENDING);
     }
 
-    /// Clique `c`'s values.
+    /// Clique `c`'s values (its initial values while it is pristine).
     #[inline]
     pub fn clique(&self, c: usize) -> &[f64] {
         let off = self.layout.clique_off[c];
-        &self.slab[off..off + self.layout.clique_len[c]]
+        let values: &[f64] = if self.pristine[c] {
+            &self.initial
+        } else {
+            &self.slab
+        };
+        &values[off..off + self.layout.clique_len[c]]
     }
 
-    /// Clique `c`'s values, mutably.
+    /// Clique `c`'s values, mutably (copied in from the initial slab
+    /// first if it is pristine).
     #[inline]
     pub fn clique_mut(&mut self, c: usize) -> &mut [f64] {
+        self.copy_pristine(c);
         let off = self.layout.clique_off[c];
         &mut self.slab[off..off + self.layout.clique_len[c]]
+    }
+
+    /// Clique `c`'s initial values if it is pristine: what the first
+    /// write of its slab region must read instead of the region.
+    #[inline]
+    pub(crate) fn pristine_values(&self, c: usize) -> Option<&[f64]> {
+        self.pristine[c].then(|| self.initial_values(c))
+    }
+
+    /// Clique `c`'s region of the initial slab.
+    #[inline]
+    fn initial_values(&self, c: usize) -> &[f64] {
+        let off = self.layout.clique_off[c];
+        &self.initial[off..off + self.layout.clique_len[c]]
+    }
+
+    /// Copies clique `c`'s initial values into its slab region if it is
+    /// pristine — for writers that update a region in place.
+    pub(crate) fn copy_pristine(&mut self, c: usize) {
+        if std::mem::take(&mut self.pristine[c]) {
+            let (off, len) = (self.layout.clique_off[c], self.layout.clique_len[c]);
+            self.slab[off..off + len].copy_from_slice(&self.initial[off..off + len]);
+        }
+    }
+
+    /// Records that clique `c`'s whole slab region was written from its
+    /// [`pristine_values`](WorkState::pristine_values).
+    #[inline]
+    pub(crate) fn mark_written(&mut self, c: usize) {
+        self.pristine[c] = false;
+    }
+
+    /// Clique `c`'s values for a read through `raw` while other regions
+    /// are written: its initial values while it is pristine.
+    ///
+    /// # Safety
+    /// As [`SlabRaw::slice`]: `raw` views this state's slab, and `c`'s
+    /// region is not concurrently written.
+    #[inline]
+    #[track_caller]
+    pub(crate) unsafe fn sender_values<'a>(&'a self, raw: &'a SlabRaw, c: usize) -> &'a [f64] {
+        match self.pristine_values(c) {
+            Some(initial) => initial,
+            // SAFETY: forwarded from this function's contract.
+            None => unsafe { raw.slice(self.layout.clique_off[c], self.layout.clique_len[c]) },
+        }
     }
 
     /// Separator `s`'s current values.
@@ -115,7 +238,8 @@ impl WorkState {
         &mut self.slab[off..off + self.layout.sep_len[s]]
     }
 
-    /// Separator `s`'s fresh-message scratch.
+    /// Separator `s`'s fresh-message scratch. Scratch is written before it
+    /// is read, and a lazy reset leaves it as the last query did.
     #[inline]
     pub fn fresh(&self, s: usize) -> &[f64] {
         let off = self.layout.fresh_off[s];
@@ -129,7 +253,8 @@ impl WorkState {
         &mut self.slab[off..off + self.layout.sep_len[s]]
     }
 
-    /// Separator `s`'s ratio scratch.
+    /// Separator `s`'s ratio scratch (left stale by a lazy reset, like
+    /// [`WorkState::fresh`]).
     #[inline]
     pub fn ratio(&self, s: usize) -> &[f64] {
         let off = self.layout.ratio_off[s];
@@ -171,13 +296,26 @@ impl WorkState {
     /// Allocation-free.
     pub fn flush_pending(&mut self, prepared: &Prepared, c: usize) {
         if let Some(sep) = self.take_pending(c) {
-            let plan = prepared.plan_for(c, sep);
-            let raw = self.raw();
-            // SAFETY: the clique and ratio regions are disjoint slab
-            // ranges, and `&mut self` guarantees exclusivity.
-            unsafe {
-                let clique = raw.slice_mut(self.layout.clique_off[c], self.layout.clique_len[c]);
-                let ratio = raw.slice(self.layout.ratio_off[sep], self.layout.sep_len[sep]);
+            self.apply_ratio(prepared, c, sep);
+        }
+    }
+
+    /// Multiplies separator `sep`'s ratio into clique `c` — a pristine
+    /// clique is rebuilt from its initial values in the same pass.
+    /// Allocation-free.
+    pub(crate) fn apply_ratio(&mut self, prepared: &Prepared, c: usize, sep: usize) {
+        let plan = prepared.plan_for(c, sep);
+        let pristine = std::mem::take(&mut self.pristine[c]);
+        let raw = self.raw();
+        // SAFETY: the clique and ratio regions are disjoint slab ranges,
+        // and `&mut self` guarantees exclusivity (the initial slab is not
+        // part of the slab).
+        unsafe {
+            let clique = raw.slice_mut(self.layout.clique_off[c], self.layout.clique_len[c]);
+            let ratio = raw.slice(self.layout.ratio_off[sep], self.layout.sep_len[sep]);
+            if pristine {
+                plan.extend_multiply_from(self.initial_values(c), clique, ratio);
+            } else {
                 plan.extend_multiply(clique, ratio);
             }
         }
@@ -202,7 +340,10 @@ impl WorkState {
     /// ([`ops::sep_update`]), and record — not apply — the ratio for the
     /// receiver. An older ratio pending on the receiver is applied first,
     /// so a clique's ratios multiply in arrival order, exactly as an eager
-    /// `extend_multiply` per message would. Allocation-free.
+    /// `extend_multiply` per message would. A pristine sender is read from
+    /// the initial slab: marginalized straight from it, or rebuilt from it
+    /// by the fused pass ([`multiply_marginalize_from`]) when a ratio is
+    /// pending. Allocation-free.
     ///
     /// Whoever reads or writes a clique by other means (a parallel phase,
     /// extraction) must [`flush_pending`](WorkState::flush_pending) it
@@ -216,9 +357,15 @@ impl WorkState {
     ) {
         self.flush_pending(prepared, receiver);
         let pending = self.take_pending(sender);
+        // A pending ratio is multiplied into the sender: that writes it.
+        let pristine = self.pristine[sender];
+        if pending.is_some() {
+            self.pristine[sender] = false;
+        }
         let marg_plan = prepared.plan_for(sender, sep);
         let layout = &*prepared.layout;
         let raw = self.raw();
+        let initial = pristine.then(|| self.initial_values(sender));
         crate::trace::kernel(
             crate::trace::layout_class(marg_plan.layout()),
             sender as u64,
@@ -235,13 +382,16 @@ impl WorkState {
                         let clique =
                             raw.slice_mut(layout.clique_off[sender], layout.clique_len[sender]);
                         let ratio_p = raw.slice(layout.ratio_off[p], layout.sep_len[p]);
-                        multiply_marginalize(mul_plan, marg_plan, clique, ratio_p, fresh);
+                        match initial {
+                            Some(src) => multiply_marginalize_from(
+                                mul_plan, marg_plan, src, clique, ratio_p, fresh,
+                            ),
+                            None => {
+                                multiply_marginalize(mul_plan, marg_plan, clique, ratio_p, fresh)
+                            }
+                        }
                     }
-                    None => {
-                        let clique =
-                            raw.slice(layout.clique_off[sender], layout.clique_len[sender]);
-                        marg_plan.marginalize(clique, fresh);
-                    }
+                    None => marg_plan.marginalize(self.sender_values(&raw, sender), fresh),
                 }
                 let sep_vals = raw.slice_mut(layout.sep_off[sep], layout.sep_len[sep]);
                 let ratio = raw.slice_mut(layout.ratio_off[sep], layout.sep_len[sep]);
@@ -253,7 +403,8 @@ impl WorkState {
 
     /// Splits out the five disjoint slices of one message: the sender
     /// clique (shared), and the receiver clique, separator, fresh and
-    /// ratio buffers (exclusive).
+    /// ratio buffers (exclusive). A pristine clique among the two is
+    /// copied in from the initial slab first.
     ///
     /// # Panics
     /// Debug-asserts that `sender != receiver`; the slab regions of
@@ -267,6 +418,8 @@ impl WorkState {
         sep: usize,
     ) -> (&[f64], &mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
         debug_assert_ne!(sender, receiver);
+        self.copy_pristine(sender);
+        self.copy_pristine(receiver);
         let layout = &self.layout;
         let base = self.slab.as_mut_ptr();
         slab_track::begin_phase(base);
@@ -461,11 +614,18 @@ impl WorkState {
 
     /// Enters evidence by reducing, for each observation, the potential of
     /// the variable's home clique (one clique per finding suffices —
-    /// propagation spreads it).
+    /// propagation spreads it). A pristine home is reduced from its
+    /// initial values in one pass.
     pub fn absorb_evidence(&mut self, prepared: &Prepared, evidence: &Evidence) {
         for (var, state) in evidence.iter() {
-            let v = var.index();
-            prepared.axes[v].select(self.clique_mut(prepared.home[v]), state);
+            let (axis, home) = (prepared.axes[var.index()], prepared.home[var.index()]);
+            if std::mem::take(&mut self.pristine[home]) {
+                let off = self.layout.clique_off[home];
+                let end = off + self.layout.clique_len[home];
+                axis.select_from(&self.initial[off..end], &mut self.slab[off..end], state);
+            } else {
+                axis.select(self.clique_mut(home), state);
+            }
         }
     }
 

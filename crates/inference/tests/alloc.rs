@@ -147,6 +147,56 @@ fn hybrid_small_model_steady_state_is_allocation_free() {
     }
 }
 
+/// Allocations of the second of two identical `Session::run` calls.
+fn warm_query_allocations(solver: &Solver, query: &Query) -> u64 {
+    let mut session = solver.session();
+    session.run(query).unwrap();
+    let before = allocations();
+    let result = session.run(query).unwrap();
+    let delta = allocations() - before;
+    drop(result);
+    delta
+}
+
+/// Above 262 144 active slab entries a reset leaves every clique to be
+/// rebuilt from the initial slab at its first write, and that path
+/// allocates nothing of its own — no per-query `Arc` clone, no flag
+/// vector: on a network above the constant, a warm `Seq` query and a
+/// warm two-thread `Hybrid` query (whose pool regions cost one `Arc`
+/// each) allocate exactly as often as under the whole-slab copy that
+/// every smaller network takes, and `Seq`'s
+/// `reset → enter_evidence → propagate` cycle still never allocates.
+#[test]
+fn lazy_reset_adds_no_allocation() {
+    // Ten 64 × 520 cliques: 332 800 clique entries, unprogrammed, so the
+    // hybrid phases are pool regions.
+    let net = generators::naive_bayes(10, 64, 520, 11);
+    let lazy = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+    assert!(lazy.layout.total > 262_144, "{} entries", lazy.layout.total);
+    let eager = Arc::new((*lazy).clone().with_lazy_reset(false));
+    let case = &sampler::generate_cases(&net, 1, 0.3, 5)[0];
+    let query = Query::new().evidence(case.evidence.clone());
+
+    let seq = make_engine(EngineKind::Seq, lazy.clone(), 1);
+    assert_steady_state_allocation_free(&*seq, &lazy, &net);
+    for (kind, threads) in [(EngineKind::Seq, 1), (EngineKind::Hybrid, 2)] {
+        let solver = |prepared: &Arc<Prepared>| {
+            Solver::from_prepared(prepared.clone())
+                .engine(kind)
+                .threads(threads)
+                .build()
+        };
+        let (with_lazy, with_copy) = (
+            warm_query_allocations(&solver(&lazy), &query),
+            warm_query_allocations(&solver(&eager), &query),
+        );
+        assert_eq!(
+            with_lazy, with_copy,
+            "{kind} t={threads}: lazy reset {with_lazy} allocations, whole copy {with_copy}"
+        );
+    }
+}
+
 /// The incremental edit path has the same contract: once a
 /// [`LiveSession`](fastbn_inference::LiveSession) is warm, applying a
 /// single-finding delta — observe, change, retract, likelihood set or

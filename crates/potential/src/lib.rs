@@ -45,5 +45,5 @@ pub mod plan;
 pub mod table;
 
 pub use domain::Domain;
-pub use plan::{multiply_marginalize, KernelPlan, Layout};
+pub use plan::{multiply_marginalize, multiply_marginalize_from, KernelPlan, Layout};
 pub use table::PotentialTable;

@@ -4,8 +4,9 @@
 //! Three groups remain here. The **slice helpers** run on slab regions in
 //! the hot path and have no index mapping to compile: the fused separator
 //! update ([`sep_update`], [`sep_ratio`], both through [`safe_div`]). The
-//! **single-variable kernels** of [`VarAxis`] — `select` (a hard finding),
-//! `marginal` (a posterior read) and `scale` (a likelihood) — walk a
+//! **single-variable kernels** of [`VarAxis`] — `select` / `select_from`
+//! (a hard finding, in place or as a table's first write), `marginal` (a
+//! posterior read) and `scale` (a likelihood) — walk a
 //! table as `blocks × card × stride` from one variable's stride and
 //! cardinality, which the inference layer stores once per variable: every
 //! finding a query enters and every marginal it reads goes through them,
@@ -111,7 +112,9 @@ pub fn marginal_of_var(table: &PotentialTable, var: VarId) -> Vec<f64> {
 /// segments, otherwise.
 ///
 /// Bit-identity: `select` writes `+0.0` to exactly the inconsistent
-/// entries and leaves the rest untouched; `marginal` starts each state's
+/// entries and leaves the rest untouched, and `select_from` — the same
+/// finding as a table's first write, reading another copy of its values
+/// — leaves the same bits; `marginal` starts each state's
 /// sum at `0.0` and adds its entries in ascending index, the chain of a
 /// flat scan; `scale` forms each product `values[i] · factors[s]` once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +150,34 @@ impl VarAxis {
             for block in values.chunks_exact_mut(stride * self.card) {
                 block[..keep].fill(0.0);
                 block[keep + stride..].fill(0.0);
+            }
+        }
+    }
+
+    /// Hard finding as a table's first write: `dst` becomes `src` with
+    /// every entry whose state is not `state` zeroed, in one pass —
+    /// bitwise what copying `src` into `dst` and then
+    /// [`VarAxis::select`] leaves (the kept entries copied, `+0.0`
+    /// everywhere else).
+    pub fn select_from(self, src: &[f64], dst: &mut [f64], state: usize) {
+        debug_assert!(state < self.card);
+        debug_assert_eq!(src.len(), dst.len());
+        if self.stride == 1 {
+            let blocks = dst
+                .chunks_exact_mut(self.card)
+                .zip(src.chunks_exact(self.card));
+            for (out, from) in blocks {
+                for (s, (d, &v)) in out.iter_mut().zip(from).enumerate() {
+                    *d = if s == state { v } else { 0.0 };
+                }
+            }
+        } else {
+            let (keep, stride) = (state * self.stride, self.stride);
+            let block = stride * self.card;
+            for (out, from) in dst.chunks_exact_mut(block).zip(src.chunks_exact(block)) {
+                out[..keep].fill(0.0);
+                out[keep..keep + stride].copy_from_slice(&from[keep..keep + stride]);
+                out[keep + stride..].fill(0.0);
             }
         }
     }

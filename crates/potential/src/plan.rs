@@ -110,13 +110,15 @@
 //!
 //! [`KernelPlan::layout`] reports this classification for every plan,
 //! programmed or not, and the chunked forms ([`marginalize_fold`],
-//! [`extend_multiply_range`]) that parallel callers split across workers
-//! always dispatch on it.
+//! [`extend_multiply_range`], [`extend_multiply_range_from`]) that
+//! parallel callers split across workers always dispatch on it.
 //!
 //! Why the cut, and not the coalesced walk for every size: it was
-//! measured. Past the L2 a table streams from DRAM, and there the
-//! program makes the sequential engine fast without making the parallel
-//! one faster. With the constant lifted to `usize::MAX` the 1.21 M-entry
+//! measured. Past the L2 a table streams from the shared L3 (105 MiB on
+//! the recording VM, which holds the 10 MB `large-cliques` slab and its
+//! initial copy together), and there the program makes the sequential
+//! engine fast without making the parallel one faster. With the constant
+//! lifted to `usize::MAX` the 1.21 M-entry
 //! `large-cliques` kernel pass goes from 10.4 ms to 2.5 ms and the
 //! sequential engine from 77 to 227 queries/s — but the two-thread
 //! hybrid engine, whose parallel phases run the chunked kernels, stays at
@@ -127,9 +129,10 @@
 //! `large-cliques`' `par_speedup` from 1.82 to 1.64 over four benchmark
 //! pairs: the sequential engine gains 21 %, the two-thread one 8 %. On
 //! the 2-core machine all of this is recorded on, one core already
-//! saturates DRAM (a scale pass over 10 MB: 531 µs on one thread, 506 µs
-//! split over two), so a bandwidth-efficient kernel for large tables leaves the
-//! second core nothing to add. Large tables need a design that moves less
+//! saturates the shared cache's bandwidth (a scale pass over 10 MB, L3
+//! resident: 531 µs on one thread, 506 µs split over two), so a
+//! bandwidth-efficient kernel for large tables leaves the second core
+//! nothing to add. Large tables need a design that moves less
 //! memory (cache-blocked, collect/distribute fused) and a machine with
 //! more cores to show it on; until then they keep the kernels above, bit
 //! for bit. Tables under the cut are the ones the hybrid engine no longer
@@ -161,6 +164,7 @@
 //! [`max_marginalize`]: KernelPlan::max_marginalize
 //! [`marginalize_fold`]: KernelPlan::marginalize_fold
 //! [`extend_multiply_range`]: KernelPlan::extend_multiply_range
+//! [`extend_multiply_range_from`]: KernelPlan::extend_multiply_range_from
 //!
 //! fastbn: deny-hot-alloc
 
@@ -399,20 +403,51 @@ impl KernelPlan {
         }
     }
 
-    /// One-pass rebuild: `dst[i] = src[i] · msg[m(i)]`, `dst` overwritten.
-    /// Bitwise equal to copying `src` into `dst` and then
-    /// [`KernelPlan::extend_multiply`] (same products, each entry written
-    /// once), in one pass over the table on a programmed plan; a plan
-    /// without a program runs exactly that copy and extension.
+    /// One-pass rebuild: `dst[i] = src[i] · msg[m(i)]`, `dst` overwritten
+    /// — the first write of a table whose current values live elsewhere:
+    /// a live session's saved snapshot, or a query's initial slab. Bitwise
+    /// equal to copying `src` into `dst` and then
+    /// [`KernelPlan::extend_multiply`] (the same products, each entry
+    /// written once), in one pass over the table: the run program on a
+    /// programmed plan, the layout kernel of [`KernelPlan::layout`]
+    /// otherwise.
     pub fn extend_multiply_from(&self, src: &[f64], dst: &mut [f64], msg: &[f64]) {
         debug_assert_eq!(src.len(), self.sup_size);
         debug_assert_eq!(dst.len(), self.sup_size);
         debug_assert_eq!(msg.len(), self.sub_size);
-        match &self.program {
-            Some(program) => program.multiply_from(src, dst, msg),
-            None => {
-                dst.copy_from_slice(src);
-                self.extend_multiply(dst, msg);
+        if let Some(program) = &self.program {
+            return program.multiply_from(src, dst, msg);
+        }
+        match self.layout {
+            Layout::Identity => {
+                for ((d, &v), &m) in dst.iter_mut().zip(src).zip(msg) {
+                    *d = v * m;
+                }
+            }
+            Layout::InnerBlock => {
+                let sub = self.sub_size;
+                for (out, block) in dst.chunks_exact_mut(sub).zip(src.chunks_exact(sub)) {
+                    for ((d, &v), &m) in out.iter_mut().zip(block).zip(msg) {
+                        *d = v * m;
+                    }
+                }
+            }
+            Layout::OuterBlock { fiber_len } => {
+                let fibers = dst
+                    .chunks_exact_mut(fiber_len)
+                    .zip(src.chunks_exact(fiber_len));
+                for ((out, fiber), &m) in fibers.zip(msg) {
+                    for (d, &v) in out.iter_mut().zip(fiber) {
+                        *d = v * m;
+                    }
+                }
+            }
+            Layout::Generic => {
+                let mut odo = InlineOdometer::new(&self.sup_cards, &self.ext_strides);
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d = v * msg[odo.mapped()];
+                    odo.advance();
+                }
             }
         }
     }
@@ -521,6 +556,64 @@ impl KernelPlan {
             }
         }
     }
+
+    /// Chunked one-pass rebuild: `chunk[j] = src[j] · msg[m(lo + j)]`,
+    /// where `src` and `chunk` are entries `[lo, lo + chunk.len())` of the
+    /// source and destination tables. What
+    /// [`KernelPlan::extend_multiply_from`] is to
+    /// [`KernelPlan::extend_multiply`], this is to
+    /// [`KernelPlan::extend_multiply_range`]: the same products, so any
+    /// tiling of the table gives the whole-table bits.
+    #[inline]
+    pub fn extend_multiply_range_from(
+        &self,
+        src: &[f64],
+        chunk: &mut [f64],
+        msg: &[f64],
+        lo: usize,
+    ) {
+        debug_assert_eq!(src.len(), chunk.len());
+        debug_assert!(lo + chunk.len() <= self.sup_size);
+        let entries = chunk.iter_mut().zip(src);
+        match self.layout {
+            Layout::Identity => {
+                for ((d, &v), &m) in entries.zip(&msg[lo..]) {
+                    *d = v * m;
+                }
+            }
+            Layout::InnerBlock => {
+                let sub = self.sub_size;
+                let mut m = lo % sub;
+                for (d, &v) in entries {
+                    *d = v * msg[m];
+                    m += 1;
+                    if m == sub {
+                        m = 0;
+                    }
+                }
+            }
+            Layout::OuterBlock { fiber_len } => {
+                let mut t = lo / fiber_len;
+                let mut left = fiber_len - lo % fiber_len;
+                for (d, &v) in entries {
+                    *d = v * msg[t];
+                    left -= 1;
+                    if left == 0 {
+                        t += 1;
+                        left = fiber_len;
+                    }
+                }
+            }
+            Layout::Generic => {
+                let mut odo = InlineOdometer::new(&self.sup_cards, &self.ext_strides);
+                odo.seek(lo);
+                for (d, &v) in entries {
+                    *d = v * msg[odo.mapped()];
+                    odo.advance();
+                }
+            }
+        }
+    }
 }
 
 /// The fused collect kernel: in one pass over the clique,
@@ -557,8 +650,7 @@ pub fn multiply_marginalize(
     debug_assert_eq!(table.len(), mul.sup_size);
     debug_assert_eq!(msg.len(), mul.sub_size);
     debug_assert_eq!(out.len(), marg.sub_size);
-    let programmed = mul.program.is_some() || marg.program.is_some();
-    if programmed || mul.layout != Layout::Generic || marg.layout != Layout::Generic {
+    if !walks_fused(mul, marg) {
         mul.extend_multiply(table, msg);
         marg.marginalize(table, out);
         return;
@@ -572,6 +664,51 @@ pub fn multiply_marginalize(
         mul_odo.advance();
         marg_odo.advance();
     }
+}
+
+/// [`multiply_marginalize`] for a clique whose current values live in
+/// `src` rather than in `table`: `table[i] = src[i] · msg[mul(i)]` and
+/// `out[marg(i)] += table[i]`, `table` and `out` overwritten. Bitwise
+/// equal to copying `src` into `table` and then [`multiply_marginalize`],
+/// under the same dispatch: the two passes
+/// ([`KernelPlan::extend_multiply_from`], then
+/// [`KernelPlan::marginalize`]) wherever that function runs two, the one
+/// fused walk on a large generic/generic pair.
+pub fn multiply_marginalize_from(
+    mul: &KernelPlan,
+    marg: &KernelPlan,
+    src: &[f64],
+    table: &mut [f64],
+    msg: &[f64],
+    out: &mut [f64],
+) {
+    debug_assert_eq!(mul.sup_size, marg.sup_size, "plans must share a clique");
+    debug_assert_eq!(src.len(), mul.sup_size);
+    debug_assert_eq!(table.len(), mul.sup_size);
+    debug_assert_eq!(msg.len(), mul.sub_size);
+    debug_assert_eq!(out.len(), marg.sub_size);
+    if !walks_fused(mul, marg) {
+        mul.extend_multiply_from(src, table, msg);
+        marg.marginalize(table, out);
+        return;
+    }
+    out.fill(0.0);
+    let mut mul_odo = InlineOdometer::new(&mul.sup_cards, &mul.ext_strides);
+    let mut marg_odo = InlineOdometer::new(&marg.sup_cards, &marg.ext_strides);
+    for (v, &s) in table.iter_mut().zip(src) {
+        *v = s * msg[mul_odo.mapped()];
+        out[marg_odo.mapped()] += *v;
+        mul_odo.advance();
+        marg_odo.advance();
+    }
+}
+
+/// Whether the fused kernels take their single double-odometer walk:
+/// only for a pair without run programs whose layouts are both
+/// [`Layout::Generic`] (see [`multiply_marginalize`]).
+fn walks_fused(mul: &KernelPlan, marg: &KernelPlan) -> bool {
+    let programmed = mul.program.is_some() || marg.program.is_some();
+    !programmed && mul.layout == Layout::Generic && marg.layout == Layout::Generic
 }
 
 /// Largest superdomain, in entries, that is compiled into a run program:

@@ -8,11 +8,16 @@
 //! execute and the layout kernels larger ones keep are both held to the
 //! same reference. The single-variable kernels ([`VarAxis`]) and the
 //! one-pass rebuild (`extend_multiply_from`) are held to it too, and
-//! every fixed-arity arm of the run loops to the generic run loop.
+//! every fixed-arity arm of the run loops to the generic run loop. The
+//! first-write kernels a lazily reset clique is rebuilt by — `*_from`,
+//! whole-table, chunked and fused, and `VarAxis::select_from` — are held
+//! to copying their source in and running the in-place kernel.
 
 use fastbn_bayesnet::VarId;
 use fastbn_potential::ops::VarAxis;
-use fastbn_potential::{multiply_marginalize, Domain, KernelPlan, Layout};
+use fastbn_potential::{
+    multiply_marginalize, multiply_marginalize_from, Domain, KernelPlan, Layout,
+};
 
 /// Minimal deterministic generator (xorshift64*) for test data.
 struct TestRng(u64);
@@ -279,7 +284,7 @@ fn every_membership_pattern_matches_decode_reference_bitwise() {
     }
     assert_eq!(cases, 126 * DRAWS + 64);
     assert!(small > 400 && large == 64, "{small} small, {large} large");
-    // Every layout ran the copy-and-extend fallback, and every layout but
+    // Every layout ran its one-pass layout kernel, and every layout but
     // `Identity` (which never has a program) the one-pass program.
     assert_eq!(rebuilt, [[true; 4], [false, true, true, true]]);
 }
@@ -369,6 +374,102 @@ fn check_case(
     assert_bits(&got_table, &want_table, "multiply_marginalize clique", case);
     assert_bits(&got_out, &want_out, "multiply_marginalize message", case);
     plan
+}
+
+/// Whether `multiply_marginalize(mul, marg, …)` takes its single fused
+/// odometer walk: both plans unprogrammed and generic.
+fn walks_fused(mul: &KernelPlan, marg: &KernelPlan) -> bool {
+    let generic = |p: &KernelPlan| !p.is_programmed() && p.layout() == Layout::Generic;
+    generic(mul) && generic(marg)
+}
+
+#[test]
+fn first_write_kernels_equal_copy_then_in_place_bitwise() {
+    // A lazily reset clique is rebuilt from the initial slab by the first
+    // kernel that writes it. Each such kernel, on every membership
+    // pattern of up to six variables — tables on both sides of the
+    // run-program constant, so all four layouts with and without a
+    // program — must equal copying its source into the destination and
+    // running the in-place kernel, bit for bit: whole-table, chunked at
+    // awkward cuts, and fused with the next marginalization (including
+    // the generic/generic single walk).
+    let mut rebuilt = [[false; 4]; 2]; // [programmed] × layout
+    let mut fused_walks = 0u32;
+    for n in 1..=6usize {
+        for mask in 0u32..1 << n {
+            for draw in 0..3u64 {
+                let case = (n as u64) << 32 | (mask as u64) << 8 | draw;
+                let mut rng = TestRng::new(0xF125 ^ case);
+                // Draw 0 is all-6 at six variables (46 656 entries, over
+                // the constant) and all-5 below; the others are random.
+                let cards: Vec<usize> = (0..n)
+                    .map(|_| match draw {
+                        0 if n == 6 => 6,
+                        0 => 5,
+                        _ => 1 + rng.below(5),
+                    })
+                    .collect();
+                let vars = |keep: u32| {
+                    Domain::new(
+                        (0..n)
+                            .filter(|&p| keep >> p & 1 == 1)
+                            .map(|p| (VarId(3 * p as u32), cards[p]))
+                            .collect(),
+                    )
+                };
+                let (sup, sub) = (vars(u32::MAX), vars(mask));
+                let mul_sub = vars(rng.below(1 << n) as u32);
+                let (plan, mul) = (KernelPlan::new(&sup, &sub), KernelPlan::new(&sup, &mul_sub));
+                rebuilt[plan.is_programmed() as usize][layout_index(plan.layout())] = true;
+                fused_walks += walks_fused(&mul, &plan) as u32;
+
+                let src = random_values(&mut rng, sup.size());
+                let msg = random_values(&mut rng, sub.size());
+                let mut want = src.clone();
+                plan.extend_multiply(&mut want, &msg);
+                let mut got = vec![f64::NAN; sup.size()];
+                plan.extend_multiply_from(&src, &mut got, &msg);
+                assert_bits(&got, &want, "extend_multiply_from vs copy + extend", case);
+
+                let cuts = awkward_cuts(sup.size());
+                let mut want = src.clone();
+                let mut got = vec![f64::NAN; sup.size()];
+                for cut in cuts.windows(2) {
+                    let (lo, hi) = (cut[0], cut[1]);
+                    plan.extend_multiply_range(&mut want[lo..hi], &msg, lo);
+                    plan.extend_multiply_range_from(&src[lo..hi], &mut got[lo..hi], &msg, lo);
+                }
+                assert_bits(
+                    &got,
+                    &want,
+                    "extend_multiply_range_from vs copy + range",
+                    case,
+                );
+
+                let mul_msg = random_values(&mut rng, mul_sub.size());
+                let (mut want_table, mut want_out) = (src.clone(), vec![f64::NAN; sub.size()]);
+                multiply_marginalize(&mul, &plan, &mut want_table, &mul_msg, &mut want_out);
+                let (mut got_table, mut got_out) =
+                    (vec![f64::NAN; sup.size()], vec![f64::NAN; sub.size()]);
+                multiply_marginalize_from(
+                    &mul,
+                    &plan,
+                    &src,
+                    &mut got_table,
+                    &mul_msg,
+                    &mut got_out,
+                );
+                assert_bits(&got_table, &want_table, "fused from: clique", case);
+                assert_bits(&got_out, &want_out, "fused from: message", case);
+            }
+        }
+    }
+    // `Identity` never has a program; every other layout runs both ways.
+    assert_eq!(rebuilt, [[true; 4], [false, true, true, true]]);
+    assert!(
+        fused_walks > 0,
+        "no generic/generic pair took the fused walk"
+    );
 }
 
 #[test]
@@ -500,6 +601,12 @@ fn single_variable_kernels_match_decode_reference_bitwise() {
                         .map(|(&v, &s)| if s == state { v } else { 0.0 })
                         .collect();
                     assert_bits(&got, &want, "select", case);
+
+                    // As a first write, into a stale destination: the
+                    // bits of copy + select.
+                    let mut from = vec![f64::NAN; table.len()];
+                    axis.select_from(table, &mut from, state);
+                    assert_bits(&from, &got, "select_from vs copy + select", case);
                 }
 
                 let factors: Vec<f64> = (0..card).map(|s| 0.25 + s as f64 / 3.0).collect();

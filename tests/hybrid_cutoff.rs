@@ -23,6 +23,9 @@ use fastbn::{
 };
 use fastbn_bench::workloads::{adaptivity_workloads, workload_by_name};
 
+mod common;
+use common::{straddling_networks, Regions};
+
 /// The largest table the kernels run as a compiled run program
 /// (`fastbn_potential::plan`'s private constant).
 const PROGRAM_MAX_ENTRIES: usize = 32_768;
@@ -118,45 +121,6 @@ fn assert_paths_match(
             live.apply(EvidenceDelta::retract(var)).unwrap();
         }
     }
-}
-
-/// Which of a network's phases open a pool region at width ≥ 2.
-#[derive(Debug, Clone, Copy)]
-enum Regions {
-    None,
-    Some,
-    All,
-}
-
-/// Networks whose phases sit on both sides of the break-even. A phase's
-/// work counts only tables above the run-program constant (32 768
-/// entries). Arity-6 windowed DAGs over a window of 6 have cliques of
-/// 6^4 = 1 296 and 6^5 = 7 776 entries, which count for nothing, and a
-/// few of 6^6 = 46 656, which do: one query mixes inline and parallel
-/// phases. A naive-Bayes tree is a star — every phase moves
-/// `(features − 1) × class × feature` entries through the hub, the
-/// multi-child receiver — so the pair of hubs straddles the constant
-/// between them: 19 × 1 152 entries are past the break-even but all
-/// programmed, so they stay inline; 2 × 33 280 are not programmed, so
-/// every phase is a region.
-fn straddling_networks() -> Vec<(BayesianNetwork, Regions)> {
-    let mut nets: Vec<(BayesianNetwork, Regions)> = [1, 2, 4]
-        .into_iter()
-        .map(|seed| {
-            let net = generators::windowed_dag(&WindowedDagSpec {
-                target_arcs: 60,
-                max_parents: 3,
-                window: 6,
-                arity: ArityDist::Fixed(6),
-                seed,
-                ..WindowedDagSpec::new(format!("straddle-{seed}"), 30)
-            });
-            (net, Regions::Some)
-        })
-        .collect();
-    nets.push((generators::naive_bayes(20, 48, 24, 11), Regions::None));
-    nets.push((generators::naive_bayes(3, 64, 520, 11), Regions::All));
-    nets
 }
 
 #[test]
