@@ -35,7 +35,6 @@ pub mod datasets;
 pub mod evidence;
 pub mod generators;
 pub mod graph;
-pub mod learn;
 pub mod network;
 pub mod sampler;
 pub mod variable;

@@ -37,9 +37,9 @@ use std::time::Duration;
 
 use fastbn_bench::measure::{prepare, solver_for};
 use fastbn_bench::workloads::workload_by_name;
-use fastbn_inference::{layout_class_name, EngineKind, Query};
-use fastbn_serve::Server;
-use fastbn_telemetry::trace::{NameId, SpanRecord, TraceView, SPAN_KERNEL, SPAN_REQUEST};
+use fastbn_inference::{EngineKind, Query};
+use fastbn_registry::Server;
+use fastbn_telemetry::trace::{NameId, SpanRecord, TraceView, SPAN_REQUEST};
 use fastbn_telemetry::{Introspection, Json, TraceConfig, Tracer};
 
 fn ms(ns: u64) -> f64 {
@@ -54,7 +54,6 @@ fn annotate(tracer: &Tracer, span: &SpanRecord) -> String {
             span.tag,
             tracer.name(NameId(span.aux as u32))
         ),
-        SPAN_KERNEL => format!("  {} clique={}", layout_class_name(span.tag), span.aux),
         _ if span.tag != 0 => format!("  n={}", span.tag),
         _ => String::new(),
     }
@@ -218,7 +217,9 @@ fn main() {
     let snapshot_server = Arc::new(server);
     let endpoint_server = Arc::clone(&snapshot_server);
     let endpoint = Introspection::builder()
-        .metrics(Arc::new(move || endpoint_server.metrics_snapshot()))
+        .metrics(Arc::new(move || {
+            endpoint_server.routed().metrics_snapshot()
+        }))
         .tracer(Arc::clone(&tracer))
         .bind("127.0.0.1:0")
         .expect("loopback bind");

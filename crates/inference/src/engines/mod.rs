@@ -48,7 +48,7 @@ pub trait InferenceEngine: Send + Sync {
     /// A co-ownable handle to the engine's pool (`None` for the
     /// sequential kinds). Engines hold their pool through an `Arc`
     /// precisely so it can be **shared**: hand this to
-    /// [`make_engine_on`] (or [`SolverBuilder::pool`](crate::solver::SolverBuilder::pool))
+    /// [`SolverBuilder::pool`](crate::solver::SolverBuilder::pool)
     /// and another model's engine will run its regions on the same
     /// worker team.
     fn pool_handle(&self) -> Option<Arc<ThreadPool>>;
@@ -203,7 +203,7 @@ pub fn make_engine(
 /// layouts, and therefore bits) are sized to `pool.threads()`, exactly
 /// as a private pool of the same width would size them. The sequential
 /// kinds ignore the pool.
-pub fn make_engine_on(
+pub(crate) fn make_engine_on(
     kind: EngineKind,
     prepared: Arc<Prepared>,
     pool: Arc<ThreadPool>,

@@ -10,7 +10,7 @@
 //!   from the solver's lock-free pool; open one per thread and query
 //!   concurrently. Its `'static` counterpart [`OwnedSession`] co-owns
 //!   the solver through an `Arc`, so it can move into spawned threads
-//!   and task runtimes (the `fastbn-serve` front end is built on it).
+//!   and task runtimes.
 //! * [`Query`] — a **builder** describing one request: hard evidence,
 //!   virtual (likelihood) evidence, an optional target-variable subset
 //!   (pay only for the marginals you ask for), or MPE mode. Results come
@@ -81,8 +81,8 @@
 //! brute-force enumeration — live in [`oracle`].
 //!
 //! How this crate relates to the layers below (junction trees, potential
-//! tables, the thread pool) and above (the `fastbn-serve` micro-batching
-//! front end) is mapped in `docs/ARCHITECTURE.md` at the repository
+//! tables, the thread pool) and above (the `fastbn-registry` serving
+//! front ends) is mapped in `docs/ARCHITECTURE.md` at the repository
 //! root.
 
 // Every unsafe operation inside an `unsafe fn` must sit in its own
@@ -109,7 +109,7 @@ pub mod virtual_evidence;
 
 pub use cache::{CacheConfig, CacheStats, QueryCache};
 pub use delta::{EvidenceDelta, LiveSession};
-pub use engines::{make_engine, make_engine_on, EngineKind, InferenceEngine, ParseEngineKindError};
+pub use engines::{make_engine, EngineKind, InferenceEngine, ParseEngineKindError};
 pub use error::{InferenceError, LikelihoodDefect};
 pub use mpe::{most_probable_explanation, MpeResult};
 pub use owned::OwnedSession;
@@ -118,5 +118,5 @@ pub use prepared::Prepared;
 pub use query::{Query, QueryBatch, QueryKey, QueryMode, QueryResult};
 pub use solver::{Session, SessionCore, Solver, SolverBuilder};
 pub use state::WorkState;
-pub use trace::{layout_class, layout_class_name, scoped, TraceContext, TraceScope};
+pub use trace::{scoped, TraceContext, TraceScope};
 pub use virtual_evidence::VirtualEvidence;

@@ -98,11 +98,6 @@ impl Posteriors {
         self.marginals.len()
     }
 
-    /// Natural log of the evidence probability.
-    pub fn log_likelihood(&self) -> f64 {
-        self.prob_evidence.ln()
-    }
-
     /// Largest absolute difference between two results over all marginals
     /// — the metric used by the cross-engine agreement tests. Both
     /// results must cover the same variables.
@@ -128,7 +123,6 @@ mod tests {
         let p = Posteriors::new(vec![vec![0.25, 0.75], vec![1.0]], 0.5);
         assert_eq!(p.num_vars(), 2);
         assert_eq!(p.marginal(VarId(0)), &[0.25, 0.75]);
-        assert!((p.log_likelihood() - 0.5f64.ln()).abs() < 1e-15);
     }
 
     #[test]

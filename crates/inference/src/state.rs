@@ -17,7 +17,7 @@
 //! operands, so the mode never changes a bit. Only this module knows the
 //! rule: readers go through [`WorkState::clique`] (initial values while
 //! pristine), callers that write by hand through
-//! [`WorkState::clique_mut`] or [`WorkState::message_slices`] (which copy
+//! `WorkState::clique_mut` or `WorkState::message_slices` (which copy
 //! first), and the propagation driver asks for a sender's values and for
 //! the initial values a receiver's first write reads.
 //!
@@ -108,7 +108,7 @@ impl WorkState {
     /// keeps current between evidence-delta edits. Same allocation count
     /// as [`WorkState::new`], one slab — just a longer one.
     // fastbn: allow(hot-alloc): constructor (live-session slab).
-    pub fn with_saved(prepared: &Prepared) -> Self {
+    pub(crate) fn with_saved(prepared: &Prepared) -> Self {
         let layout = prepared.layout.clone();
         let mut slab = vec![1.0f64; layout.live_total].into_boxed_slice();
         slab[..prepared.initial_slab.len()].copy_from_slice(&prepared.initial_slab);
@@ -124,7 +124,7 @@ impl WorkState {
     /// Whether this state carries the saved-message regions (allocated by
     /// [`WorkState::with_saved`]).
     #[inline]
-    pub fn has_saved(&self) -> bool {
+    pub(crate) fn has_saved(&self) -> bool {
         self.slab.len() == self.layout.live_total
     }
 
@@ -135,7 +135,7 @@ impl WorkState {
     /// refills only the separator region and marks every clique pristine
     /// (module header); `fresh` and `ratio` scratch is always written
     /// before it is read, so it is left as it is. Otherwise — and always
-    /// on a live state ([`WorkState::with_saved`]) — it is one bulk copy
+    /// on a live state (`WorkState::with_saved`) — it is one bulk copy
     /// of the active prefix; the saved-message regions are owned by the
     /// incremental bookkeeping that rewrites them.
     pub fn reset(&mut self, prepared: &Prepared) {
@@ -172,7 +172,7 @@ impl WorkState {
     /// Clique `c`'s values, mutably (copied in from the initial slab
     /// first if it is pristine).
     #[inline]
-    pub fn clique_mut(&mut self, c: usize) -> &mut [f64] {
+    pub(crate) fn clique_mut(&mut self, c: usize) -> &mut [f64] {
         self.copy_pristine(c);
         let off = self.layout.clique_off[c];
         &mut self.slab[off..off + self.layout.clique_len[c]]
@@ -231,13 +231,6 @@ impl WorkState {
         &self.slab[off..off + self.layout.sep_len[s]]
     }
 
-    /// Separator `s`'s current values, mutably.
-    #[inline]
-    pub fn sep_mut(&mut self, s: usize) -> &mut [f64] {
-        let off = self.layout.sep_off[s];
-        &mut self.slab[off..off + self.layout.sep_len[s]]
-    }
-
     /// Separator `s`'s fresh-message scratch. Scratch is written before it
     /// is read, and a lazy reset leaves it as the last query did.
     #[inline]
@@ -246,26 +239,12 @@ impl WorkState {
         &self.slab[off..off + self.layout.sep_len[s]]
     }
 
-    /// Separator `s`'s fresh-message scratch, mutably.
-    #[inline]
-    pub fn fresh_mut(&mut self, s: usize) -> &mut [f64] {
-        let off = self.layout.fresh_off[s];
-        &mut self.slab[off..off + self.layout.sep_len[s]]
-    }
-
     /// Separator `s`'s ratio scratch (left stale by a lazy reset, like
     /// [`WorkState::fresh`]).
     #[inline]
     pub fn ratio(&self, s: usize) -> &[f64] {
         let off = self.layout.ratio_off[s];
         &self.slab[off..off + self.layout.sep_len[s]]
-    }
-
-    /// Separator `s`'s ratio scratch, mutably.
-    #[inline]
-    pub fn ratio_mut(&mut self, s: usize) -> &mut [f64] {
-        let off = self.layout.ratio_off[s];
-        &mut self.slab[off..off + self.layout.sep_len[s]]
     }
 
     /// The separator whose ratio is still pending multiplication into
@@ -279,13 +258,13 @@ impl WorkState {
     /// Records that separator `sep`'s ratio must later be multiplied into
     /// clique `c`.
     #[inline]
-    pub fn set_pending(&mut self, c: usize, sep: usize) {
+    pub(crate) fn set_pending(&mut self, c: usize, sep: usize) {
         self.pending[c] = sep as u32;
     }
 
     /// Clears and returns clique `c`'s pending separator, if any.
     #[inline]
-    pub fn take_pending(&mut self, c: usize) -> Option<usize> {
+    pub(crate) fn take_pending(&mut self, c: usize) -> Option<usize> {
         let p = self.pending[c];
         self.pending[c] = NO_PENDING;
         (p != NO_PENDING).then_some(p as usize)
@@ -294,7 +273,7 @@ impl WorkState {
     /// Multiplies clique `c`'s deferred ratio (if any) into the clique —
     /// the flush half of the deferred-ratio fusion.
     /// Allocation-free.
-    pub fn flush_pending(&mut self, prepared: &Prepared, c: usize) {
+    pub(crate) fn flush_pending(&mut self, prepared: &Prepared, c: usize) {
         if let Some(sep) = self.take_pending(c) {
             self.apply_ratio(prepared, c, sep);
         }
@@ -366,38 +345,31 @@ impl WorkState {
         let layout = &*prepared.layout;
         let raw = self.raw();
         let initial = pristine.then(|| self.initial_values(sender));
-        crate::trace::kernel(
-            crate::trace::layout_class(marg_plan.layout()),
-            sender as u64,
-            ||
-            // SAFETY: every slice below is a distinct slab region (clique,
-            // sep, fresh and ratio regions are pairwise disjoint by layout
-            // construction; `ratio[p]` vs `fresh[sep]` are distinct regions
-            // even when `p == sep`), and `&mut self` is exclusive.
-            unsafe {
-                let fresh = raw.slice_mut(layout.fresh_off[sep], layout.sep_len[sep]);
-                match pending {
-                    Some(p) => {
-                        let mul_plan = prepared.plan_for(sender, p);
-                        let clique =
-                            raw.slice_mut(layout.clique_off[sender], layout.clique_len[sender]);
-                        let ratio_p = raw.slice(layout.ratio_off[p], layout.sep_len[p]);
-                        match initial {
-                            Some(src) => multiply_marginalize_from(
-                                mul_plan, marg_plan, src, clique, ratio_p, fresh,
-                            ),
-                            None => {
-                                multiply_marginalize(mul_plan, marg_plan, clique, ratio_p, fresh)
-                            }
-                        }
+        // SAFETY: every slice below is a distinct slab region (clique,
+        // sep, fresh and ratio regions are pairwise disjoint by layout
+        // construction; `ratio[p]` vs `fresh[sep]` are distinct regions
+        // even when `p == sep`), and `&mut self` is exclusive.
+        unsafe {
+            let fresh = raw.slice_mut(layout.fresh_off[sep], layout.sep_len[sep]);
+            match pending {
+                Some(p) => {
+                    let mul_plan = prepared.plan_for(sender, p);
+                    let clique =
+                        raw.slice_mut(layout.clique_off[sender], layout.clique_len[sender]);
+                    let ratio_p = raw.slice(layout.ratio_off[p], layout.sep_len[p]);
+                    match initial {
+                        Some(src) => multiply_marginalize_from(
+                            mul_plan, marg_plan, src, clique, ratio_p, fresh,
+                        ),
+                        None => multiply_marginalize(mul_plan, marg_plan, clique, ratio_p, fresh),
                     }
-                    None => marg_plan.marginalize(self.sender_values(&raw, sender), fresh),
                 }
-                let sep_vals = raw.slice_mut(layout.sep_off[sep], layout.sep_len[sep]);
-                let ratio = raw.slice_mut(layout.ratio_off[sep], layout.sep_len[sep]);
-                ops::sep_update(fresh, sep_vals, ratio);
-            },
-        );
+                None => marg_plan.marginalize(self.sender_values(&raw, sender), fresh),
+            }
+            let sep_vals = raw.slice_mut(layout.sep_off[sep], layout.sep_len[sep]);
+            let ratio = raw.slice_mut(layout.ratio_off[sep], layout.sep_len[sep]);
+            ops::sep_update(fresh, sep_vals, ratio);
+        }
         self.set_pending(receiver, sep);
     }
 
@@ -411,7 +383,7 @@ impl WorkState {
     /// distinct tables never overlap by construction of [`SlabLayout`].
     #[inline]
     #[allow(clippy::type_complexity)]
-    pub fn message_slices(
+    pub(crate) fn message_slices(
         &mut self,
         sender: usize,
         receiver: usize,
@@ -457,18 +429,10 @@ impl WorkState {
 
     /// Clique `c`'s saved post-collect snapshot (live states only).
     #[inline]
-    pub fn saved_clique(&self, c: usize) -> &[f64] {
+    pub(crate) fn saved_clique(&self, c: usize) -> &[f64] {
         debug_assert!(self.has_saved());
         let off = self.layout.saved_clique_off[c];
         &self.slab[off..off + self.layout.clique_len[c]]
-    }
-
-    /// Separator `s`'s saved collect message (live states only).
-    #[inline]
-    pub fn saved_col(&self, s: usize) -> &[f64] {
-        debug_assert!(self.has_saved());
-        let off = self.layout.saved_col_off[s];
-        &self.slab[off..off + self.layout.sep_len[s]]
     }
 
     /// Snapshots every clique's current values into the saved block with
@@ -616,7 +580,7 @@ impl WorkState {
     /// the variable's home clique (one clique per finding suffices —
     /// propagation spreads it). A pristine home is reduced from its
     /// initial values in one pass.
-    pub fn absorb_evidence(&mut self, prepared: &Prepared, evidence: &Evidence) {
+    pub(crate) fn absorb_evidence(&mut self, prepared: &Prepared, evidence: &Evidence) {
         for (var, state) in evidence.iter() {
             let (axis, home) = (prepared.axes[var.index()], prepared.home[var.index()]);
             if std::mem::take(&mut self.pristine[home]) {
@@ -701,7 +665,7 @@ impl WorkState {
     /// deduplicated (the [`Query`](crate::query::Query) builder
     /// guarantees this); a target outside the network fails with
     /// [`InferenceError::InvalidTarget`].
-    pub fn extract_posteriors_for(
+    pub(crate) fn extract_posteriors_for(
         &self,
         prepared: &Prepared,
         evidence: &Evidence,

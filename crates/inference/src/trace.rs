@@ -15,11 +15,6 @@
 //! read when no context is installed, so untraced serving pays nothing
 //! measurable and computes
 //! bit-identical results (the helpers never touch engine data).
-//!
-//! With the opt-in `trace-kernels` cargo feature, the sequential engine
-//! additionally records one span per clique message, tagged by its
-//! [`KernelPlan`](fastbn_potential::KernelPlan) layout class — the
-//! per-clique attribution the paper's table kernels are classified by.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -87,8 +82,8 @@ fn current() -> Option<TraceContext> {
 }
 
 /// Restores the thread-local parent span on drop — the panic-safe
-/// bracket reparenting phase spans use so nested kernel spans attach to
-/// the phase span rather than the compute span.
+/// bracket reparenting phase spans use so spans recorded inside a phase
+/// attach to the phase span rather than the compute span.
 struct ParentGuard {
     prev: u64,
 }
@@ -115,15 +110,15 @@ impl Drop for ParentGuard {
 }
 
 /// Times `f` as one `name` span under the active context; calls `f`
-/// directly when none is installed. `reparent` makes spans recorded
-/// *inside* `f` children of this span.
+/// directly when none is installed. Spans recorded *inside* `f` become
+/// children of this span.
 #[inline]
-fn with_span<R>(name: NameId, tag: u64, aux: u64, reparent: bool, f: impl FnOnce() -> R) -> R {
+fn with_span<R>(name: NameId, f: impl FnOnce() -> R) -> R {
     let Some(ctx) = current() else {
         return f();
     };
     let span = ctx.tracer.next_span();
-    let _guard = reparent.then(|| ParentGuard::reparent_to(span, ctx.parent));
+    let _guard = ParentGuard::reparent_to(span, ctx.parent);
     let start = ctx.tracer.now_ns();
     let out = f();
     let dur = ctx.tracer.now_ns().saturating_sub(start);
@@ -134,8 +129,8 @@ fn with_span<R>(name: NameId, tag: u64, aux: u64, reparent: bool, f: impl FnOnce
         name,
         start_ns: start,
         dur_ns: dur,
-        tag,
-        aux,
+        tag: 0,
+        aux: 0,
     });
     out
 }
@@ -143,51 +138,13 @@ fn with_span<R>(name: NameId, tag: u64, aux: u64, reparent: bool, f: impl FnOnce
 /// Times `f` as this query's collect-phase span (no-op untraced).
 #[inline]
 pub(crate) fn collect<R>(f: impl FnOnce() -> R) -> R {
-    with_span(SPAN_COLLECT, 0, 0, true, f)
+    with_span(SPAN_COLLECT, f)
 }
 
 /// Times `f` as this query's distribute-phase span (no-op untraced).
 #[inline]
 pub(crate) fn distribute<R>(f: impl FnOnce() -> R) -> R {
-    with_span(SPAN_DISTRIBUTE, 0, 0, true, f)
-}
-
-/// Times `f` as one clique-kernel span (`tag` = layout class code from
-/// [`layout_class`], `aux` = the sending clique index). Compiles to a
-/// plain call without the `trace-kernels` feature.
-#[inline]
-#[cfg_attr(not(feature = "trace-kernels"), allow(unused_variables))]
-pub(crate) fn kernel<R>(tag: u64, aux: u64, f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "trace-kernels")]
-    {
-        with_span(fastbn_telemetry::trace::SPAN_KERNEL, tag, aux, false, f)
-    }
-    #[cfg(not(feature = "trace-kernels"))]
-    {
-        f()
-    }
-}
-
-/// The stable numeric code kernel spans carry as `tag` for a
-/// [`Layout`](fastbn_potential::Layout) class.
-pub fn layout_class(layout: fastbn_potential::Layout) -> u64 {
-    match layout {
-        fastbn_potential::Layout::Identity => 0,
-        fastbn_potential::Layout::InnerBlock => 1,
-        fastbn_potential::Layout::OuterBlock { .. } => 2,
-        fastbn_potential::Layout::Generic => 3,
-    }
-}
-
-/// The display name for a [`layout_class`] code (for trace rendering).
-pub fn layout_class_name(class: u64) -> &'static str {
-    match class {
-        0 => "identity",
-        1 => "inner-block",
-        2 => "outer-block",
-        3 => "generic",
-        _ => "?",
-    }
+    with_span(SPAN_DISTRIBUTE, f)
 }
 
 #[cfg(test)]
@@ -257,16 +214,5 @@ mod tests {
             assert_ne!(nested.parent, 100);
         });
         assert_eq!(current().unwrap().parent, 100, "parent restored");
-    }
-
-    #[test]
-    fn layout_classes_round_trip() {
-        assert_eq!(layout_class(fastbn_potential::Layout::Identity), 0);
-        assert_eq!(
-            layout_class(fastbn_potential::Layout::OuterBlock { fiber_len: 4 }),
-            2
-        );
-        assert_eq!(layout_class_name(3), "generic");
-        assert_eq!(layout_class_name(42), "?");
     }
 }

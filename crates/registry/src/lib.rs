@@ -64,10 +64,10 @@
 //! let _query_again = err.into_query();
 //! ```
 //!
-//! The single-model [`Server`](https://docs.rs/fastbn-serve) in
-//! `fastbn-serve` is a thin wrapper over a one-entry registry — same
-//! machinery, fixed routing. Where this layer sits in the stack is
-//! mapped out in `docs/ARCHITECTURE.md` at the repository root, and
+//! The single-model [`Server`] is a one-entry registry behind
+//! a [`RoutedServer`] — same machinery, fixed routing.
+//! Where this layer sits in the stack is mapped out in
+//! `docs/ARCHITECTURE.md` at the repository root, and
 //! `examples/multi_model.rs` is a runnable quickstart.
 
 // No unsafe code: raw-pointer and atomics tricks live in the audited
@@ -78,12 +78,14 @@
 mod oneshot;
 mod registry;
 mod routed;
+mod server;
 mod stats;
 
 pub use registry::{ModelConfig, Registry, RegistryBuilder, RegistryError};
 pub use routed::{
     Pending, RoutedServer, RoutedServerBuilder, ServeError, SubmitError, SubmitErrorKind,
 };
+pub use server::{Server, ServerBuilder, SINGLE_MODEL_ID};
 pub use stats::{ModelStats, ServerStats};
 
 // Re-export the telemetry vocabulary (the routed server's metrics and

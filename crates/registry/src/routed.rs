@@ -1,7 +1,8 @@
 //! The [`RoutedServer`]: model-aware micro-batching over a
-//! [`Registry`] — the generalization of `fastbn-serve`'s single-model
-//! queue/window/cancellation machinery to many models on one worker
-//! pool.
+//! [`Registry`] — a bounded queue, deadline windows, in-window dedup
+//! and cancellation for many models on one worker pool. The
+//! single-model [`Server`](crate::Server) is this with the model id
+//! pinned.
 //!
 //! # How a routed request flows
 //!
@@ -25,7 +26,9 @@
 //!    [`Solver::query_batch`] — wide groups spread across the shared
 //!    pool exactly like `Session::run_batch`. In-window dedup
 //!    collapses requests with equal canonical `QueryKey`s *within a
-//!    group*; models never share computations.
+//!    group* (equal keys on one solver imply bit-identical results, so
+//!    one computation fans out to every waiter); models never share
+//!    computations.
 //! 4. Each result is delivered through its request's oneshot. Dropping
 //!    a [`Pending`] cancels; shutdown drains accepted requests and
 //!    joins the workers.
@@ -54,14 +57,13 @@ use crate::stats::{Counters, ModelCounters, ModelStats, ServerStats};
 
 /// One queued request: the query, the model it was routed to (id,
 /// resolved solver, per-model counters), the oneshot that delivers
-/// its result, and its acceptance timestamp (`None` when timing is
-/// disabled — see [`RoutedServerBuilder::telemetry`]).
+/// its result, and its acceptance timestamp.
 struct Request {
     solver: Arc<Solver>,
     model: Arc<ModelTrack>,
     query: Query,
     reply: SlotSender<Result<QueryResult, InferenceError>>,
-    submitted_at: Option<Instant>,
+    submitted_at: Instant,
     /// Tracing identity, present iff the server has a
     /// [`Tracer`] installed ([`RoutedServerBuilder::tracer`]).
     trace: Option<ReqTrace>,
@@ -70,9 +72,7 @@ struct Request {
 /// Per-request tracing identity, minted at admission. The slow-query
 /// log consumes it for **every** request (it is always on once a
 /// tracer is installed); the span tree is only recorded when
-/// `sampled`. All times are on the tracer's own clock, so tracing
-/// works even with stage timing off
-/// ([`RoutedServerBuilder::telemetry`]`(false)`).
+/// `sampled`. All times are on the tracer's own clock.
 #[derive(Clone, Copy)]
 struct ReqTrace {
     /// The request's trace id.
@@ -104,9 +104,7 @@ struct ModelTrack {
 /// ```
 ///
 /// All values are nanoseconds except `serve.batch.size` (requests per
-/// dispatched group). Recording is a no-op when the registry was built
-/// `counters_only`, and the `Instant::now()` reads feeding these are
-/// skipped entirely ([`ServerTelemetry::timing`]).
+/// dispatched group).
 struct StageMetrics {
     admission_ns: Arc<Histogram>,
     queue_wait_ns: Arc<Histogram>,
@@ -134,14 +132,11 @@ impl StageMetrics {
 /// Everything the submitters and workers share for observability: the
 /// traffic counters (the cells behind both [`ServerStats`] and the
 /// exported `serve.*` metrics), the stage histograms, and the registry
-/// they live in. `timing` caches
-/// [`MetricsRegistry::is_timing_enabled`] so the hot path can skip
-/// clock reads without a lock.
+/// they live in.
 struct ServerTelemetry {
     counters: Counters,
     stages: StageMetrics,
     metrics: Arc<MetricsRegistry>,
-    timing: bool,
     /// The request tracer, when one was installed
     /// ([`RoutedServerBuilder::tracer`]). `None` keeps the hot path
     /// exactly as it was before tracing existed.
@@ -149,33 +144,27 @@ struct ServerTelemetry {
 }
 
 impl ServerTelemetry {
-    fn over(metrics: Arc<MetricsRegistry>, tracer: Option<Arc<Tracer>>) -> ServerTelemetry {
+    /// Telemetry over a fresh metrics registry of its own.
+    fn new(tracer: Option<Arc<Tracer>>) -> ServerTelemetry {
+        let metrics = Arc::new(MetricsRegistry::new());
         ServerTelemetry {
             counters: Counters::in_registry(&metrics),
             stages: StageMetrics::in_registry(&metrics),
-            timing: metrics.is_timing_enabled(),
             metrics,
             tracer,
         }
     }
 
-    /// The current time, read only when stage timing is on.
-    fn now(&self) -> Option<Instant> {
-        self.timing.then(Instant::now)
-    }
-
     /// Mints a request's tracing identity at admission: trace and root
-    /// span ids unconditionally (the slow-query log never samples),
-    /// head sampling only while stage timing is on — `telemetry(false)`
-    /// forces the span-tree rate to zero without touching slow-query
-    /// exactness.
+    /// span ids unconditionally (the slow-query log never samples); the
+    /// tracer's head sampling decides whether a span tree is recorded.
     fn begin_request(&self) -> Option<ReqTrace> {
         let tracer = self.tracer.as_deref()?;
         let token = tracer.begin_trace();
         Some(ReqTrace {
             trace: token.trace,
             root: tracer.next_span(),
-            sampled: token.sampled && self.timing,
+            sampled: token.sampled,
             t0_ns: tracer.now_ns(),
             queue_ns: 0,
         })
@@ -249,9 +238,9 @@ impl SubmitError {
         self.kind
     }
 
-    /// The model id the submission was routed to (the single-model
-    /// compatibility surface in `fastbn-serve` always routes to its
-    /// `SINGLE_MODEL_ID`).
+    /// The model id the submission was routed to (a single-model
+    /// [`Server`](crate::Server) always routes to
+    /// [`SINGLE_MODEL_ID`](crate::SINGLE_MODEL_ID)).
     pub fn model(&self) -> &str {
         &self.model
     }
@@ -314,17 +303,15 @@ impl std::fmt::Debug for Pending {
     }
 }
 
-/// Configures and starts a [`RoutedServer`]; the micro-batching knobs
-/// are identical to the single-model server's.
+/// Configures and starts a [`RoutedServer`]. Every server records its
+/// traffic counters and per-stage latency histograms in a
+/// [`MetricsRegistry`] of its own ([`RoutedServer::metrics`]).
 pub struct RoutedServerBuilder {
     registry: Arc<Registry>,
     workers: usize,
     max_batch: usize,
     max_delay: Duration,
     queue_capacity: Option<usize>,
-    dedup: bool,
-    metrics: Option<Arc<MetricsRegistry>>,
-    timing: bool,
     tracer: Option<Arc<Tracer>>,
 }
 
@@ -364,44 +351,12 @@ impl RoutedServerBuilder {
         self
     }
 
-    /// Whether a window deduplicates identical in-flight requests of
-    /// the **same model** (default on; equal canonical `QueryKey`s on
-    /// the same solver imply bit-identical results, so one computation
-    /// fans out to every waiter).
-    pub fn dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Uses an existing [`MetricsRegistry`] instead of creating one —
-    /// e.g. to aggregate several servers, or to pass a
-    /// [`MetricsRegistry::counters_only`] registry built elsewhere.
-    /// Overrides [`RoutedServerBuilder::telemetry`].
-    pub fn metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Whether the server records per-stage latency histograms
-    /// (default **on**). Off builds a [`MetricsRegistry::counters_only`]
-    /// registry: the traffic counters stay live (the [`ServerStats`]
-    /// accounting contract does not depend on this switch) but no
-    /// clocks are read and no histograms recorded on the hot path.
-    /// Ignored when [`RoutedServerBuilder::metrics`] injects a
-    /// registry — the injected registry's own mode rules.
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.timing = enabled;
-        self
-    }
-
     /// Installs a request [`Tracer`] (default none — and with none, the
     /// serving hot path is exactly the pre-tracing one). With a tracer,
     /// every request gets a trace id and the always-on slow-query log;
     /// head-sampled requests (see [`fastbn_telemetry::TraceConfig`])
     /// additionally record a span tree — admission → queue → window →
     /// compute → delivery, plus the engine's collect/distribute phases.
-    /// [`RoutedServerBuilder::telemetry`]`(false)` forces the sampling
-    /// rate to zero but keeps the slow-query log exact.
     pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
@@ -411,27 +366,23 @@ impl RoutedServerBuilder {
     pub fn build(self) -> RoutedServer {
         let queue_capacity = self
             .queue_capacity
-            .unwrap_or(2 * self.workers * self.max_batch)
+            .unwrap_or(
+                self.workers
+                    .saturating_mul(self.max_batch)
+                    .saturating_mul(2),
+            )
             .max(1);
         let (sender, receiver) = crossbeam_channel::bounded::<Request>(queue_capacity);
-        let metrics = self.metrics.unwrap_or_else(|| {
-            Arc::new(if self.timing {
-                MetricsRegistry::new()
-            } else {
-                MetricsRegistry::counters_only()
-            })
-        });
-        let telemetry = Arc::new(ServerTelemetry::over(metrics, self.tracer));
+        let telemetry = Arc::new(ServerTelemetry::new(self.tracer));
         let workers = (0..self.workers)
             .map(|i| {
                 let rx = receiver.clone();
                 let telemetry = Arc::clone(&telemetry);
                 let max_batch = self.max_batch;
                 let max_delay = self.max_delay;
-                let dedup = self.dedup;
                 std::thread::Builder::new()
                     .name(format!("fastbn-route-{i}"))
-                    .spawn(move || worker_loop(rx, max_batch, max_delay, dedup, &telemetry))
+                    .spawn(move || worker_loop(rx, max_batch, max_delay, &telemetry))
                     .expect("failed to spawn fastbn routing worker")
             })
             .collect();
@@ -445,7 +396,6 @@ impl RoutedServerBuilder {
             max_batch: self.max_batch,
             max_delay: self.max_delay,
             queue_capacity,
-            dedup: self.dedup,
         }
     }
 }
@@ -509,7 +459,6 @@ pub struct RoutedServer {
     max_batch: usize,
     max_delay: Duration,
     queue_capacity: usize,
-    dedup: bool,
 }
 
 impl RoutedServer {
@@ -528,9 +477,6 @@ impl RoutedServer {
             max_batch: 16,
             max_delay: Duration::from_micros(500),
             queue_capacity: None,
-            dedup: true,
-            metrics: None,
-            timing: true,
             tracer: None,
         }
     }
@@ -541,16 +487,14 @@ impl RoutedServer {
     /// or [`SubmitErrorKind::ShutDown`] after [`RoutedServer::shutdown`]
     /// — the query is handed back either way.
     pub fn submit(&self, model: &str, query: Query) -> Result<Pending, SubmitError> {
-        let start = self.telemetry.now();
+        let start = Instant::now();
         let (sender, request, rx) = self.admit(model, query, start)?;
         match sender.send(request) {
             Ok(()) => {
-                if let Some(start) = start {
-                    self.telemetry
-                        .stages
-                        .admission_ns
-                        .record_duration(start.elapsed());
-                }
+                self.telemetry
+                    .stages
+                    .admission_ns
+                    .record_duration(start.elapsed());
                 Ok(Pending { rx })
             }
             Err(crossbeam_channel::SendError(request)) => {
@@ -563,16 +507,14 @@ impl RoutedServer {
     /// [`SubmitErrorKind::QueueFull`] (the query handed back) instead
     /// of waiting.
     pub fn try_submit(&self, model: &str, query: Query) -> Result<Pending, SubmitError> {
-        let start = self.telemetry.now();
+        let start = Instant::now();
         let (sender, request, rx) = self.admit(model, query, start)?;
         match sender.try_send(request) {
             Ok(()) => {
-                if let Some(start) = start {
-                    self.telemetry
-                        .stages
-                        .admission_ns
-                        .record_duration(start.elapsed());
-                }
+                self.telemetry
+                    .stages
+                    .admission_ns
+                    .record_duration(start.elapsed());
                 Ok(Pending { rx })
             }
             Err(TrySendError::Full(request)) => {
@@ -595,7 +537,7 @@ impl RoutedServer {
         &self,
         model: &str,
         query: Query,
-        submitted_at: Option<Instant>,
+        submitted_at: Instant,
     ) -> Result<
         (
             crossbeam_channel::Sender<Request>,
@@ -689,9 +631,8 @@ impl RoutedServer {
     }
 
     /// The server's metrics registry: the traffic counters
-    /// (`serve.submitted`, `serve.model.<id>.completed`, …) and —
-    /// unless built with [`RoutedServerBuilder::telemetry`]`(false)` —
-    /// the per-stage latency histograms (`serve.stage.*_ns`,
+    /// (`serve.submitted`, `serve.model.<id>.completed`, …) and the
+    /// per-stage latency histograms (`serve.stage.*_ns`,
     /// `serve.request.total_ns`, `serve.batch.size`). These are the
     /// *same cells* [`RoutedServer::stats`] snapshots.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
@@ -769,11 +710,6 @@ impl RoutedServer {
         self.queue_capacity
     }
 
-    /// Whether windows deduplicate identical in-flight requests.
-    pub fn dedup(&self) -> bool {
-        self.dedup
-    }
-
     fn sender(&self) -> Option<crossbeam_channel::Sender<Request>> {
         self.queue
             .read()
@@ -791,7 +727,6 @@ impl std::fmt::Debug for RoutedServer {
             .field("max_batch", &self.max_batch)
             .field("max_delay", &self.max_delay)
             .field("queue_capacity", &self.queue_capacity)
-            .field("dedup", &self.dedup)
             .field("shut_down", &self.is_shut_down())
             .finish()
     }
@@ -811,10 +746,11 @@ fn worker_loop(
     rx: crossbeam_channel::Receiver<Request>,
     max_batch: usize,
     max_delay: Duration,
-    dedup: bool,
     telemetry: &ServerTelemetry,
 ) {
-    let mut window: Vec<Request> = Vec::with_capacity(max_batch);
+    // Grown on demand and reused across windows: sizing it by
+    // `max_batch` up front would abort the worker for a huge batch.
+    let mut window: Vec<Request> = Vec::new();
     loop {
         let mut first = match rx.recv() {
             Ok(request) => request,
@@ -822,7 +758,7 @@ fn worker_loop(
         };
         telemetry.counters.dequeued.inc_seq();
         record_queue_wait(&mut first, telemetry);
-        let window_start = telemetry.now();
+        let window_start = Instant::now();
         let window_t0 = telemetry.tracer.as_deref().map(Tracer::now_ns);
         window.push(first);
         let deadline = saturating_deadline(max_delay);
@@ -841,11 +777,12 @@ fn worker_loop(
                 }
             }
         }
-        if let Some(start) = window_start {
-            telemetry.stages.window_ns.record_duration(start.elapsed());
-        }
+        telemetry
+            .stages
+            .window_ns
+            .record_duration(window_start.elapsed());
         record_window_spans(&window, window_t0, telemetry);
-        dispatch_window(&mut window, dedup, telemetry);
+        dispatch_window(&mut window, telemetry);
         if disconnected {
             return;
         }
@@ -885,12 +822,10 @@ fn record_window_spans(window: &[Request], window_t0: Option<u64>, telemetry: &S
 /// [`ReqTrace`] for the slow-query log, plus a queue-wait span when
 /// the request is sampled.
 fn record_queue_wait(request: &mut Request, telemetry: &ServerTelemetry) {
-    if let Some(submitted_at) = request.submitted_at {
-        telemetry
-            .stages
-            .queue_wait_ns
-            .record_duration(submitted_at.elapsed());
-    }
+    telemetry
+        .stages
+        .queue_wait_ns
+        .record_duration(request.submitted_at.elapsed());
     if let (Some(tracer), Some(rt)) = (telemetry.tracer.as_deref(), request.trace.as_mut()) {
         rt.queue_ns = tracer.now_ns().saturating_sub(rt.t0_ns);
         if rt.sampled {
@@ -917,7 +852,7 @@ fn record_queue_wait(request: &mut Request, telemetry: &ServerTelemetry) {
 /// panicking dispatch abandons only its own group's requests
 /// ([`ServeError::Abandoned`]) — other models in the window, and the
 /// worker itself, keep going.
-fn dispatch_window(window: &mut Vec<Request>, dedup: bool, telemetry: &ServerTelemetry) {
+fn dispatch_window(window: &mut Vec<Request>, telemetry: &ServerTelemetry) {
     window.retain(|request| {
         let live = !request.reply.is_cancelled();
         if !live {
@@ -945,7 +880,7 @@ fn dispatch_window(window: &mut Vec<Request>, dedup: bool, telemetry: &ServerTel
     }
     for group in groups {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatch_group(group, dedup, telemetry)
+            dispatch_group(group, telemetry)
         }));
         if outcome.is_err() {
             // The group's replies died mid-unwind (their clients see
@@ -960,7 +895,7 @@ fn dispatch_window(window: &mut Vec<Request>, dedup: bool, telemetry: &ServerTel
 /// time (so delivery can record the end-to-end span).
 type Waiter = (
     SlotSender<Result<QueryResult, InferenceError>>,
-    Option<Instant>,
+    Instant,
     Option<ReqTrace>,
 );
 
@@ -973,11 +908,11 @@ struct GroupTrace {
 }
 
 /// Runs one model's share of a window as a single `QueryBatch` and
-/// delivers each slot's result. With `dedup` on, requests whose
-/// canonical `QueryKey`s match collapse into one computed slot whose
-/// result fans out to every waiter (bit-identical by the key
-/// contract — and only ever within one solver instance).
-fn dispatch_group(group: Vec<Request>, dedup: bool, telemetry: &ServerTelemetry) {
+/// delivers each slot's result. Requests whose canonical `QueryKey`s
+/// match collapse into one computed slot whose result fans out to
+/// every waiter (bit-identical by the key contract — and only ever
+/// within one solver instance).
+fn dispatch_group(group: Vec<Request>, telemetry: &ServerTelemetry) {
     debug_assert!(!group.is_empty());
     let solver = Arc::clone(&group[0].solver);
     let model = Arc::clone(&group[0].model);
@@ -987,26 +922,20 @@ fn dispatch_group(group: Vec<Request>, dedup: bool, telemetry: &ServerTelemetry)
     // One computed slot per distinct key; every reply hangs off its slot.
     let mut queries: Vec<Query> = Vec::with_capacity(group.len());
     let mut waiters: Vec<Vec<Waiter>> = Vec::with_capacity(group.len());
-    if dedup {
-        let mut seen: HashMap<QueryKey, usize> = HashMap::new();
-        for request in group {
-            match seen.entry(request.query.key()) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    telemetry.counters.dedups.inc();
-                    model.counters.dedups.inc();
-                    waiters[*slot.get()].push((request.reply, request.submitted_at, request.trace));
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(queries.len());
-                    queries.push(request.query);
-                    waiters.push(vec![(request.reply, request.submitted_at, request.trace)]);
-                }
+    let mut seen: HashMap<QueryKey, usize> = HashMap::new();
+    for request in group {
+        let waiter = (request.reply, request.submitted_at, request.trace);
+        match seen.entry(request.query.key()) {
+            std::collections::hash_map::Entry::Occupied(slot) => {
+                telemetry.counters.dedups.inc();
+                model.counters.dedups.inc();
+                waiters[*slot.get()].push(waiter);
             }
-        }
-    } else {
-        for request in group {
-            queries.push(request.query);
-            waiters.push(vec![(request.reply, request.submitted_at, request.trace)]);
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(queries.len());
+                queries.push(request.query);
+                waiters.push(vec![waiter]);
+            }
         }
     }
     let batch = QueryBatch::from(queries);
@@ -1035,15 +964,16 @@ fn dispatch_group(group: Vec<Request>, dedup: bool, telemetry: &ServerTelemetry)
     }
     let traced = ctxs.iter().any(Option::is_some);
     let compute_t0 = telemetry.tracer.as_deref().map(Tracer::now_ns);
-    let compute_start = telemetry.now();
+    let compute_start = Instant::now();
     let results = if traced {
         solver.query_batch_traced(&batch, &ctxs)
     } else {
         solver.query_batch(&batch)
     };
-    if let Some(start) = compute_start {
-        telemetry.stages.compute_ns.record_duration(start.elapsed());
-    }
+    telemetry
+        .stages
+        .compute_ns
+        .record_duration(compute_start.elapsed());
     let group_trace = match (telemetry.tracer.as_deref(), compute_t0) {
         (Some(tracer), Some(t0)) => {
             let compute_ns = tracer.now_ns().saturating_sub(t0);
@@ -1066,7 +996,7 @@ fn dispatch_group(group: Vec<Request>, dedup: bool, telemetry: &ServerTelemetry)
         }
         _ => None,
     };
-    let delivery_start = telemetry.now();
+    let delivery_start = Instant::now();
     for (replies, result) in waiters.into_iter().zip(results) {
         let mut replies = replies.into_iter();
         let last = replies.next_back();
@@ -1085,12 +1015,10 @@ fn dispatch_group(group: Vec<Request>, dedup: bool, telemetry: &ServerTelemetry)
             deliver(waiter, result, telemetry, &model, group_trace.as_ref());
         }
     }
-    if let Some(start) = delivery_start {
-        telemetry
-            .stages
-            .delivery_ns
-            .record_duration(start.elapsed());
-    }
+    telemetry
+        .stages
+        .delivery_ns
+        .record_duration(delivery_start.elapsed());
 }
 
 /// Sends one result through its oneshot, counting the outcome globally
@@ -1115,12 +1043,10 @@ fn deliver(
     if delivered {
         telemetry.counters.completed.inc_seq();
         model.counters.completed.inc_seq();
-        if let Some(submitted_at) = submitted_at {
-            telemetry
-                .stages
-                .total_ns
-                .record_duration(submitted_at.elapsed());
-        }
+        telemetry
+            .stages
+            .total_ns
+            .record_duration(submitted_at.elapsed());
     } else {
         // The handle was dropped while the batch ran: result
         // discarded, request counted as cancelled.

@@ -1,5 +1,5 @@
 //! Traffic counters for the serving front ends: the global
-//! [`ServerStats`] snapshot (shared with `fastbn-serve`) and the
+//! [`ServerStats`] snapshot and the
 //! per-model [`ModelStats`] breakdown the routed server adds on top.
 
 use std::sync::Arc;

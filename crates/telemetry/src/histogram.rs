@@ -27,7 +27,7 @@
 //! array that sums to exactly `count`. Locked in by
 //! `tests/histogram.rs`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Sub-bucket resolution: each octave splits into `2^SUB_BITS` buckets.
@@ -75,14 +75,9 @@ pub(crate) fn bucket_bounds(index: usize) -> (u64, u64) {
 }
 
 /// A concurrent fixed-bucket histogram. Create through
-/// [`MetricsRegistry::histogram`](crate::MetricsRegistry::histogram)
-/// (which decides whether it is active) or [`Histogram::new`] directly.
+/// [`MetricsRegistry::histogram`](crate::MetricsRegistry::histogram) or
+/// [`Histogram::new`] directly.
 pub struct Histogram {
-    /// Inactive histograms drop every record after one predictable
-    /// branch — the telemetry opt-out leaves the call sites in place
-    /// and makes only the atomics (and the callers' clock reads)
-    /// disappear.
-    active: AtomicBool,
     buckets: [AtomicU64; BUCKETS],
     /// Sum of recorded values, for `mean` (relaxed; approximate during
     /// concurrent recording, exact at quiescence).
@@ -92,33 +87,19 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// An empty, active histogram.
+    /// An empty histogram.
     pub fn new() -> Histogram {
-        Histogram::with_active(true)
-    }
-
-    /// An empty histogram; inactive ones ignore records.
-    pub fn with_active(active: bool) -> Histogram {
         Histogram {
-            active: AtomicBool::new(active),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
 
-    /// Whether records are being kept.
-    pub fn is_active(&self) -> bool {
-        self.active.load(Ordering::Relaxed)
-    }
-
     /// Records one value (nanoseconds by convention). Three relaxed
     /// atomic RMWs; no allocation.
     #[inline]
     pub fn record(&self, value: u64) {
-        if !self.is_active() {
-            return;
-        }
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
@@ -160,7 +141,6 @@ impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let snap = self.snapshot();
         f.debug_struct("Histogram")
-            .field("active", &self.is_active())
             .field("count", &snap.count)
             .field("p50", &snap.quantile(0.50))
             .field("p99", &snap.quantile(0.99))
@@ -184,16 +164,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (what an inactive histogram yields).
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -301,16 +271,6 @@ mod tests {
                 "bucket {i} [{lo}, {hi}] wider than 12.5%"
             );
         }
-    }
-
-    #[test]
-    fn inactive_histogram_ignores_records() {
-        let h = Histogram::with_active(false);
-        h.record(42);
-        h.record_duration(Duration::from_millis(5));
-        let snap = h.snapshot();
-        assert!(snap.is_empty());
-        assert_eq!(snap.quantile(0.99), 0);
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //!    no locks, no allocation, no floating point. The latency
 //!    [`Histogram`] uses fixed log buckets (≤ 12.5% quantile error,
 //!    saturating overflow bucket) so `p50/p90/p99/max` come out of a
-//!    plain array copy. The opt-out ([`MetricsRegistry::counters_only`])
-//!    reduces every histogram record to one predictable branch and lets
-//!    instrumented code skip its clock reads.
+//!    plain array copy.
 //! 2. **Dependency-free.** This crate sits *below* everything —
 //!    even `fastbn-parallel` instruments its pool with it — and uses
 //!    nothing but `std` (not even the vendored shims).
@@ -69,6 +67,5 @@ pub use prom::prometheus_text;
 pub use registry::{MetricsRegistry, MetricsSnapshot};
 pub use trace::{
     NameId, SlowEntry, SpanRecord, TraceConfig, TraceToken, TraceView, Tracer, SPAN_COLLECT,
-    SPAN_COMPUTE, SPAN_DELIVERY, SPAN_DISTRIBUTE, SPAN_KERNEL, SPAN_QUEUE_WAIT, SPAN_REQUEST,
-    SPAN_WINDOW,
+    SPAN_COMPUTE, SPAN_DELIVERY, SPAN_DISTRIBUTE, SPAN_QUEUE_WAIT, SPAN_REQUEST, SPAN_WINDOW,
 };

@@ -17,15 +17,6 @@
 //! end in a unit suffix (`_ns`). Nothing enforces this, but the
 //! emitted JSON sorts by name, so a consistent scheme is what makes
 //! the output scannable.
-//!
-//! # The timing opt-out
-//!
-//! [`MetricsRegistry::counters_only`] builds a registry whose
-//! histograms are *inactive*: `record` drops values after one branch,
-//! and instrumented callers are expected to skip their clock reads when
-//! [`MetricsRegistry::is_timing_enabled`] is false. Counters stay live
-//! either way — the serving stack's accounting invariants are built on
-//! them, so they are not optional.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -38,36 +29,19 @@ use crate::json::Json;
 /// Sync`; share it behind an `Arc`.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    timing: bool,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, u64>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl MetricsRegistry {
-    /// A registry with timing (histograms) enabled.
+    /// An empty registry.
     pub fn new() -> MetricsRegistry {
-        MetricsRegistry::with_timing(true)
-    }
-
-    /// The telemetry opt-out: counters stay live, histograms are
-    /// inactive, and instrumented code should skip its clock reads.
-    pub fn counters_only() -> MetricsRegistry {
-        MetricsRegistry::with_timing(false)
-    }
-
-    fn with_timing(timing: bool) -> MetricsRegistry {
         MetricsRegistry {
-            timing,
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// Whether histograms record and callers should take timestamps.
-    pub fn is_timing_enabled(&self) -> bool {
-        self.timing
     }
 
     /// The counter named `name`, created on first use. Resolve once and
@@ -81,8 +55,7 @@ impl MetricsRegistry {
         )
     }
 
-    /// The histogram named `name`, created on first use (inactive in a
-    /// [`MetricsRegistry::counters_only`] registry).
+    /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut histograms = self
             .histograms
@@ -91,7 +64,7 @@ impl MetricsRegistry {
         Arc::clone(
             histograms
                 .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::with_active(self.timing))),
+                .or_insert_with(|| Arc::new(Histogram::new())),
         )
     }
 
@@ -222,18 +195,6 @@ mod tests {
         assert_eq!(snap.counter("serve.submitted"), 3);
         assert_eq!(snap.counter("serve.completed"), 0);
         assert_eq!(snap.counter("never.registered"), 0);
-    }
-
-    #[test]
-    fn counters_only_disables_histograms_not_counters() {
-        let registry = MetricsRegistry::counters_only();
-        assert!(!registry.is_timing_enabled());
-        registry.counter("c").inc();
-        let h = registry.histogram("h_ns");
-        h.record(1000);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("c"), 1);
-        assert!(snap.histogram("h_ns").unwrap().is_empty());
     }
 
     #[test]

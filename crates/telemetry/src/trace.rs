@@ -62,11 +62,8 @@ pub const SPAN_DELIVERY: NameId = NameId(4);
 pub const SPAN_COLLECT: NameId = NameId(5);
 /// Engine propagation, distribute (downward) phase.
 pub const SPAN_DISTRIBUTE: NameId = NameId(6);
-/// One clique kernel (only with the `trace-kernels` feature; `tag` is
-/// the `KernelPlan` layout class, `aux` the clique index).
-pub const SPAN_KERNEL: NameId = NameId(7);
 
-const WELL_KNOWN: [&str; 8] = [
+const WELL_KNOWN: [&str; 7] = [
     "request",
     "queue_wait",
     "window",
@@ -74,7 +71,6 @@ const WELL_KNOWN: [&str; 8] = [
     "delivery",
     "collect",
     "distribute",
-    "kernel",
 ];
 const FIRST_DYNAMIC: u32 = WELL_KNOWN.len() as u32;
 

@@ -29,14 +29,15 @@ fn main() {
         .max_batch(threads)
         .max_delay(Duration::from_micros(300))
         .build();
+    let routed = server.routed();
     println!(
         "serving {} ({} variables) with {} workers, micro-batch {} × {}µs window, queue {}\n",
         net.name(),
         net.num_vars(),
-        server.workers(),
-        server.max_batch(),
-        server.max_delay().as_micros(),
-        server.queue_capacity(),
+        routed.workers(),
+        routed.max_batch(),
+        routed.max_delay().as_micros(),
+        routed.queue_capacity(),
     );
 
     // Concurrent clients, each firing its own little request stream —
@@ -84,7 +85,7 @@ fn main() {
     latencies.sort_unstable();
     // Nearest-rank percentile over the sorted round trips.
     let percentile = |p: usize| latencies[(p * count).div_ceil(100).max(1) - 1];
-    let stats = server.stats();
+    let stats = routed.stats();
     println!(
         "{count} requests from {clients} clients in {:.1} ms  ({:.0} req/s)",
         wall.as_secs_f64() * 1e3,
@@ -110,7 +111,7 @@ fn main() {
     let mut accepted = 0u32;
     let mut rejected = 0u32;
     let mut pending = Vec::new();
-    for _ in 0..4 * server.queue_capacity() {
+    for _ in 0..4 * routed.queue_capacity() {
         match server.try_submit(Query::new()) {
             Ok(p) => {
                 accepted += 1;
@@ -128,5 +129,5 @@ fn main() {
     // Graceful shutdown: accepted work is drained, then intake closes.
     server.shutdown();
     assert!(server.submit(Query::new()).is_err(), "intake closed");
-    println!("shut down cleanly: {:?}", server.stats());
+    println!("shut down cleanly: {:?}", routed.stats());
 }

@@ -155,8 +155,6 @@ pub use fastbn_parallel as parallel;
 pub use fastbn_potential as potential;
 /// Multi-model registry and routed serving over one shared pool.
 pub use fastbn_registry as registry;
-/// Micro-batching serving front end over `Solver`.
-pub use fastbn_serve as serve;
 /// Metrics/tracing: counters, latency histograms, JSON export.
 pub use fastbn_telemetry as telemetry;
 
@@ -171,12 +169,9 @@ pub use fastbn_inference::{
 pub use fastbn_jtree::JtreeOptions;
 pub use fastbn_parallel::{Schedule, ThreadPool};
 pub use fastbn_registry::{
-    ModelConfig, ModelStats, Registry, RegistryBuilder, RegistryError, RoutedServer,
-    RoutedServerBuilder,
-};
-pub use fastbn_serve::{
-    Pending, ServeError, Server, ServerBuilder, ServerStats, SubmitError, SubmitErrorKind,
-    SINGLE_MODEL_ID,
+    ModelConfig, ModelStats, Pending, Registry, RegistryBuilder, RegistryError, RoutedServer,
+    RoutedServerBuilder, ServeError, Server, ServerBuilder, ServerStats, SubmitError,
+    SubmitErrorKind, SINGLE_MODEL_ID,
 };
 pub use fastbn_telemetry::{
     prometheus_text, Counter, Histogram, HistogramSnapshot, Introspection, IntrospectionBuilder,

@@ -196,7 +196,7 @@ fn cached_solver_through_the_server_matches_the_uncached_oracle() {
     }
     server.shutdown();
     let cache_stats = cached.cache_stats().unwrap();
-    let server_stats = server.stats();
+    let server_stats = server.routed().stats();
     assert!(
         cache_stats.hits + server_stats.dedups > 0,
         "repeated stream: some repeats cache-hit or dedup ({cache_stats:?}, {server_stats:?})"

@@ -1,55 +1,8 @@
-//! Integration tests of the extension features (parameter learning and
-//! virtual evidence) working together with the inference pipeline.
+//! Integration tests of virtual (soft) evidence and evidence validation
+//! working together with the inference pipeline.
 
-use fastbn::bayesnet::learn::{fit_parameters, mean_log_likelihood};
-use fastbn::bayesnet::{datasets, generators, sampler};
+use fastbn::bayesnet::datasets;
 use fastbn::{Evidence, Query, Solver, VarId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn rows(net: &fastbn::BayesianNetwork, n: usize, seed: u64) -> Vec<Vec<usize>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| sampler::forward_sample(net, &mut rng))
-        .collect()
-}
-
-#[test]
-fn fitted_model_posteriors_approach_truth() {
-    let truth = datasets::cancer();
-    let fitted = fit_parameters(&truth, &rows(&truth, 80_000, 11), 1.0).unwrap();
-
-    let truth_solver = Solver::new(&truth);
-    let fitted_solver = Solver::new(&fitted);
-    let smoker = truth.var_id("Smoker").unwrap();
-    let ev = Evidence::from_pairs([(smoker, 0)]);
-    let a = truth_solver.posteriors(&ev).unwrap();
-    let b = fitted_solver.posteriors(&ev).unwrap();
-    assert!(
-        a.max_abs_diff(&b) < 0.02,
-        "fitted posteriors deviate by {}",
-        a.max_abs_diff(&b)
-    );
-}
-
-#[test]
-fn learning_works_on_generated_networks() {
-    let spec = generators::WindowedDagSpec {
-        nodes: 20,
-        target_arcs: 28,
-        max_parents: 2,
-        window: 5,
-        seed: 9,
-        ..generators::WindowedDagSpec::new("learn-gen", 20)
-    };
-    let truth = generators::windowed_dag(&spec);
-    let train = rows(&truth, 30_000, 12);
-    let fitted = fit_parameters(&truth, &train, 1.0).unwrap();
-    // Held-out likelihood of the fitted model must be close to the truth's.
-    let test = rows(&truth, 5_000, 13);
-    let gap = mean_log_likelihood(&truth, &test) - mean_log_likelihood(&fitted, &test);
-    assert!(gap.abs() < 0.05, "likelihood gap {gap}");
-}
 
 #[test]
 fn virtual_evidence_interpolates_between_prior_and_hard() {
@@ -114,27 +67,6 @@ fn virtual_evidence_combines_with_hard_evidence() {
     assert!(with_soft.prob_evidence <= hard_only.prob_evidence + 1e-12);
     // Hard evidence still reported as a point mass.
     assert_eq!(with_soft.marginal(dysp), &[1.0, 0.0]);
-}
-
-#[test]
-fn refit_then_mpe_pipeline() {
-    // Full pipeline: learn parameters, then ask for the MPE under the
-    // fitted model — exercises learn + jtree + max-product together,
-    // through the unified Query entry point.
-    let truth = datasets::student();
-    let fitted = fit_parameters(&truth, &rows(&truth, 20_000, 21), 1.0).unwrap();
-    let solver = Solver::new(&fitted);
-    let letter = fitted.var_id("Letter").unwrap();
-    let mpe = solver
-        .query(&Query::new().observe(letter, 1).mpe())
-        .unwrap()
-        .into_mpe()
-        .unwrap();
-    assert_eq!(mpe.assignment[letter.index()], 1);
-    assert!(mpe.probability > 0.0);
-    for v in 0..fitted.num_vars() {
-        assert!(mpe.assignment[v] < fitted.cardinality(VarId::from_index(v)));
-    }
 }
 
 #[test]

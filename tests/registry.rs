@@ -437,7 +437,6 @@ fn in_window_dedup_never_crosses_models() {
         .max_batch(6)
         .max_delay(Duration::MAX)
         .build();
-    assert!(server.dedup(), "dedup on by default");
     let pending: Vec<_> = (0..6)
         .map(|i| {
             let model = if i % 2 == 0 { "a" } else { "b" };
@@ -508,9 +507,29 @@ fn single_model_server_is_a_one_entry_registry() {
     let pending = server.submit(Query::new()).unwrap();
     assert!(pending.wait().is_ok());
     server.shutdown();
-    let rows = server.model_stats();
+    let rows = server.routed().model_stats();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].model, fastbn::SINGLE_MODEL_ID);
     assert_eq!(rows[0].submitted, 1);
     assert_eq!(rows[0].completed, 1);
+}
+
+#[test]
+fn unbounded_max_batch_still_answers() {
+    // A window limit of `usize::MAX` must not size the default queue
+    // capacity (overflow) or the window buffer (capacity overflow).
+    let registry = Arc::new(Registry::new());
+    registry
+        .insert("sprinkler", Arc::new(Solver::new(&datasets::sprinkler())))
+        .unwrap();
+    let server = RoutedServer::builder(registry)
+        .max_batch(usize::MAX)
+        .max_delay(Duration::ZERO)
+        .build();
+    assert_eq!(server.queue_capacity(), usize::MAX);
+    let pending = server.submit("sprinkler", Query::new()).unwrap();
+    assert!(pending.wait().is_ok());
+    server.shutdown();
+    assert_eq!(server.stats().completed, 1);
+    assert_eq!(server.stats().worker_panics, 0);
 }

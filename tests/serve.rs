@@ -133,7 +133,7 @@ fn concurrent_submitters_match_sequential_oracle_for_every_engine() {
         // Counters are bumped by workers *after* each reply is
         // delivered; shutdown joins them, making the totals final.
         server.shutdown();
-        let stats = server.stats();
+        let stats = server.routed().stats();
         assert_eq!(stats.submitted, queries.len() as u64);
         assert_eq!(stats.completed, queries.len() as u64);
         assert_eq!(stats.cancelled, 0);
@@ -179,7 +179,7 @@ fn bounded_queue_rejects_bursts_and_blocking_submit_parks() {
         saw_full,
         "a 16-shot burst against capacity 2 must hit QueueFull"
     );
-    assert!(server.stats().rejected >= 1);
+    assert!(server.routed().stats().rejected >= 1);
     // Blocking submit parks on the full queue instead of rejecting, and
     // completes once the worker drains.
     let blocking = {
@@ -236,7 +236,7 @@ fn dropped_pending_cancels_cleanly_without_touching_neighbours() {
     // Joining the worker (shutdown) makes the counters final: it must
     // have observed the dead handle and skipped the work.
     server.shutdown();
-    let stats = server.stats();
+    let stats = server.routed().stats();
     assert_eq!(stats.submitted, 4);
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed, 3);
@@ -286,7 +286,7 @@ fn shutdown_drains_accepted_requests_then_rejects() {
     // Shut down while requests are still queued/in flight: intake closes
     // but every accepted request is drained, not discarded.
     server.shutdown();
-    assert!(server.is_shut_down());
+    assert!(server.routed().is_shut_down());
     let got: Vec<_> = pending.into_iter().map(|p| p.wait()).collect();
     assert_matches_oracle(&expected, &got, "drained through shutdown");
     let rejected = server.submit(Query::new()).expect_err("intake closed");
@@ -294,7 +294,7 @@ fn shutdown_drains_accepted_requests_then_rejects() {
     let rejected = server.try_submit(Query::new()).expect_err("intake closed");
     assert_eq!(rejected.kind(), SubmitErrorKind::ShutDown);
     server.shutdown(); // idempotent
-    let stats = server.stats();
+    let stats = server.routed().stats();
     assert_eq!(stats.completed, queries.len() as u64);
 }
 
@@ -335,7 +335,7 @@ fn unbounded_window_delay_means_wait_for_a_full_batch() {
     assert!(matches!(c.wait_timeout(Duration::MAX), Ok(Ok(_))));
     assert!(d.wait().is_ok());
     server.shutdown();
-    assert_eq!(server.stats().worker_panics, 0);
+    assert_eq!(server.routed().stats().worker_panics, 0);
 }
 
 #[test]
@@ -360,7 +360,6 @@ fn window_dedup_fans_one_computation_out_to_identical_requests() {
         .max_batch(9)
         .max_delay(Duration::MAX)
         .build();
-    assert!(server.dedup(), "dedup is on by default");
     let first = server.submit(blocker).unwrap();
     let softs: Vec<_> = (0..8)
         .map(|i| {
@@ -375,34 +374,11 @@ fn window_dedup_fans_one_computation_out_to_identical_requests() {
         assert_matches_oracle(&expected[1..], &[got], &format!("dedup waiter {i}"));
     }
     server.shutdown();
-    let stats = server.stats();
+    let stats = server.routed().stats();
     assert_eq!(stats.submitted, 9);
     assert_eq!(stats.completed, 9, "every client answered");
     assert_eq!(stats.dedups, 7, "8 identical requests, 1 computed");
     assert_eq!(stats.batches, 1, "one full window");
-}
-
-#[test]
-fn dedup_can_be_disabled() {
-    let net = datasets::sprinkler();
-    let solver = Arc::new(Solver::new(&net));
-    let server = Server::builder(Arc::clone(&solver))
-        .workers(1)
-        .max_batch(4)
-        .max_delay(Duration::MAX)
-        .dedup(false)
-        .build();
-    assert!(!server.dedup());
-    let pending: Vec<_> = (0..4)
-        .map(|_| server.submit(Query::new()).unwrap())
-        .collect();
-    for p in pending {
-        assert!(p.wait().is_ok());
-    }
-    server.shutdown();
-    let stats = server.stats();
-    assert_eq!(stats.dedups, 0, "identical requests computed separately");
-    assert_eq!(stats.completed, 4);
 }
 
 #[test]
@@ -435,7 +411,7 @@ fn stats_invariant_holds_under_concurrent_submit_cancel_shutdown() {
             scope.spawn(move || {
                 let mut samples = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let s = server.stats();
+                    let s = server.routed().stats();
                     assert!(
                         s.completed + s.cancelled <= s.dequeued,
                         "resolution cannot lead dequeue: {s:?}"
@@ -493,7 +469,7 @@ fn stats_invariant_holds_under_concurrent_submit_cancel_shutdown() {
         stop_sampling.store(true, Ordering::Relaxed);
         assert!(sampler.join().expect("sampler panicked") > 0);
     });
-    let stats = server.stats();
+    let stats = server.routed().stats();
     let accepted = accepted.load(Ordering::Relaxed);
     assert_eq!(stats.worker_panics, 0);
     assert_eq!(
@@ -523,7 +499,24 @@ fn stats_invariant_holds_under_concurrent_submit_cancel_shutdown() {
 fn server_stats_start_at_zero() {
     let solver = Arc::new(Solver::new(&datasets::sprinkler()));
     let server = Server::new(solver);
-    assert_eq!(server.stats(), fastbn::ServerStats::default());
-    assert_eq!(server.workers(), 1);
-    assert!(!server.is_shut_down());
+    assert_eq!(server.routed().stats(), fastbn::ServerStats::default());
+    assert_eq!(server.routed().workers(), 1);
+    assert!(!server.routed().is_shut_down());
+}
+
+#[test]
+fn unbounded_max_batch_still_answers() {
+    // A window limit of `usize::MAX` means "take whatever is queued":
+    // neither the default queue capacity nor the window buffer may be
+    // sized from it.
+    let solver = Arc::new(Solver::new(&datasets::sprinkler()));
+    let server = Server::builder(solver)
+        .max_batch(usize::MAX)
+        .max_delay(Duration::ZERO)
+        .build();
+    let pending = server.submit(Query::new()).expect("server accepting");
+    assert!(pending.wait().is_ok());
+    server.shutdown();
+    let stats = server.routed().stats();
+    assert_eq!((stats.completed, stats.worker_panics), (1, 0));
 }

@@ -5,8 +5,6 @@
 //!   a drain;
 //! * the per-stage histograms observe every delivered request, and the
 //!   per-model counters mirror `model_stats` exactly;
-//! * `telemetry(false)` keeps the counters (and the accounting
-//!   invariant) but records no histograms;
 //! * `metrics_snapshot()` folds in the registry-side gauges (cache
 //!   stats, shared-pool occupancy) and serializes to stable JSON.
 
@@ -15,8 +13,8 @@ use std::time::Duration;
 
 use fastbn::bayesnet::datasets;
 use fastbn::{
-    CacheConfig, EngineKind, MetricsRegistry, ModelConfig, Query, Registry, RoutedServer, Server,
-    Solver, SINGLE_MODEL_ID,
+    CacheConfig, EngineKind, ModelConfig, Query, Registry, RoutedServer, Server, Solver,
+    SINGLE_MODEL_ID,
 };
 
 /// Drives `n` submissions (alternating posterior and MPE queries, so
@@ -54,6 +52,7 @@ fn server_stats_and_metrics_are_one_source_of_truth() {
         .build();
     drive(&server, 64);
     server.shutdown();
+    let server = server.routed();
 
     let stats = server.stats();
     assert_eq!(stats.submitted, 64);
@@ -118,25 +117,6 @@ fn server_stats_and_metrics_are_one_source_of_truth() {
 }
 
 #[test]
-fn telemetry_off_keeps_counters_but_records_no_histograms() {
-    let net = datasets::asia();
-    let solver = Arc::new(Solver::new(&net));
-    let server = Server::builder(solver).telemetry(false).build();
-    assert!(!server.metrics().is_timing_enabled());
-    drive(&server, 32);
-    server.shutdown();
-
-    let stats = server.stats();
-    assert_eq!(stats.submitted, 32);
-    assert_eq!(stats.submitted, stats.completed + stats.cancelled);
-    let snap = server.metrics_snapshot();
-    assert_eq!(snap.counter("serve.submitted"), 32, "counters stay live");
-    for (name, h) in &snap.histograms {
-        assert!(h.is_empty(), "{name} recorded despite telemetry(false)");
-    }
-}
-
-#[test]
 fn routed_metrics_cover_models_caches_and_pool() {
     let registry = Arc::new(Registry::builder().threads(2).build());
     registry
@@ -193,23 +173,4 @@ fn routed_metrics_cover_models_caches_and_pool() {
         counters.get("serve.submitted").and_then(|v| v.as_u64()),
         Some(24)
     );
-}
-
-#[test]
-fn injected_metrics_registry_aggregates_two_servers() {
-    let net = datasets::sprinkler();
-    let metrics = Arc::new(MetricsRegistry::new());
-    let a = Server::builder(Arc::new(Solver::new(&net)))
-        .metrics(Arc::clone(&metrics))
-        .build();
-    let b = Server::builder(Arc::new(Solver::new(&net)))
-        .metrics(Arc::clone(&metrics))
-        .build();
-    drive(&a, 8);
-    drive(&b, 8);
-    a.shutdown();
-    b.shutdown();
-    // One registry, one set of cells: the two servers' traffic sums.
-    assert_eq!(metrics.snapshot().counter("serve.submitted"), 16);
-    assert_eq!(a.stats().submitted, 16);
 }

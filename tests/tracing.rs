@@ -7,10 +7,9 @@
 //! * sampled traces form a well-formed tree — one root request span,
 //!   every other span parented inside the same trace, engine
 //!   collect/distribute phases nested under the compute stage;
-//! * `telemetry(false)` forces head sampling off but keeps the
-//!   slow-query log **exact** (one entry counted per delivered request
-//!   over the threshold);
-//! * head sampling is 1-in-N by trace id, and the drain invariant
+//! * head sampling is 1-in-N by trace id (0 turns it off), the
+//!   slow-query log stays **exact** either way (one entry counted per
+//!   delivered request over the threshold), and the drain invariant
 //!   `submitted == completed + cancelled` holds under stress with
 //!   tracing on.
 
@@ -250,15 +249,17 @@ fn sampled_traces_form_well_formed_trees() {
 }
 
 #[test]
-fn telemetry_off_disables_sampling_but_slow_log_stays_exact() {
+fn sampling_off_records_no_spans_but_slow_log_stays_exact() {
     let net = datasets::asia();
     let solver = Arc::new(Solver::new(&net));
-    let tracer = trace_everything();
+    let tracer = Arc::new(Tracer::new(TraceConfig {
+        sample_every: 0,
+        slow_threshold: Duration::ZERO,
+        ..TraceConfig::default()
+    }));
     let server = Server::builder(Arc::clone(&solver))
-        .telemetry(false)
         .tracer(Arc::clone(&tracer))
         .build();
-    assert!(!server.metrics().is_timing_enabled());
     let pending: Vec<_> = (0..48)
         .map(|_| server.submit(Query::new()).unwrap())
         .collect();
@@ -267,19 +268,15 @@ fn telemetry_off_disables_sampling_but_slow_log_stays_exact() {
     }
     server.shutdown();
 
-    let stats = server.stats();
+    let stats = server.routed().stats();
     assert_eq!(stats.submitted, 48);
     assert_eq!(stats.submitted, stats.completed + stats.cancelled);
-    assert_eq!(
-        tracer.spans_recorded(),
-        0,
-        "telemetry(false) must force the sampling rate to zero"
-    );
+    assert_eq!(tracer.spans_recorded(), 0, "sampling off records no spans");
     assert!(tracer.recent_traces(64).is_empty());
     assert_eq!(
         tracer.slow_total(),
         stats.completed,
-        "slow-query log is exact even with stage timing off"
+        "slow-query log is exact with sampling off"
     );
     for entry in tracer.slow_entries() {
         assert!(!entry.sampled, "no entry can claim a span tree exists");
@@ -331,7 +328,7 @@ fn head_sampling_is_one_in_n_and_stress_keeps_the_drain_invariant() {
     });
     server.shutdown();
 
-    let stats = server.stats();
+    let stats = server.routed().stats();
     let total = (submitters * per_thread) as u64;
     assert_eq!(stats.submitted, total);
     assert_eq!(
