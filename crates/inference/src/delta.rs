@@ -19,14 +19,43 @@
 //!
 //! Once the root changes, *every* distribute message in the component
 //! changes, so an eager distribute would cap the speedup near 2×. The
-//! live session instead distributes **lazily**: `P(e)` reads the saved
-//! root snapshots directly (roots receive no distribute message), a
+//! live session instead distributes **lazily**: `P(e)` comes from the
+//! saved root snapshots (roots receive no distribute message), a
 //! targeted marginal materializes final values only along the root-to-home
 //! path of its variable, and only a full-posteriors read pays the full
 //! distribute. Every materialized value is bit-identical to a from-scratch
 //! propagation because a distribute message depends only on its parent's
 //! final value — the same operands flow through the same
 //! [`KernelPlan`](fastbn_potential::KernelPlan)s in the same order.
+//!
+//! # Per-component freshness
+//!
+//! A junction *forest* has one independent tree per connected component
+//! of the network, and an edit reaches only its own variable's component:
+//! no message crosses a component boundary. The live session therefore
+//! tracks freshness per component. Each component carries a stamp minted
+//! from one counter; an effective edit restamps only its own component
+//! (a no-op edit mints nothing), and a clique's active region holds final
+//! values iff it was materialized at its component's current stamp. Two
+//! caches hang off the same stamps:
+//!
+//! - **`P(e)` factors** — one per root, the sum of the root's post-collect
+//!   snapshot, re-summed only when an edit rebuilds that root. `P(e)` is
+//!   their product in `roots` order, the exact fold a from-scratch query
+//!   performs over the same root sums.
+//! - **Marginals** — a flat buffer of every variable's normalised
+//!   marginal, allocated at construction. A full read re-distributes and
+//!   re-extracts only the components restamped since the last full read,
+//!   then copies its result out of the buffer.
+//!
+//! Both are bit-exact for the same reason as the lazy distribute: every
+//! cached value is a function of its own component's slab regions only,
+//! which an edit elsewhere cannot touch, and it is computed by the same
+//! kernels in the same order as a from-scratch query would compute it.
+//!
+//! Impossibility is judged per component too: the evidence is impossible
+//! iff some factor is `<= 0` or non-finite. The product of many possible
+//! factors may underflow to `0.0` without making any marginal undefined.
 //!
 //! # Retraction semantics
 //!
@@ -56,7 +85,7 @@ use crate::error::InferenceError;
 use crate::posterior::Posteriors;
 use crate::prepared::Prepared;
 use crate::solver::Solver;
-use crate::state::WorkState;
+use crate::state::{checked_product, WorkState};
 use crate::validate::{validate_finding, validate_likelihood};
 use crate::virtual_evidence::{canonicalize_likelihood, VirtualEvidence};
 
@@ -163,26 +192,48 @@ pub struct LiveSession {
     /// Incoming collect message ids of each clique (ascending, which is
     /// the engines' canonical ratio-application order).
     children: Vec<Vec<u32>>,
-    /// Epoch stamp per clique: the clique's active region holds **final**
-    /// (post-distribute) values iff `dist_epoch[c] == epoch`.
-    dist_epoch: Box<[u64]>,
-    /// Bumped by every effective edit, invalidating all final values in
-    /// O(1); post-collect state stays valid (it is kept eagerly current).
+    /// Junction-tree component of each clique, as an index into
+    /// `rooted.roots`.
+    component: Box<[u32]>,
+    /// Freshness stamp per component, minted from `epoch` by every
+    /// effective edit to one of the component's variables. Restamping
+    /// invalidates the component's final values and cached marginals in
+    /// O(1); its post-collect state stays valid (it is kept eagerly
+    /// current), and every other component keeps its stamp.
+    stamp: Box<[u64]>,
+    /// Stamp per clique: the clique's active region holds **final**
+    /// (post-distribute) values iff `dist_stamp[c] == stamp[component[c]]`.
+    dist_stamp: Box<[u64]>,
+    /// The last stamp minted (0 before construction's full propagation).
     epoch: u64,
+    /// `P(e)` factor per component: the sum of its root's post-collect
+    /// snapshot, re-summed only when an edit rebuilds that root.
+    root_sums: Box<[f64]>,
+    /// Normalised marginal of every variable, flat: variable `v` holds
+    /// `marginals[marginal_off[v]..marginal_off[v + 1]]`.
+    marginals: Box<[f64]>,
+    /// Offsets into `marginals`, one per variable plus the total.
+    marginal_off: Box<[usize]>,
+    /// Stamp per component at which its variables' `marginals` were
+    /// computed; they are current iff equal to `stamp`.
+    marginal_stamp: Box<[u64]>,
     /// Reusable clique-path buffer (edit replay and lazy materialization).
     path: Vec<u32>,
 }
 
 impl LiveSession {
     /// Opens a live session over `solver`, fully propagating its (empty)
-    /// evidence state. Construction allocates the live slab and the
-    /// per-clique replay lists; edits afterwards do not allocate.
+    /// evidence state. Construction allocates the live slab, the
+    /// per-clique replay lists and the per-component caches; edits
+    /// afterwards do not allocate.
     // fastbn: allow(hot-alloc): one-time session construction — builds the
-    // live slab and the per-clique variable and child lists.
+    // live slab, the per-clique variable and child lists, the component
+    // map and the marginal buffer.
     pub fn new(solver: Arc<Solver>) -> Self {
         let prepared = Arc::clone(solver.prepared());
         let n_cliques = prepared.num_cliques();
         let n_vars = prepared.num_vars();
+        let rooted = &prepared.built.rooted;
         let mut home_vars: Vec<Vec<VarId>> = vec![Vec::new(); n_cliques];
         for v in 0..n_vars {
             home_vars[prepared.home[v]].push(VarId::from_index(v));
@@ -191,19 +242,42 @@ impl LiveSession {
         for (id, m) in prepared.built.schedule.messages.iter().enumerate() {
             children[m.parent].push(id as u32);
         }
+        // BFS order visits parents first, so each clique inherits its
+        // parent's component.
+        let mut component = vec![0u32; n_cliques].into_boxed_slice();
+        for (k, &r) in rooted.roots.iter().enumerate() {
+            component[r] = k as u32;
+        }
+        for &c in &rooted.bfs_order {
+            if let Some((parent, _)) = rooted.parent[c] {
+                component[c] = component[parent];
+            }
+        }
+        let mut marginal_off = Vec::with_capacity(n_vars + 1);
+        marginal_off.push(0);
+        for &card in &prepared.cards {
+            marginal_off.push(marginal_off[marginal_off.len() - 1] + card);
+        }
+        let n_components = rooted.roots.len();
         let state = WorkState::with_saved(&prepared);
-        let path = Vec::with_capacity(prepared.built.rooted.max_depth + 1);
+        let path = Vec::with_capacity(rooted.max_depth + 1);
         let mut live = LiveSession {
             solver,
-            prepared,
             state,
             evidence: Evidence::empty(),
             likelihoods: vec![None; n_vars].into_boxed_slice(),
             home_vars,
             children,
-            dist_epoch: vec![0; n_cliques].into_boxed_slice(),
+            component,
+            stamp: vec![0; n_components].into_boxed_slice(),
+            dist_stamp: vec![0; n_cliques].into_boxed_slice(),
             epoch: 0,
+            root_sums: vec![0.0; n_components].into_boxed_slice(),
+            marginals: vec![0.0; marginal_off[n_vars]].into_boxed_slice(),
+            marginal_off: marginal_off.into_boxed_slice(),
+            marginal_stamp: vec![0; n_components].into_boxed_slice(),
             path,
+            prepared,
         };
         live.repropagate_full();
         live
@@ -273,28 +347,47 @@ impl LiveSession {
         Ok(())
     }
 
-    /// `P(evidence)` under the current findings, read from the saved
-    /// post-collect root snapshots (no distribute needed — roots receive
-    /// no distribute message). Returns the raw value; zero or non-finite
-    /// means the evidence is impossible, which the posterior readers
-    /// surface as [`InferenceError::ImpossibleEvidence`].
+    /// `P(evidence)` under the current findings: the product, in `roots`
+    /// order, of each component's cached root sum (no distribute needed —
+    /// roots receive no distribute message). Returns the raw value.
+    ///
+    /// A non-finite value means the evidence is impossible. A `0.0` means
+    /// either that some component's evidence is impossible — the posterior
+    /// readers then fail with [`InferenceError::ImpossibleEvidence`] — or
+    /// that the product of possible components' factors underflowed, as
+    /// with ~1 100 independent findings at ½ each; the readers then
+    /// succeed, since every marginal is normalised within its own
+    /// component.
     pub fn prob_evidence(&self) -> f64 {
-        self.prepared
-            .built
-            .rooted
-            .roots
-            .iter()
-            .map(|&r| self.state.saved_clique(r).iter().sum::<f64>())
-            .product()
+        self.root_sums.iter().product()
+    }
+
+    /// [`LiveSession::prob_evidence`], or
+    /// [`InferenceError::ImpossibleEvidence`] if some component's factor
+    /// is `<= 0` or non-finite.
+    fn checked_prob_evidence(&self) -> Result<f64, InferenceError> {
+        checked_product(self.root_sums.iter().copied())
     }
 
     /// All posterior marginals under the current findings. This is the
-    /// one read that pays a full distribute (lazily materialized, then
-    /// cached until the next effective edit).
+    /// one read that pays a distribute and an extraction, both only for
+    /// the components an edit restamped since the last full read: the
+    /// final values are materialized lazily, and every variable's
+    /// normalised marginal is cached per component until its next
+    /// restamp.
+    // fastbn: allow(hot-alloc): read-path output allocation (the result's
+    // marginal vectors, copied out of the preallocated buffer).
     pub fn posteriors(&mut self) -> Result<Posteriors, InferenceError> {
         let prepared = Arc::clone(&self.prepared);
+        let prob_evidence = self.checked_prob_evidence()?;
         self.materialize_all(&prepared);
-        self.state.extract_posteriors(&prepared, &self.evidence)
+        self.refresh_marginals(&prepared)?;
+        let marginals = self
+            .marginal_off
+            .windows(2)
+            .map(|w| self.marginals[w[0]..w[1]].to_vec())
+            .collect();
+        Ok(Posteriors::new(marginals, prob_evidence))
     }
 
     /// Posteriors for `targets` only, materializing final values only
@@ -310,16 +403,19 @@ impl LiveSession {
                 num_vars: prepared.num_vars(),
             });
         }
-        for i in 0..prepared.built.rooted.roots.len() {
-            self.materialize(&prepared, prepared.built.rooted.roots[i]);
-        }
+        let prob_evidence = self.checked_prob_evidence()?;
+        let mut entries = Vec::with_capacity(targets.len());
         for &var in targets {
             if self.evidence.get(var).is_none() {
                 self.materialize(&prepared, prepared.home[var.index()]);
             }
+            entries.push((var, self.state.marginal_of(&prepared, &self.evidence, var)?));
         }
-        self.state
-            .extract_posteriors_for(&prepared, &self.evidence, targets)
+        Ok(Posteriors::targeted(
+            prepared.num_vars(),
+            entries,
+            prob_evidence,
+        ))
     }
 
     /// One variable's normalized posterior under the current findings.
@@ -354,26 +450,12 @@ impl LiveSession {
                 got: out.len(),
             });
         }
-        let prob_evidence = self.prob_evidence();
-        if prob_evidence <= 0.0 || !prob_evidence.is_finite() {
-            return Err(InferenceError::ImpossibleEvidence);
+        self.checked_prob_evidence()?;
+        if self.evidence.get(var).is_none() {
+            self.materialize(&prepared, prepared.home[var.index()]);
         }
-        if let Some(state) = self.evidence.get(var) {
-            out.fill(0.0);
-            out[state] = 1.0;
-            return Ok(());
-        }
-        let home = prepared.home[var.index()];
-        self.materialize(&prepared, home);
-        prepared.axes[var.index()].marginal(self.state.clique(home), out);
-        let total: f64 = out.iter().sum();
-        if total <= 0.0 || !total.is_finite() {
-            return Err(InferenceError::ImpossibleEvidence);
-        }
-        for p in out {
-            *p /= total;
-        }
-        Ok(())
+        self.state
+            .marginal_into(&prepared, &self.evidence, var, out)
     }
 
     /// The session's current hard findings.
@@ -431,22 +513,27 @@ impl LiveSession {
             }
         }
         self.state.snapshot_cliques();
+        for (k, &r) in prepared.built.rooted.roots.iter().enumerate() {
+            self.root_sums[k] = self.state.saved_clique(r).iter().sum();
+        }
         self.epoch += 1;
+        self.stamp.fill(self.epoch);
     }
 
     /// Re-runs collect along the path from `dirty` to its component root
     /// (deepest-first), rebuilding each path clique from the initial slab
-    /// and replaying saved messages for its clean children, then bumps
-    /// the epoch (final values become stale everywhere; post-collect
-    /// state is current again).
+    /// and replaying saved messages for its clean children, re-sums the
+    /// rebuilt root's `P(e)` factor, then restamps `dirty`'s component
+    /// (its final values and marginals become stale; its post-collect
+    /// state is current again; other components are untouched).
     fn repropagate_path(&mut self, prepared: &Prepared, dirty: usize) {
         let rooted = &prepared.built.rooted;
         self.path.clear();
-        let mut c = dirty;
+        let mut root = dirty;
         loop {
-            self.path.push(c as u32);
-            match rooted.parent[c] {
-                Some((parent, _)) => c = parent,
+            self.path.push(root as u32);
+            match rooted.parent[root] {
+                Some((parent, _)) => root = parent,
                 None => break,
             }
         }
@@ -460,7 +547,10 @@ impl LiveSession {
             self.rebuild_clique(prepared, c, recomputed_child);
             self.state.snapshot_clique(c);
         }
+        let k = self.component[root] as usize;
+        self.root_sums[k] = self.state.saved_clique(root).iter().sum();
         self.epoch += 1;
+        self.stamp[k] = self.epoch;
     }
 
     /// Recomputes clique `c`'s post-collect values from scratch: initial
@@ -493,18 +583,19 @@ impl LiveSession {
         }
     }
 
-    /// Ensures clique `c`'s active region holds **final** values for the
-    /// current epoch, materializing the distribute steps from the nearest
-    /// final ancestor downward (a root's final values are its saved
-    /// post-collect snapshot).
+    /// Ensures clique `c`'s active region holds **final** values for its
+    /// component's current stamp, materializing the distribute steps from
+    /// the nearest final ancestor downward (a root's final values are its
+    /// saved post-collect snapshot).
     fn materialize(&mut self, prepared: &Prepared, c: usize) {
-        if self.dist_epoch[c] == self.epoch {
+        let stamp = self.stamp[self.component[c] as usize];
+        if self.dist_stamp[c] == stamp {
             return;
         }
         let rooted = &prepared.built.rooted;
         self.path.clear();
         let mut cur = c;
-        while self.dist_epoch[cur] != self.epoch {
+        while self.dist_stamp[cur] != stamp {
             self.path.push(cur as u32);
             match rooted.parent[cur] {
                 Some((parent, _)) => cur = parent,
@@ -519,25 +610,47 @@ impl LiveSession {
                     .state
                     .distribute_from_parent(prepared, parent, node, sep),
             }
-            self.dist_epoch[node] = self.epoch;
+            self.dist_stamp[node] = stamp;
         }
     }
 
-    /// Materializes every clique (BFS order, parents first) — the full
-    /// lazy distribute backing [`LiveSession::posteriors`].
+    /// Materializes every clique of every restamped component (BFS order,
+    /// parents first) — the lazy distribute backing
+    /// [`LiveSession::posteriors`].
     fn materialize_all(&mut self, prepared: &Prepared) {
         let rooted = &prepared.built.rooted;
         for i in 0..rooted.bfs_order.len() {
             let c = rooted.bfs_order[i];
-            if self.dist_epoch[c] == self.epoch {
+            let stamp = self.stamp[self.component[c] as usize];
+            if self.dist_stamp[c] == stamp {
                 continue;
             }
             match rooted.parent[c] {
                 None => self.state.restore_clique(c),
                 Some((parent, sep)) => self.state.distribute_from_parent(prepared, parent, c, sep),
             }
-            self.dist_epoch[c] = self.epoch;
+            self.dist_stamp[c] = stamp;
         }
+    }
+
+    /// Recomputes the cached marginals of every variable whose component
+    /// was restamped since they were last computed, reading the final
+    /// values [`LiveSession::materialize_all`] left — the same kernel and
+    /// normalisation as a from-scratch extraction, hence the same bits. A
+    /// failure leaves the stamps as they were, so the next read
+    /// recomputes.
+    fn refresh_marginals(&mut self, prepared: &Prepared) -> Result<(), InferenceError> {
+        for v in 0..prepared.num_vars() {
+            let k = self.component[prepared.home[v]] as usize;
+            if self.marginal_stamp[k] == self.stamp[k] {
+                continue;
+            }
+            let out = &mut self.marginals[self.marginal_off[v]..self.marginal_off[v + 1]];
+            self.state
+                .marginal_into(prepared, &self.evidence, VarId::from_index(v), out)?;
+        }
+        self.marginal_stamp.copy_from_slice(&self.stamp);
+        Ok(())
     }
 }
 
@@ -646,6 +759,11 @@ mod tests {
         let tub = net.var_id("Tuberculosis").unwrap();
         live.apply(EvidenceDelta::observe(xray, 0)).unwrap();
         let epoch = live.epoch;
+        let stale = |live: &LiveSession| {
+            (0..live.dist_stamp.len())
+                .all(|c| live.dist_stamp[c] != live.stamp[live.component[c] as usize])
+        };
+        assert!(stale(&live));
         // Too short and too long, for a free and for an observed variable:
         // the error names the variable, and the buffer and the session are
         // left as they were.
@@ -664,7 +782,7 @@ mod tests {
             }
         }
         assert_eq!(live.epoch, epoch);
-        assert!(live.dist_epoch.iter().all(|&e| e != epoch), "nothing read");
+        assert!(stale(&live), "nothing read");
         // Still usable, and still exact.
         let mut buf = [0.0; 2];
         live.marginal_into(tub, &mut buf).unwrap();
@@ -737,5 +855,111 @@ mod tests {
             live.prob_evidence().to_bits(),
             scratch.prob_evidence.to_bits()
         );
+    }
+
+    /// Two three-clique chains, `a0 → a1 → a2 → a3` and `b0 → b1 → b2 →
+    /// b3`, plus an isolated `c`: a three-component junction forest.
+    fn three_component_forest() -> (fastbn_bayesnet::BayesianNetwork, [VarId; 3]) {
+        let mut b = fastbn_bayesnet::NetworkBuilder::new();
+        let mut heads = Vec::new();
+        for chain in ["a", "b"] {
+            let mut prev = None;
+            for i in 0..4 {
+                let v = b.add_var(&format!("{chain}{i}"), &["x", "y"]);
+                match prev {
+                    None => {
+                        b.set_cpt(v, vec![], vec![0.4, 0.6]).unwrap();
+                        heads.push(v);
+                    }
+                    Some(p) => b.set_cpt(v, vec![p], vec![0.9, 0.1, 0.3, 0.7]).unwrap(),
+                }
+                prev = Some(v);
+            }
+        }
+        let c = b.add_var("c", &["s", "t", "u"]);
+        b.set_cpt(c, vec![], vec![0.5, 0.25, 0.25]).unwrap();
+        (b.build().unwrap(), [heads[0], heads[1], c])
+    }
+
+    /// Whether every clique of component `k` holds final values.
+    fn component_current(live: &LiveSession, k: usize) -> bool {
+        (0..live.component.len())
+            .filter(|&c| live.component[c] as usize == k)
+            .all(|c| live.dist_stamp[c] == live.stamp[k])
+    }
+
+    #[test]
+    fn an_edit_restamps_only_its_own_component() {
+        let (net, [a, b, _]) = three_component_forest();
+        let solver = Arc::new(Solver::new(&net));
+        let mut live = solver.live_session();
+        assert_eq!(live.stamp.len(), 3);
+        let full = live.posteriors().unwrap();
+        let home_comp = |v: VarId| live.component[live.prepared.home[v.index()]] as usize;
+        let (ka, kb) = (home_comp(a), home_comp(b));
+        assert_ne!(ka, kb);
+        assert!((0..3).all(|k| component_current(&live, k)));
+        let sums = live.root_sums.clone();
+
+        live.apply(EvidenceDelta::observe(a, 1)).unwrap();
+        assert!(
+            !component_current(&live, ka),
+            "the edited component is stale"
+        );
+        for k in (0..3).filter(|&k| k != ka) {
+            assert!(component_current(&live, k), "component {k} stays current");
+            assert_eq!(live.root_sums[k].to_bits(), sums[k].to_bits());
+            assert_eq!(live.marginal_stamp[k], live.stamp[k]);
+        }
+        assert_ne!(live.marginal_stamp[ka], live.stamp[ka]);
+
+        // The read re-extracts only the edited component; everything else
+        // is copied from the cache, and the whole result is exact.
+        let after = live.posteriors().unwrap();
+        let scratch = solver.posteriors(&Evidence::from_pairs([(a, 1)])).unwrap();
+        assert_bitwise(&after, &scratch);
+        let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(after.marginal(b)), bits(full.marginal(b)));
+    }
+
+    #[test]
+    fn a_second_full_read_recomputes_no_marginal() {
+        let (net, [a, b, c]) = three_component_forest();
+        let solver = Arc::new(Solver::new(&net));
+        let mut live = solver.live_session();
+        live.apply(EvidenceDelta::observe(b, 0)).unwrap();
+        live.posteriors().unwrap();
+        // Poison one cached entry per component: a read that recomputed
+        // any marginal would overwrite it.
+        for v in [a, b, c] {
+            live.marginals[live.marginal_off[v.index()]] = -1.0;
+        }
+        let again = live.posteriors().unwrap();
+        for v in [a, b, c] {
+            assert_eq!(again.marginal(v)[0], -1.0, "{v:?} was recomputed");
+        }
+    }
+
+    #[test]
+    fn noop_edits_mint_no_stamp_on_a_forest() {
+        let (net, [a, b, c]) = three_component_forest();
+        let solver = Arc::new(Solver::new(&net));
+        let mut live = solver.live_session();
+        live.apply(EvidenceDelta::observe(a, 1)).unwrap();
+        live.apply(EvidenceDelta::likelihood(c, vec![0.2, 0.4, 0.8]))
+            .unwrap();
+        live.posteriors().unwrap();
+        let (epoch, stamps) = (live.epoch, live.stamp.clone());
+        live.apply_all([
+            EvidenceDelta::observe(a, 1),
+            EvidenceDelta::retract(b),
+            EvidenceDelta::retract_likelihood(a),
+            EvidenceDelta::likelihood(c, vec![0.1, 0.2, 0.4]), // proportional
+        ])
+        .unwrap();
+        assert_eq!(live.epoch, epoch, "no stamp minted");
+        assert_eq!(live.stamp, stamps);
+        assert!((0..3).all(|k| component_current(&live, k)));
+        assert_eq!(live.marginal_stamp, live.stamp);
     }
 }

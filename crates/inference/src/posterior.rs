@@ -17,7 +17,10 @@ pub struct Posteriors {
     /// marginal was not requested (cardinality ≥ 1 always, so empty is
     /// unambiguous).
     marginals: Vec<Vec<f64>>,
-    /// `P(evidence)` under the model (1.0 for an empty query).
+    /// `P(evidence)` under the model (1.0 for an empty query): the product
+    /// of one factor per junction-tree component. Across many components
+    /// it can underflow to `0.0` while every marginal stays well defined;
+    /// impossible evidence is an error, never a result.
     pub prob_evidence: f64,
 }
 

@@ -595,15 +595,22 @@ impl WorkState {
 
     /// `P(evidence)`: after propagation every clique of a component sums to
     /// that component's evidence probability; the network-wide value is the
-    /// product over components (read at the roots).
+    /// product over components (read at the roots). That product can
+    /// underflow to `0.0` on a forest of many possible components, so
+    /// [`WorkState::extract_posteriors`] judges impossibility per
+    /// component instead.
     pub fn prob_evidence(&self, prepared: &Prepared) -> f64 {
+        self.root_sums(prepared).product()
+    }
+
+    /// Each component's `P(e)` factor, in `roots` order.
+    fn root_sums<'a>(&'a self, prepared: &'a Prepared) -> impl Iterator<Item = f64> + 'a {
         prepared
             .built
             .rooted
             .roots
             .iter()
             .map(|&r| self.clique(r).iter().sum::<f64>())
-            .product()
     }
 
     /// One variable's normalized posterior (point mass if observed), read
@@ -616,36 +623,47 @@ impl WorkState {
         evidence: &Evidence,
         var: VarId,
     ) -> Result<Vec<f64>, InferenceError> {
-        if let Some(state) = evidence.get(var) {
-            let mut point = vec![0.0; prepared.cards[var.index()]];
-            point[state] = 1.0;
-            return Ok(point);
-        }
-        let axis = prepared.axes[var.index()];
-        let mut m = vec![0.0; axis.card];
-        axis.marginal(self.clique(prepared.home[var.index()]), &mut m);
-        let total: f64 = m.iter().sum();
-        if total <= 0.0 || !total.is_finite() {
-            return Err(InferenceError::ImpossibleEvidence);
-        }
-        for p in &mut m {
-            *p /= total;
-        }
+        let mut m = vec![0.0; prepared.cards[var.index()]];
+        self.marginal_into(prepared, evidence, var, &mut m)?;
         Ok(m)
     }
 
-    /// Checks that `P(evidence)` is positive and finite, returning it.
-    pub(crate) fn checked_prob_evidence(&self, prepared: &Prepared) -> Result<f64, InferenceError> {
-        let prob_evidence = self.prob_evidence(prepared);
-        if prob_evidence <= 0.0 || !prob_evidence.is_finite() {
+    /// [`WorkState::marginal_of`] into a caller-provided buffer of length
+    /// `card(var)`: a point mass if `var` is observed, else its home
+    /// clique's single-variable marginal, normalised. A total that is
+    /// `<= 0` or non-finite means the evidence is impossible.
+    pub(crate) fn marginal_into(
+        &self,
+        prepared: &Prepared,
+        evidence: &Evidence,
+        var: VarId,
+        out: &mut [f64],
+    ) -> Result<(), InferenceError> {
+        if let Some(state) = evidence.get(var) {
+            out.fill(0.0);
+            out[state] = 1.0;
+            return Ok(());
+        }
+        prepared.axes[var.index()].marginal(self.clique(prepared.home[var.index()]), out);
+        let total: f64 = out.iter().sum();
+        if total <= 0.0 || !total.is_finite() {
             return Err(InferenceError::ImpossibleEvidence);
         }
-        Ok(prob_evidence)
+        for p in out {
+            *p /= total;
+        }
+        Ok(())
+    }
+
+    /// `P(evidence)` with impossibility judged per component: fails only
+    /// if some root sum is `<= 0` or non-finite (see [`checked_product`]).
+    pub(crate) fn checked_prob_evidence(&self, prepared: &Prepared) -> Result<f64, InferenceError> {
+        checked_product(self.root_sums(prepared))
     }
 
     /// Extracts normalized posteriors for every variable (point masses for
     /// observed ones). Fails with [`InferenceError::ImpossibleEvidence`]
-    /// when `P(evidence) = 0`.
+    /// when some component's evidence probability is 0.
     pub fn extract_posteriors(
         &self,
         prepared: &Prepared,
@@ -688,6 +706,28 @@ impl WorkState {
             prob_evidence,
         ))
     }
+}
+
+/// `P(evidence)` from its per-component factors (the root sums, in
+/// `roots` order): their product, bit for bit [`WorkState::prob_evidence`].
+///
+/// Impossibility is judged **per factor**: the evidence is impossible iff
+/// some component's factor is `<= 0` or non-finite. Components are
+/// independent, so a forest of many possible components is possible even
+/// when the product of their factors underflows; the product is then
+/// returned as `0.0`, and every marginal (normalised within its own
+/// component) is still well defined.
+pub(crate) fn checked_product(
+    factors: impl IntoIterator<Item = f64>,
+) -> Result<f64, InferenceError> {
+    let mut product = 1.0;
+    for factor in factors {
+        if factor <= 0.0 || !factor.is_finite() {
+            return Err(InferenceError::ImpossibleEvidence);
+        }
+        product *= factor;
+    }
+    Ok(product)
 }
 
 /// Raw slab view: base pointer + length, `Send + Sync` so parallel

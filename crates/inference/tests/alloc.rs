@@ -12,7 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use fastbn_bayesnet::{datasets, generators, sampler, BayesianNetwork, Evidence};
+use fastbn_bayesnet::{
+    datasets, generators, sampler, BayesianNetwork, Evidence, NetworkBuilder, VarId,
+};
 use fastbn_inference::{
     make_engine, EngineKind, EvidenceDelta, InferenceEngine, Prepared, Query, Session, Solver,
     WorkState,
@@ -248,6 +250,85 @@ fn live_session_single_finding_edits_are_allocation_free() {
     }
     let delta = allocations() - before;
     assert_eq!(delta, 0, "steady-state delta edits allocated {delta} times");
+}
+
+/// Three binary chains, `a0 → a1 → a2`, `b0 → b1 → b2` and `c0 → c1`: a
+/// junction forest of three components.
+fn three_chains() -> (BayesianNetwork, [[VarId; 2]; 3]) {
+    let mut b = NetworkBuilder::new();
+    let mut ends = Vec::new();
+    for (name, len) in [("a", 3), ("b", 3), ("c", 2)] {
+        let mut prev: Option<VarId> = None;
+        let mut first = None;
+        for i in 0..len {
+            let v = b.add_var(&format!("{name}{i}"), &["x", "y"]);
+            match prev {
+                None => b.set_cpt(v, vec![], vec![0.4, 0.6]).unwrap(),
+                Some(p) => b.set_cpt(v, vec![p], vec![0.9, 0.1, 0.2, 0.8]).unwrap(),
+            }
+            first.get_or_insert(v);
+            prev = Some(v);
+        }
+        ends.push([first.unwrap(), prev.unwrap()]);
+    }
+    (b.build().unwrap(), [ends[0], ends[1], ends[2]])
+}
+
+/// The same contract on a junction forest, with edits alternating between
+/// components so that each read meets a component the last edit did not
+/// restamp: `apply`, `prob_evidence` and `marginal_into` allocate nothing,
+/// and a full `posteriors()` allocates only its result — the outer vector
+/// and one marginal per variable — because the marginal buffer it fills
+/// was allocated at construction.
+#[test]
+fn live_session_edits_across_components_are_allocation_free() {
+    let (net, [[a0, a2], [b0, b2], [c0, c1]]) = three_chains();
+    let solver = Arc::new(Solver::new(&net));
+    assert_eq!(solver.prepared().built.rooted.roots.len(), 3);
+    let mut live = solver.live_session();
+    let script = || {
+        vec![
+            EvidenceDelta::observe(a2, 0),
+            EvidenceDelta::observe(b2, 1),
+            EvidenceDelta::likelihood(c1, vec![0.3, 0.9]),
+            EvidenceDelta::observe(a2, 1), // change
+            EvidenceDelta::retract(b2),
+            EvidenceDelta::retract_likelihood(c1),
+            EvidenceDelta::retract(a2),
+        ]
+    };
+    // Each step reads a variable of the next component over.
+    let watched = [b0, c0, a0];
+    let mut buf = [0.0f64; 2];
+    let mut step = |live: &mut fastbn_inference::LiveSession, i: usize, edit| {
+        live.apply(edit).unwrap();
+        let _ = live.prob_evidence();
+        live.marginal_into(watched[i % watched.len()], &mut buf)
+            .unwrap();
+    };
+    for (i, edit) in script().into_iter().enumerate() {
+        step(&mut live, i, edit);
+    }
+    live.posteriors().unwrap();
+
+    let edits = script(); // the likelihood vectors allocate *here*
+    let before = allocations();
+    for (i, edit) in edits.into_iter().enumerate() {
+        step(&mut live, i, edit);
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "cross-component delta edits allocated {delta} times"
+    );
+
+    live.apply(EvidenceDelta::observe(b2, 0)).unwrap();
+    let before = allocations();
+    let full = live.posteriors().unwrap();
+    let delta = allocations() - before;
+    drop(full);
+    let result = net.num_vars() as u64 + 1;
+    assert_eq!(delta, result, "a full read allocates only its result");
 }
 
 /// A likelihood finding is entered through the single-variable kernel on

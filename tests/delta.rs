@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use fastbn::bayesnet::datasets;
+use fastbn::bayesnet::generators::{self, ArityDist, CptStyle, WindowedDagSpec};
 use fastbn::{
     BayesianNetwork, EngineKind, EvidenceDelta, InferenceError, LikelihoodDefect, Posteriors,
     Prepared, Query, Session, Solver, VarId,
@@ -196,6 +197,31 @@ fn edit_script_differential_hailfinder() {
     run_script(&workload.build(), 0x4A11, 12);
 }
 
+/// A windowed DAG sparse enough to fall apart into a junction forest of
+/// 16 components, so that edits restamp one component while reads come
+/// from all of them. Asia and sprinkler are one component each; the
+/// hailfinder analogue has nine.
+fn forest() -> BayesianNetwork {
+    generators::windowed_dag(&WindowedDagSpec {
+        target_arcs: 130,
+        max_parents: 3,
+        window: 4,
+        arity: ArityDist::Weighted(vec![(2, 0.5), (3, 0.3), (5, 0.2)]),
+        cpt: CptStyle { alpha: 0.6 },
+        seed: 5,
+        ..WindowedDagSpec::new("delta-forest", 120)
+    })
+}
+
+#[test]
+fn edit_script_differential_forest() {
+    let net = forest();
+    let prepared = Prepared::new(&net, &Default::default());
+    let components = prepared.built.rooted.roots.len();
+    assert!(components >= 3, "a forest of {components} components");
+    run_script(&net, 0xF0E5, 60);
+}
+
 /// A monitoring stream: `steps` single-finding observes rotating through
 /// up to eight hot variables outside `exclude`. Consecutive visits to a
 /// variable pick a different state, so every edit is effective.
@@ -244,6 +270,7 @@ fn watched_marginal_stays_exact_across_stale_epochs() {
         ("sprinkler", datasets::sprinkler(), Vec::new()),
         ("asia", asia, or_gate),
         ("hailfinder", hailfinder, Vec::new()),
+        ("forest", forest(), Vec::new()),
     ] {
         let solver = Arc::new(Solver::new(&net));
         let mut live = solver.live_session();
