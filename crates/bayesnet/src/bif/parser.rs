@@ -1,10 +1,12 @@
 //! Recursive-descent parser for the BIF format.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use super::lexer::{tokenize, LexError, Token, TokenKind};
+use super::lexer::{LexError, Lexer, Token, TokenKind};
+use crate::cpt::CptError;
 use crate::network::{BayesianNetwork, NetworkBuilder, NetworkError};
-use crate::variable::Variable;
+use crate::variable::{VarId, Variable};
 
 /// Parse/IO failures, with source line where applicable.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +77,18 @@ pub enum BifError {
         /// The variable.
         var: String,
     },
-    /// Final network assembly failed (cycles, bad CPTs, ...).
+    /// A probability block's values do not form a valid CPT (a row that
+    /// does not sum to 1, a negative or non-finite value, a variable
+    /// listed twice).
+    InvalidCpt {
+        /// Source line of the block.
+        line: usize,
+        /// Variable being defined.
+        var: String,
+        /// What the CPT check found.
+        error: CptError,
+    },
+    /// Final network assembly failed (duplicate names, cycles, ...).
     Network(NetworkError),
 }
 
@@ -119,6 +132,9 @@ impl std::fmt::Display for BifError {
             BifError::DuplicateProbability { line, var } => {
                 write!(f, "line {line}: duplicate probability block for {var:?}")
             }
+            BifError::InvalidCpt { line, var, error } => {
+                write!(f, "line {line}: CPT of {var:?}: {error}")
+            }
             BifError::Network(e) => write!(f, "network error: {e}"),
         }
     }
@@ -138,124 +154,171 @@ impl From<NetworkError> for BifError {
     }
 }
 
-struct VarDecl {
-    name: String,
-    states: Vec<String>,
+/// What the parser wanted next; formatted only when it reports an error.
+#[derive(Clone, Copy)]
+enum Expected {
+    Text(&'static str),
+    Keyword(&'static str),
+    Punct(u8),
 }
 
-enum Entries {
-    Table(Vec<f64>),
-    Rows {
-        default: Option<Vec<f64>>,
-        rows: Vec<(Vec<String>, Vec<f64>, usize)>, // (parent states, values, line)
-    },
+impl Expected {
+    fn describe(self) -> String {
+        match self {
+            Expected::Text(text) => text.to_string(),
+            Expected::Keyword(kw) => format!("keyword {kw:?}"),
+            Expected::Punct(p) => format!("{:?}", p as char),
+        }
+    }
 }
 
-struct ProbDecl {
-    child: String,
-    parents: Vec<String>,
-    entries: Entries,
+struct VarDecl<'a> {
+    name: &'a str,
+    states: Vec<&'a str>,
+    /// Source line of the name.
     line: usize,
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// A `probability` block. Names and values live in the parser's flat
+/// buffers; the ranges index them.
+struct ProbDecl<'a> {
+    child: &'a str,
+    /// Parent names, in `Parser::words`.
+    parents: Range<usize>,
+    /// The last `table` statement's values, in `Parser::numbers`.
+    table: Option<Range<usize>>,
+    /// The last `default` statement's values, in `Parser::numbers`.
+    default: Option<Range<usize>>,
+    /// The row entries, in `Parser::rows`.
+    rows: Range<usize>,
+    line: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+/// One `(s1, s2) p1, p2;` entry.
+struct Row {
+    /// Parent state names, in `Parser::words`.
+    labels: Range<usize>,
+    /// Probabilities, in `Parser::numbers`.
+    values: Range<usize>,
+    line: usize,
+}
+
+/// Recursive descent over on-demand tokens with one token of lookahead.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token, already lexed; `None` at the end of the input.
+    look: Option<Token<'a>>,
+    /// Parent names and row labels of every block.
+    words: Vec<&'a str>,
+    /// Probabilities of every block.
+    numbers: Vec<f64>,
+    rows: Vec<Row>,
+}
+
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Result<Self, LexError> {
+        let mut lexer = Lexer::new(input);
+        let look = lexer.next_token()?;
+        Ok(Parser {
+            lexer,
+            look,
+            words: Vec::new(),
+            numbers: Vec::new(),
+            rows: Vec::new(),
+        })
     }
 
-    fn next(&mut self, expected: &str) -> Result<Token, BifError> {
-        let tok = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or_else(|| BifError::UnexpectedEof {
-                expected: expected.to_string(),
-            })?;
-        self.pos += 1;
+    fn advance(&mut self) -> Result<(), LexError> {
+        self.look = self.lexer.next_token()?;
+        Ok(())
+    }
+
+    fn next(&mut self, expected: Expected) -> Result<Token<'a>, BifError> {
+        let tok = self.look.ok_or_else(|| BifError::UnexpectedEof {
+            expected: expected.describe(),
+        })?;
+        self.advance()?;
         Ok(tok)
     }
 
-    fn expect_word(&mut self, expected: &str) -> Result<(String, usize), BifError> {
+    fn expect_word(&mut self, expected: Expected) -> Result<(&'a str, usize), BifError> {
         let tok = self.next(expected)?;
         match tok.kind {
             TokenKind::Word(w) => Ok((w, tok.line)),
             other => Err(BifError::Unexpected {
                 line: tok.line,
-                expected: expected.to_string(),
+                expected: expected.describe(),
                 got: other.to_string(),
             }),
         }
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<usize, BifError> {
-        let (w, line) = self.expect_word(&format!("keyword {kw:?}"))?;
+    fn expect_keyword(&mut self, kw: &'static str) -> Result<usize, BifError> {
+        let expected = Expected::Keyword(kw);
+        let (w, line) = self.expect_word(expected)?;
         if w == kw {
             Ok(line)
         } else {
             Err(BifError::Unexpected {
                 line,
-                expected: format!("keyword {kw:?}"),
-                got: w,
+                expected: expected.describe(),
+                got: w.to_string(),
             })
         }
     }
 
-    fn expect_punct(&mut self, p: char) -> Result<usize, BifError> {
-        let tok = self.next(&format!("{p:?}"))?;
+    fn expect_punct(&mut self, p: u8) -> Result<usize, BifError> {
+        let expected = Expected::Punct(p);
+        let tok = self.next(expected)?;
         match tok.kind {
             TokenKind::Punct(c) if c == p => Ok(tok.line),
             other => Err(BifError::Unexpected {
                 line: tok.line,
-                expected: format!("{p:?}"),
+                expected: expected.describe(),
                 got: other.to_string(),
             }),
         }
     }
 
-    fn at_punct(&self, p: char) -> bool {
-        matches!(self.peek(), Some(Token { kind: TokenKind::Punct(c), .. }) if *c == p)
+    fn at_punct(&self, p: u8) -> bool {
+        matches!(self.look, Some(Token { kind: TokenKind::Punct(c), .. }) if c == p)
     }
 
-    fn eat_punct(&mut self, p: char) -> bool {
-        if self.at_punct(p) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    fn eat_punct(&mut self, p: u8) -> Result<bool, BifError> {
+        let at = self.at_punct(p);
+        if at {
+            self.advance()?;
         }
+        Ok(at)
     }
 
     /// Skips the remainder of a `property` declaration (until `;`).
     fn skip_property(&mut self) -> Result<(), BifError> {
         loop {
-            let tok = self.next("';' ending property")?;
-            if matches!(tok.kind, TokenKind::Punct(';')) {
+            let tok = self.next(Expected::Text("';' ending property"))?;
+            if tok.kind == TokenKind::Punct(b';') {
                 return Ok(());
             }
         }
     }
 
-    /// Reads comma/space separated probabilities until (not consuming) `;`.
-    fn read_numbers_until_semi(&mut self) -> Result<Vec<f64>, BifError> {
-        let mut values = Vec::new();
+    /// Reads comma/space separated probabilities through the closing `;`
+    /// into `numbers`; returns where they are.
+    fn read_numbers_until_semi(&mut self) -> Result<Range<usize>, BifError> {
+        let start = self.numbers.len();
         loop {
-            if self.at_punct(';') {
-                self.pos += 1;
-                return Ok(values);
+            if self.eat_punct(b';')? {
+                return Ok(start..self.numbers.len());
             }
-            if self.eat_punct(',') {
+            if self.eat_punct(b',')? {
                 continue;
             }
-            let (word, line) = self.expect_word("a probability")?;
-            let v: f64 = word
-                .parse()
-                .map_err(|_| BifError::BadNumber { line, text: word })?;
-            values.push(v);
+            let (word, line) = self.expect_word(Expected::Text("a probability"))?;
+            let v: f64 = word.parse().map_err(|_| BifError::BadNumber {
+                line,
+                text: word.to_string(),
+            })?;
+            self.numbers.push(v);
         }
     }
 
@@ -264,20 +327,20 @@ impl Parser {
         // Network name may be several words (quoted names collapse to one);
         // read words until '{'.
         let mut name_parts = Vec::new();
-        while !self.at_punct('{') {
-            let (w, _) = self.expect_word("network name or '{'")?;
+        while !self.at_punct(b'{') {
+            let (w, _) = self.expect_word(Expected::Text("network name or '{'"))?;
             name_parts.push(w);
         }
-        self.expect_punct('{')?;
-        while !self.eat_punct('}') {
-            let (w, line) = self.expect_word("property or '}'")?;
+        self.expect_punct(b'{')?;
+        while !self.eat_punct(b'}')? {
+            let (w, line) = self.expect_word(Expected::Text("property or '}'"))?;
             if w == "property" {
                 self.skip_property()?;
             } else {
                 return Err(BifError::Unexpected {
                     line,
                     expected: "property or '}'".into(),
-                    got: w,
+                    got: w.to_string(),
                 });
             }
         }
@@ -288,33 +351,33 @@ impl Parser {
         })
     }
 
-    fn parse_variable_decl(&mut self) -> Result<VarDecl, BifError> {
-        let (name, _) = self.expect_word("variable name")?;
-        self.expect_punct('{')?;
+    fn parse_variable_decl(&mut self) -> Result<VarDecl<'a>, BifError> {
+        let (name, name_line) = self.expect_word(Expected::Text("variable name"))?;
+        self.expect_punct(b'{')?;
         let mut states = Vec::new();
-        while !self.eat_punct('}') {
-            let (w, line) = self.expect_word("'type' or 'property'")?;
-            match w.as_str() {
+        while !self.eat_punct(b'}')? {
+            let (w, line) = self.expect_word(Expected::Text("'type' or 'property'"))?;
+            match w {
                 "property" => self.skip_property()?,
                 "type" => {
                     self.expect_keyword("discrete")?;
-                    self.expect_punct('[')?;
-                    let (count_word, cline) = self.expect_word("state count")?;
+                    self.expect_punct(b'[')?;
+                    let (count_word, cline) = self.expect_word(Expected::Text("state count"))?;
                     let declared: usize = count_word.parse().map_err(|_| BifError::BadNumber {
                         line: cline,
-                        text: count_word,
+                        text: count_word.to_string(),
                     })?;
-                    self.expect_punct(']')?;
-                    self.expect_punct('{')?;
-                    while !self.at_punct('}') {
-                        if self.eat_punct(',') {
+                    self.expect_punct(b']')?;
+                    self.expect_punct(b'{')?;
+                    while !self.at_punct(b'}') {
+                        if self.eat_punct(b',')? {
                             continue;
                         }
-                        let (state, _) = self.expect_word("state name")?;
+                        let (state, _) = self.expect_word(Expected::Text("state name"))?;
                         states.push(state);
                     }
-                    self.expect_punct('}')?;
-                    self.eat_punct(';');
+                    self.expect_punct(b'}')?;
+                    self.eat_punct(b';')?;
                     if states.len() != declared {
                         return Err(BifError::Unexpected {
                             line: cline,
@@ -332,46 +395,57 @@ impl Parser {
                 }
             }
         }
-        Ok(VarDecl { name, states })
+        Ok(VarDecl {
+            name,
+            states,
+            line: name_line,
+        })
     }
 
-    fn parse_probability_decl(&mut self) -> Result<ProbDecl, BifError> {
-        let line = self.expect_punct('(')?;
-        let (child, _) = self.expect_word("child variable name")?;
-        let mut parents = Vec::new();
-        if self.eat_punct('|') {
+    fn parse_probability_decl(&mut self) -> Result<ProbDecl<'a>, BifError> {
+        let line = self.expect_punct(b'(')?;
+        let (child, _) = self.expect_word(Expected::Text("child variable name"))?;
+        let parents_start = self.words.len();
+        if self.eat_punct(b'|')? {
             loop {
-                let (p, _) = self.expect_word("parent variable name")?;
-                parents.push(p);
-                if !self.eat_punct(',') {
+                let (p, _) = self.expect_word(Expected::Text("parent variable name"))?;
+                self.words.push(p);
+                if !self.eat_punct(b',')? {
                     break;
                 }
             }
         }
-        self.expect_punct(')')?;
-        self.expect_punct('{')?;
+        let parents = parents_start..self.words.len();
+        self.expect_punct(b')')?;
+        self.expect_punct(b'{')?;
 
-        let mut table: Option<Vec<f64>> = None;
-        let mut default: Option<Vec<f64>> = None;
-        let mut rows: Vec<(Vec<String>, Vec<f64>, usize)> = Vec::new();
-        while !self.eat_punct('}') {
-            if self.at_punct('(') {
+        let mut table = None;
+        let mut default = None;
+        let rows_start = self.rows.len();
+        while !self.eat_punct(b'}')? {
+            if self.at_punct(b'(') {
                 // Row entry: ( s1, s2 ) p1, p2, ... ;
-                let rline = self.expect_punct('(')?;
-                let mut config = Vec::new();
-                while !self.at_punct(')') {
-                    if self.eat_punct(',') {
+                let rline = self.expect_punct(b'(')?;
+                let labels_start = self.words.len();
+                while !self.at_punct(b')') {
+                    if self.eat_punct(b',')? {
                         continue;
                     }
-                    let (s, _) = self.expect_word("parent state name")?;
-                    config.push(s);
+                    let (s, _) = self.expect_word(Expected::Text("parent state name"))?;
+                    self.words.push(s);
                 }
-                self.expect_punct(')')?;
+                let labels = labels_start..self.words.len();
+                self.expect_punct(b')')?;
                 let values = self.read_numbers_until_semi()?;
-                rows.push((config, values, rline));
+                self.rows.push(Row {
+                    labels,
+                    values,
+                    line: rline,
+                });
             } else {
-                let (w, wline) = self.expect_word("'table', 'default', 'property' or a row")?;
-                match w.as_str() {
+                let (w, wline) =
+                    self.expect_word(Expected::Text("'table', 'default', 'property' or a row"))?;
+                match w {
                     "property" => self.skip_property()?,
                     "table" => table = Some(self.read_numbers_until_semi()?),
                     "default" => default = Some(self.read_numbers_until_semi()?),
@@ -385,160 +459,187 @@ impl Parser {
                 }
             }
         }
-        let entries = match table {
-            Some(t) => Entries::Table(t),
-            None => Entries::Rows { default, rows },
-        };
         Ok(ProbDecl {
             child,
             parents,
-            entries,
+            table,
+            default,
+            rows: rows_start..self.rows.len(),
             line,
         })
+    }
+
+    /// The token pass: the network name and every declaration, in order.
+    fn parse_decls(&mut self) -> Result<(String, Vec<VarDecl<'a>>, Vec<ProbDecl<'a>>), BifError> {
+        let name = self.parse_network_decl()?;
+        let mut var_decls = Vec::new();
+        let mut prob_decls = Vec::new();
+        while self.look.is_some() {
+            let (kw, line) = self.expect_word(Expected::Text("'variable' or 'probability'"))?;
+            match kw {
+                "variable" => var_decls.push(self.parse_variable_decl()?),
+                "probability" => prob_decls.push(self.parse_probability_decl()?),
+                other => {
+                    return Err(BifError::Unexpected {
+                        line,
+                        expected: "'variable' or 'probability'".into(),
+                        got: other.to_string(),
+                    })
+                }
+            }
+        }
+        Ok((name, var_decls, prob_decls))
+    }
+
+    /// The values of `decl`'s CPT in our layout: parent configurations
+    /// slowest (first parent slowest of all), child state fastest.
+    fn cpt_values(
+        &self,
+        decl: &ProbDecl<'a>,
+        var_decls: &[VarDecl<'a>],
+        parent_ids: &[VarId],
+        child_card: usize,
+    ) -> Result<Vec<f64>, BifError> {
+        // Sizes come from the input: a product that overflows, or a table
+        // the allocator refuses, is an error, not a panic.
+        let too_large = || BifError::Unexpected {
+            line: decl.line,
+            expected: "a CPT that fits in memory".into(),
+            got: format!("a larger one over {} parents", parent_ids.len()),
+        };
+        let n_rows = parent_ids
+            .iter()
+            .try_fold(1usize, |n, p| {
+                n.checked_mul(var_decls[p.index()].states.len())
+            })
+            .ok_or_else(too_large)?;
+        let expected_len = n_rows.checked_mul(child_card).ok_or_else(too_large)?;
+        let wrong_length = |line, expected, got| BifError::WrongRowLength {
+            line,
+            var: decl.child.to_string(),
+            expected,
+            got,
+        };
+        if let Some(table) = &decl.table {
+            let t = &self.numbers[table.clone()];
+            if t.len() != expected_len {
+                return Err(wrong_length(decl.line, expected_len, t.len()));
+            }
+            return Ok(t.to_vec());
+        }
+        let mut values = Vec::new();
+        values
+            .try_reserve_exact(expected_len)
+            .map_err(|_| too_large())?;
+        values.resize(expected_len, 0.0);
+        let mut filled = vec![decl.default.is_some(); n_rows];
+        if let Some(default) = &decl.default {
+            let d = &self.numbers[default.clone()];
+            if d.len() != child_card {
+                return Err(wrong_length(decl.line, child_card, d.len()));
+            }
+            for row in values.chunks_exact_mut(child_card) {
+                row.copy_from_slice(d);
+            }
+        }
+        let parent_names = &self.words[decl.parents.clone()];
+        for row in &self.rows[decl.rows.clone()] {
+            let labels = &self.words[row.labels.clone()];
+            if labels.len() != parent_names.len() {
+                return Err(BifError::Unexpected {
+                    line: row.line,
+                    expected: format!("{} parent states", parent_names.len()),
+                    got: format!("{} parent states", labels.len()),
+                });
+            }
+            let row_values = &self.numbers[row.values.clone()];
+            if row_values.len() != child_card {
+                return Err(wrong_length(row.line, child_card, row_values.len()));
+            }
+            let mut index = 0usize;
+            for ((pname, label), p) in parent_names.iter().zip(labels).zip(parent_ids) {
+                let states = &var_decls[p.index()].states;
+                let state = states.iter().position(|s| s == label).ok_or_else(|| {
+                    BifError::UnknownState {
+                        line: row.line,
+                        var: pname.to_string(),
+                        state: label.to_string(),
+                    }
+                })?;
+                index = index * states.len() + state;
+            }
+            values[index * child_card..(index + 1) * child_card].copy_from_slice(row_values);
+            filled[index] = true;
+        }
+        let missing = filled.iter().filter(|&&f| !f).count();
+        if missing > 0 {
+            return Err(BifError::MissingRows {
+                var: decl.child.to_string(),
+                missing,
+            });
+        }
+        Ok(values)
     }
 }
 
 /// Parses BIF text into a validated [`BayesianNetwork`].
 pub fn parse_str(input: &str) -> Result<BayesianNetwork, BifError> {
-    let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
-
-    let name = parser.parse_network_decl()?;
-    let mut var_decls: Vec<VarDecl> = Vec::new();
-    let mut prob_decls: Vec<ProbDecl> = Vec::new();
-    while parser.peek().is_some() {
-        let (kw, line) = parser.expect_word("'variable' or 'probability'")?;
-        match kw.as_str() {
-            "variable" => var_decls.push(parser.parse_variable_decl()?),
-            "probability" => prob_decls.push(parser.parse_probability_decl()?),
-            other => {
-                return Err(BifError::Unexpected {
-                    line,
-                    expected: "'variable' or 'probability'".into(),
-                    got: other.to_string(),
-                })
-            }
-        }
-    }
+    let mut parser = Parser::new(input)?;
+    let (name, var_decls, prob_decls) = match parser.parse_decls() {
+        Ok(decls) => decls,
+        Err(e @ BifError::Lex(_)) => return Err(e),
+        Err(e) => return Err(parser.lexer.first_error().map_or(e, BifError::Lex)),
+    };
 
     let mut builder = NetworkBuilder::new().named(name);
-    let mut by_name = HashMap::new();
+    let mut by_name = HashMap::with_capacity(var_decls.len());
     for decl in &var_decls {
-        let id = builder.add_variable(Variable::new(decl.name.clone(), decl.states.clone()));
-        by_name.insert(decl.name.clone(), id);
+        if decl.states.is_empty() {
+            return Err(BifError::Unexpected {
+                line: decl.line,
+                expected: "at least one state name".into(),
+                got: "0 state names".into(),
+            });
+        }
+        let states = decl.states.iter().map(|s| s.to_string()).collect();
+        let id = builder.add_variable(Variable::new(decl.name, states));
+        by_name.insert(decl.name, id);
     }
-    let state_index = |name: &str, state: &str, line: usize| -> Result<usize, BifError> {
-        let decl = var_decls
-            .iter()
-            .find(|d| d.name == name)
-            .expect("resolved before");
-        decl.states
-            .iter()
-            .position(|s| s == state)
-            .ok_or_else(|| BifError::UnknownState {
+    let lookup = |name: &str, line: usize| {
+        by_name
+            .get(name)
+            .copied()
+            .ok_or_else(|| BifError::UnknownVariable {
                 line,
-                var: name.to_string(),
-                state: state.to_string(),
+                name: name.to_string(),
             })
     };
 
-    let mut seen = std::collections::HashSet::new();
-    for decl in prob_decls {
-        let child = *by_name
-            .get(&decl.child)
-            .ok_or_else(|| BifError::UnknownVariable {
-                line: decl.line,
-                name: decl.child.clone(),
-            })?;
-        if !seen.insert(child) {
+    let mut has_cpt = vec![false; var_decls.len()];
+    for decl in &prob_decls {
+        let child = lookup(decl.child, decl.line)?;
+        if std::mem::replace(&mut has_cpt[child.index()], true) {
             return Err(BifError::DuplicateProbability {
                 line: decl.line,
-                var: decl.child.clone(),
+                var: decl.child.to_string(),
             });
         }
-        let parent_ids: Vec<_> = decl
-            .parents
+        let parent_ids = parser.words[decl.parents.clone()]
             .iter()
-            .map(|p| {
-                by_name
-                    .get(p)
-                    .copied()
-                    .ok_or_else(|| BifError::UnknownVariable {
-                        line: decl.line,
-                        name: p.clone(),
-                    })
-            })
-            .collect::<Result<_, _>>()?;
+            .map(|p| lookup(p, decl.line))
+            .collect::<Result<Vec<_>, _>>()?;
         let child_card = var_decls[child.index()].states.len();
-        let parent_cards: Vec<usize> = parent_ids
-            .iter()
-            .map(|p| var_decls[p.index()].states.len())
-            .collect();
-        let n_rows: usize = parent_cards.iter().product();
-        let expected_len = n_rows * child_card;
-
-        let values = match decl.entries {
-            Entries::Table(t) => {
-                if t.len() != expected_len {
-                    return Err(BifError::WrongRowLength {
-                        line: decl.line,
-                        var: decl.child.clone(),
-                        expected: expected_len,
-                        got: t.len(),
-                    });
-                }
-                t
-            }
-            Entries::Rows { default, rows } => {
-                let mut values = vec![f64::NAN; expected_len];
-                if let Some(d) = default {
-                    if d.len() != child_card {
-                        return Err(BifError::WrongRowLength {
-                            line: decl.line,
-                            var: decl.child.clone(),
-                            expected: child_card,
-                            got: d.len(),
-                        });
-                    }
-                    for row in 0..n_rows {
-                        values[row * child_card..(row + 1) * child_card].copy_from_slice(&d);
-                    }
-                }
-                for (config, row_values, rline) in rows {
-                    if config.len() != decl.parents.len() {
-                        return Err(BifError::Unexpected {
-                            line: rline,
-                            expected: format!("{} parent states", decl.parents.len()),
-                            got: format!("{} parent states", config.len()),
-                        });
-                    }
-                    if row_values.len() != child_card {
-                        return Err(BifError::WrongRowLength {
-                            line: rline,
-                            var: decl.child.clone(),
-                            expected: child_card,
-                            got: row_values.len(),
-                        });
-                    }
-                    let mut row = 0usize;
-                    for ((pname, state), card) in
-                        decl.parents.iter().zip(&config).zip(&parent_cards)
-                    {
-                        row = row * card + state_index(pname, state, rline)?;
-                    }
-                    values[row * child_card..(row + 1) * child_card].copy_from_slice(&row_values);
-                }
-                let missing = values.iter().filter(|v| v.is_nan()).count() / child_card.max(1);
-                if missing > 0 {
-                    return Err(BifError::MissingRows {
-                        var: decl.child.clone(),
-                        missing,
-                    });
-                }
-                values
-            }
-        };
-        builder.set_cpt(child, parent_ids, values)?;
+        let values = parser.cpt_values(decl, &var_decls, &parent_ids, child_card)?;
+        builder
+            .set_cpt(child, parent_ids, values)
+            .map_err(|e| match e {
+                NetworkError::Cpt(_, error) => BifError::InvalidCpt {
+                    line: decl.line,
+                    var: decl.child.to_string(),
+                    error,
+                },
+                other => BifError::Network(other),
+            })?;
     }
     Ok(builder.build()?)
 }
@@ -673,6 +774,93 @@ probability ( C | P ) { (a) 0.5, 0.5; }
             parse_str(text).unwrap_err(),
             BifError::Unexpected { .. }
         ));
+    }
+
+    #[test]
+    fn bad_cpt_values_name_the_variable_and_the_block_line() {
+        for (values, check) in [
+            ("0.5, 0.6", "sums to 1.1"),
+            ("-0.5, 1.5", "-0.5"),
+            ("nan, 0.5", "NaN"),
+            ("1e999, 0", "inf"),
+        ] {
+            let text = format!(
+                "network x {{ }}\nvariable A {{ type discrete [ 2 ] {{ yes, no }}; }}\n\nprobability ( A ) {{\n  table {values};\n}}"
+            );
+            let err = parse_str(&text).unwrap_err();
+            match &err {
+                BifError::InvalidCpt { line, var, .. } => {
+                    assert_eq!((*line, var.as_str()), (4, "A"), "{values}");
+                }
+                other => panic!("{values}: unexpected {other:?}"),
+            }
+            let message = err.to_string();
+            assert!(
+                message.starts_with("line 4: CPT of \"A\"") && message.contains(check),
+                "{values}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_in_a_row_is_a_bad_cpt_not_a_missing_row() {
+        let text = "network x { }\nvariable P { type discrete [ 2 ] { a, b }; }\nvariable C { type discrete [ 2 ] { x, y }; }\nprobability ( P ) { table 0.5, 0.5; }\nprobability ( C | P ) {\n  (a) nan, nan;\n  (b) 0.5, 0.5;\n}";
+        assert!(matches!(
+            parse_str(text).unwrap_err(),
+            BifError::InvalidCpt { line: 5, var, .. } if var == "C"
+        ));
+    }
+
+    #[test]
+    fn variable_without_states_is_an_error() {
+        for text in [
+            "network x { }\nvariable A { type discrete [ 0 ] { }; }",
+            "network x { }\n\nvariable A { property p; }",
+        ] {
+            let line = text.lines().count();
+            match parse_str(text).unwrap_err() {
+                BifError::Unexpected { line: l, got, .. } => {
+                    assert_eq!((l, got.as_str()), (line, "0 state names"), "{text}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn lex_error_anywhere_outranks_an_earlier_parse_error() {
+        let text = "network x { }\nbogus\nvariable A /* never closed";
+        assert_eq!(
+            parse_str(text).unwrap_err(),
+            BifError::Lex(LexError::UnterminatedComment { line: 3 })
+        );
+    }
+
+    #[test]
+    fn cpt_too_large_to_allocate_is_an_error() {
+        // 2^61 entries (2^64 bytes) cannot be reserved; 2^65 overflow usize.
+        for parents in [60, 64] {
+            let mut text =
+                String::from("network big { }\nvariable C { type discrete [ 2 ] { x, y }; }\n");
+            let names: Vec<String> = (0..parents).map(|i| format!("P{i}")).collect();
+            for name in &names {
+                text += &format!("variable {name} {{ type discrete [ 2 ] {{ a, b }}; }}\n");
+                text += &format!("probability ( {name} ) {{ table 0.5, 0.5; }}\n");
+            }
+            text += &format!(
+                "probability ( C | {} ) {{\n  default 0.5, 0.5;\n}}\n",
+                names.join(", ")
+            );
+            match parse_str(&text).unwrap_err() {
+                BifError::Unexpected { line, expected, .. } => {
+                    assert_eq!(
+                        (line, expected.as_str()),
+                        (3 + 2 * parents, "a CPT that fits in memory")
+                    );
+                }
+                other => panic!("{parents} parents: unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

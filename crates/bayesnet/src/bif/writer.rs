@@ -2,82 +2,85 @@
 
 use std::fmt::Write as _;
 
+use super::lexer::is_bare_word;
 use crate::network::BayesianNetwork;
 use crate::variable::VarId;
 
-/// True if `word` can be written bare (no quotes) in BIF output.
-fn is_bare(word: &str) -> bool {
-    !word.is_empty()
-        && !word.contains(|c: char| {
-            c.is_whitespace() || ['{', '}', '(', ')', '[', ']', ';', ',', '|', '"'].contains(&c)
-        })
-}
-
-fn quoted(word: &str) -> String {
-    if is_bare(word) {
-        word.to_string()
+/// Appends `word`, quoted unless it reads back bare.
+fn push_word(out: &mut String, word: &str) {
+    if is_bare_word(word) {
+        out.push_str(word);
     } else {
-        format!("\"{word}\"")
+        out.push('"');
+        out.push_str(word);
+        out.push('"');
     }
 }
 
-/// Formats a probability losslessly: Rust's `Display` for `f64` emits the
+/// Appends a probability losslessly: Rust's `Display` for `f64` emits the
 /// shortest decimal string that round-trips to the same bits.
-fn fmt_prob(p: f64) -> String {
-    format!("{p}")
+fn push_prob(out: &mut String, p: f64) {
+    let _ = write!(out, "{p}");
+}
+
+/// Appends `items` separated by `", "`.
+fn push_list<T>(out: &mut String, items: impl IntoIterator<Item = T>, push: fn(&mut String, T)) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push(out, item);
+    }
 }
 
 /// Serializes a network to BIF text (see the module docs for the dialect).
 pub fn to_bif_string(net: &BayesianNetwork) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "network {} {{", quoted(net.name()));
-    let _ = writeln!(out, "}}");
+    out.push_str("network ");
+    push_word(&mut out, net.name());
+    out.push_str(" {\n}\n");
 
-    for v in 0..net.num_vars() {
-        let var = net.var(VarId::from_index(v));
-        let _ = writeln!(out, "variable {} {{", quoted(var.name()));
-        let states: Vec<String> = var.states().iter().map(|s| quoted(s)).collect();
-        let _ = writeln!(
-            out,
-            "  type discrete [ {} ] {{ {} }};",
-            var.cardinality(),
-            states.join(", ")
-        );
-        let _ = writeln!(out, "}}");
+    for var in net.variables() {
+        out.push_str("variable ");
+        push_word(&mut out, var.name());
+        let _ = write!(out, " {{\n  type discrete [ {} ] {{ ", var.cardinality());
+        push_list(&mut out, var.states().iter().map(String::as_str), push_word);
+        out.push_str(" };\n}\n");
     }
 
     for v in 0..net.num_vars() {
         let id = VarId::from_index(v);
         let cpt = net.cpt(id);
-        let child = net.var(id);
+        out.push_str("probability ( ");
+        push_word(&mut out, net.var(id).name());
         if cpt.parents().is_empty() {
-            let _ = writeln!(out, "probability ( {} ) {{", quoted(child.name()));
-            let row: Vec<String> = cpt.row(0).iter().map(|&p| fmt_prob(p)).collect();
-            let _ = writeln!(out, "  table {};", row.join(", "));
-            let _ = writeln!(out, "}}");
+            out.push_str(" ) {\n  table ");
+            push_list(&mut out, cpt.row(0).iter().copied(), push_prob);
+            out.push_str(";\n}\n");
             continue;
         }
-        let parent_names: Vec<String> = cpt
-            .parents()
-            .iter()
-            .map(|p| quoted(net.var(*p).name()))
-            .collect();
-        let _ = writeln!(
-            out,
-            "probability ( {} | {} ) {{",
-            quoted(child.name()),
-            parent_names.join(", ")
+        out.push_str(" | ");
+        push_list(
+            &mut out,
+            cpt.parents().iter().map(|p| net.var(*p).name()),
+            push_word,
         );
+        out.push_str(" ) {\n");
         let cards = cpt.parent_cardinalities();
         let mut config = vec![0usize; cards.len()];
         for row in 0..cpt.num_rows() {
-            let labels: Vec<String> = config
-                .iter()
-                .zip(cpt.parents())
-                .map(|(&s, p)| quoted(net.var(*p).state_name(s)))
-                .collect();
-            let values: Vec<String> = cpt.row(row).iter().map(|&p| fmt_prob(p)).collect();
-            let _ = writeln!(out, "  ({}) {};", labels.join(", "), values.join(", "));
+            out.push_str("  (");
+            push_list(
+                &mut out,
+                config
+                    .iter()
+                    .zip(cpt.parents())
+                    .map(|(&s, p)| net.var(*p).state_name(s)),
+                push_word,
+            );
+            out.push_str(") ");
+            push_list(&mut out, cpt.row(row).iter().copied(), push_prob);
+            out.push_str(";\n");
             // Mixed-radix increment, last parent fastest (matches
             // `Cpt::row_index`).
             for i in (0..config.len()).rev() {
@@ -88,7 +91,7 @@ pub fn to_bif_string(net: &BayesianNetwork) -> String {
                 config[i] = 0;
             }
         }
-        let _ = writeln!(out, "}}");
+        out.push_str("}\n");
     }
     out
 }
@@ -97,6 +100,18 @@ pub fn to_bif_string(net: &BayesianNetwork) -> String {
 mod tests {
     use super::*;
     use crate::datasets;
+
+    fn fmt_prob(p: f64) -> String {
+        let mut out = String::new();
+        push_prob(&mut out, p);
+        out
+    }
+
+    fn quoted(word: &str) -> String {
+        let mut out = String::new();
+        push_word(&mut out, word);
+        out
+    }
 
     #[test]
     fn fmt_prob_is_lossless_and_compact() {
@@ -113,6 +128,9 @@ mod tests {
         assert_eq!(quoted("plain_name"), "plain_name");
         assert_eq!(quoted("has space"), "\"has space\"");
         assert_eq!(quoted("a,b"), "\"a,b\"");
+        // A comment opener at the start would not read back as a word.
+        assert_eq!(quoted("//x"), "\"//x\"");
+        assert_eq!(quoted("a//x"), "a//x");
     }
 
     #[test]

@@ -36,6 +36,18 @@ pub struct Triangulation {
 /// Triangulates `graph` (consumed as a working copy). `log_weights[v]`
 /// is `ln(cardinality(v))`, used for table-size tie-breaking; pass zeros
 /// for unweighted behaviour.
+///
+/// Each remaining vertex's selection key — from its `(fill, weight)` and,
+/// for min-degree, its degree — is cached, and after eliminating `v` only
+/// the vertices within two hops of `v` are rescored. That keeps every
+/// cached key equal to a fresh one: eliminating `v` removes `v`'s edges
+/// and adds fill edges among `N(v)`, so a vertex `u` outside `N(v) ∪ {v}`
+/// keeps its neighbourhood (and degree), and the edges among its
+/// neighbours change only if a fill edge joins two of them, which puts `u`
+/// next to a vertex of `N(v)`. Selection compares the same keys in the
+/// same order as a full rescan, so the elimination order, fill edges and
+/// cliques are exactly those of rescoring every vertex at every step (the
+/// test oracle below).
 pub fn triangulate(
     graph: &UGraph,
     log_weights: &[f64],
@@ -43,62 +55,110 @@ pub fn triangulate(
 ) -> Triangulation {
     let n = graph.num_nodes();
     assert_eq!(log_weights.len(), n, "one weight per vertex");
-    let mut work = graph.clone();
-    let mut remaining: Vec<bool> = vec![true; n];
-    let mut order = Vec::with_capacity(n);
-    let mut fill_edges = Vec::new();
-    let mut elim_cliques: Vec<Vec<u32>> = Vec::with_capacity(n);
-
-    for _ in 0..n {
-        // Greedy selection pass over the remaining vertices. Scores are
-        // (primary, secondary, id) lexicographic; id break keeps runs
-        // deterministic.
-        let mut best: Option<(f64, f64, u32)> = None;
-        for v in 0..n as u32 {
-            if !remaining[v as usize] {
-                continue;
-            }
-            let (fill, weight) = score(&work, v, log_weights);
-            let key = match heuristic {
-                EliminationHeuristic::MinFill => (fill as f64, weight, v),
-                EliminationHeuristic::MinDegree => (work.degree(v) as f64, weight, v),
-                EliminationHeuristic::MinWeight => (weight, fill as f64, v),
-            };
-            let better = match &best {
-                None => true,
-                Some(b) => key < *b,
-            };
-            if better {
-                best = Some(key);
-            }
-        }
-        let v = best.expect("at least one remaining vertex").2;
-
-        // Record the elimination clique {v} ∪ N(v).
-        let mut clique: Vec<u32> = work.neighbors(v).collect();
-        clique.push(v);
-        clique.sort_unstable();
-        elim_cliques.push(clique);
-
-        // Add fill edges among the neighbors, then remove v.
-        let neighbors: Vec<u32> = work.neighbors(v).collect();
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                if work.add_edge(a, b) {
-                    fill_edges.push((a.min(b), a.max(b)));
+    let mut elim = Elimination::new(graph);
+    let mut keys: Vec<Key> = (0..n as u32)
+        .map(|v| key(heuristic, &elim.work, v, log_weights))
+        .collect();
+    // `stamp[u] == step + 1` once `u` is queued for rescoring this step.
+    let mut stamp = vec![0usize; n];
+    let mut touched = Vec::new();
+    for step in 0..n {
+        let v = elim.select(|v| keys[v as usize]);
+        let neighbors = elim.eliminate(v);
+        touched.clear();
+        for &a in &neighbors {
+            for u in std::iter::once(a).chain(elim.work.neighbors(a)) {
+                if stamp[u as usize] != step + 1 {
+                    stamp[u as usize] = step + 1;
+                    touched.push(u);
                 }
             }
         }
-        work.remove_node(v);
-        remaining[v as usize] = false;
-        order.push(v);
+        for &u in &touched {
+            keys[u as usize] = key(heuristic, &elim.work, u, log_weights);
+        }
+    }
+    elim.finish()
+}
+
+/// A greedy selection key `(primary, secondary, id)`, compared
+/// lexicographically; the id break keeps runs deterministic.
+type Key = (f64, f64, u32);
+
+/// The selection key of eliminating `v` now under `heuristic`.
+fn key(heuristic: EliminationHeuristic, work: &UGraph, v: u32, log_weights: &[f64]) -> Key {
+    let (fill, weight) = score(work, v, log_weights);
+    match heuristic {
+        EliminationHeuristic::MinFill => (fill as f64, weight, v),
+        EliminationHeuristic::MinDegree => (work.degree(v) as f64, weight, v),
+        EliminationHeuristic::MinWeight => (weight, fill as f64, v),
+    }
+}
+
+/// The state of an elimination run: the working graph and what has been
+/// recorded so far.
+struct Elimination {
+    work: UGraph,
+    /// Vertices not yet eliminated, ascending.
+    remaining: Vec<u32>,
+    order: Vec<u32>,
+    fill_edges: Vec<(u32, u32)>,
+    elim_cliques: Vec<Vec<u32>>,
+}
+
+impl Elimination {
+    fn new(graph: &UGraph) -> Self {
+        let n = graph.num_nodes();
+        Elimination {
+            work: graph.clone(),
+            remaining: (0..n as u32).collect(),
+            order: Vec::with_capacity(n),
+            fill_edges: Vec::new(),
+            elim_cliques: Vec::with_capacity(n),
+        }
     }
 
-    fill_edges.sort_unstable();
-    Triangulation {
-        order,
-        fill_edges,
-        cliques: keep_maximal(elim_cliques),
+    /// The remaining vertex with the smallest key, scanned in id order.
+    fn select(&self, mut key: impl FnMut(u32) -> Key) -> u32 {
+        let mut best: Option<Key> = None;
+        for &v in &self.remaining {
+            let k = key(v);
+            if best.is_none_or(|b| k < b) {
+                best = Some(k);
+            }
+        }
+        best.expect("at least one remaining vertex").2
+    }
+
+    /// Records the elimination clique `{v} ∪ N(v)`, adds the fill edges
+    /// among `N(v)` and removes `v`. Returns `N(v)`.
+    fn eliminate(&mut self, v: u32) -> Vec<u32> {
+        let neighbors: Vec<u32> = self.work.neighbors(v).collect();
+        let mut clique = neighbors.clone();
+        clique.push(v);
+        clique.sort_unstable();
+        self.elim_cliques.push(clique);
+        for (i, &a) in neighbors.iter().enumerate() {
+            for &b in &neighbors[i + 1..] {
+                if self.work.add_edge(a, b) {
+                    self.fill_edges.push((a.min(b), a.max(b)));
+                }
+            }
+        }
+        self.work.remove_node(v);
+        let at = self.remaining.binary_search(&v).expect("v remains");
+        self.remaining.remove(at);
+        self.order.push(v);
+        neighbors
+    }
+
+    fn finish(mut self) -> Triangulation {
+        self.fill_edges.sort_unstable();
+        Triangulation {
+            order: self.order,
+            fill_edges: self.fill_edges,
+            cliques: keep_maximal(self.elim_cliques),
+        }
     }
 }
 
@@ -315,6 +375,84 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The full rescan: every remaining vertex is rescored at every step.
+    fn triangulate_full_rescan(
+        graph: &UGraph,
+        log_weights: &[f64],
+        heuristic: EliminationHeuristic,
+    ) -> Triangulation {
+        let mut elim = Elimination::new(graph);
+        for _ in 0..graph.num_nodes() {
+            let v = elim.select(|v| key(heuristic, &elim.work, v, log_weights));
+            elim.eliminate(v);
+        }
+        elim.finish()
+    }
+
+    fn assert_matches_full_rescan(g: &UGraph, w: &[f64], what: &str) {
+        for h in HEURISTICS {
+            let fast = triangulate(g, w, h);
+            let full = triangulate_full_rescan(g, w, h);
+            assert_eq!(fast.order, full.order, "{what} {h:?}: order");
+            assert_eq!(fast.fill_edges, full.fill_edges, "{what} {h:?}: fill");
+            assert_eq!(fast.cliques, full.cliques, "{what} {h:?}: cliques");
+        }
+    }
+
+    #[test]
+    fn two_hop_rescoring_matches_full_rescan_on_random_graphs() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for trial in 0..120 {
+            let n = 1 + (next() % 40) as usize;
+            let mut edges = Vec::new();
+            if trial % 4 == 0 {
+                // A forest: each vertex links to at most one earlier one.
+                for b in 1..n as u32 {
+                    if next() % 4 != 0 {
+                        edges.push(((next() % b as u64) as u32, b));
+                    }
+                }
+            } else {
+                let density = 3 + next() % 45;
+                for a in 0..n as u32 {
+                    for b in a + 1..n as u32 {
+                        if next() % 100 < density {
+                            edges.push((a, b));
+                        }
+                    }
+                }
+            }
+            let g = UGraph::from_edges(n, &edges);
+            // Equal cardinalities (every weight ties), two cardinalities,
+            // and spread ones.
+            let w: Vec<f64> = match trial % 3 {
+                0 => vec![2f64.ln(); n],
+                1 => (0..n).map(|_| ((2 + next() % 2) as f64).ln()).collect(),
+                _ => (0..n).map(|_| ((2 + next() % 20) as f64).ln()).collect(),
+            };
+            assert_matches_full_rescan(&g, &w, &format!("trial {trial}"));
+        }
+    }
+
+    #[test]
+    fn two_hop_rescoring_matches_full_rescan_on_benchmark_analogues() {
+        for spec in crate::analogues::benchmark_analogues() {
+            let net = fastbn_bayesnet::generators::windowed_dag(&spec);
+            let w: Vec<f64> = net
+                .cardinalities()
+                .iter()
+                .map(|&c| (c as f64).ln())
+                .collect();
+            assert_matches_full_rescan(&crate::moralize(&net), &w, &spec.name);
         }
     }
 

@@ -45,6 +45,9 @@ impl PoolStats {
     }
 }
 
+/// Wake-ups the pool's hand-off queue holds before it must grow.
+const HANDOFF_ROOM: usize = 64;
+
 /// A fixed-width fork-join pool with OpenMP-like `parallel for` entry
 /// points.
 ///
@@ -85,9 +88,16 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Spawns a pool of `threads` total members (`threads - 1` background
     /// workers). `threads` is clamped to at least 1.
+    ///
+    /// The hand-off queue starts with room for 64 wake-ups, so a caller
+    /// whose worker lags behind does not allocate to grow it, and a query
+    /// keeps its zero-allocation contract. The bound that remains: a
+    /// worker more than 64 wake-ups behind (at two threads, one per
+    /// region) still makes the next region's `send` grow the queue.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let (sender, receiver) = crossbeam_channel::unbounded::<Arc<Region>>();
+        let (sender, receiver) =
+            crossbeam_channel::unbounded_with_capacity::<Arc<Region>>(HANDOFF_ROOM);
         let workers = (1..threads)
             .map(|i| {
                 let rx: Receiver<Arc<Region>> = receiver.clone();
