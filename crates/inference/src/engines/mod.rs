@@ -18,6 +18,8 @@ use std::sync::Arc;
 use fastbn_bayesnet::Evidence;
 use fastbn_parallel::ThreadPool;
 
+use crate::error::InferenceError;
+use crate::posterior::Posteriors;
 use crate::prepared::Prepared;
 use crate::state::WorkState;
 
@@ -66,6 +68,20 @@ pub trait InferenceEngine: Send + Sync {
     /// evidence-absorbed `state`. After this, every clique holds its
     /// unnormalized posterior.
     fn propagate(&self, state: &mut WorkState);
+
+    /// Reads every variable's normalized posterior out of a propagated
+    /// `state` — the last step of an all-marginals query. The default is
+    /// [`WorkState::extract_posteriors`] on the caller; the hybrid
+    /// configuration reads the marginals of a network with large home
+    /// cliques as one pool region over the variables, bit for bit the
+    /// same.
+    fn extract_posteriors(
+        &self,
+        state: &WorkState,
+        evidence: &Evidence,
+    ) -> Result<Posteriors, InferenceError> {
+        state.extract_posteriors(self.prepared(), evidence)
+    }
 }
 
 /// Engine selector: each kind is a configuration of the one propagation
@@ -820,7 +836,7 @@ mod hybrid {
     mod tests {
         use std::sync::Arc;
 
-        use crate::engines::driver::{JtDriver, Run};
+        use crate::engines::driver::{JtDriver, Msg, Run};
         use crate::engines::EngineKind;
         use crate::prepared::Prepared;
         use crate::solver::Solver;
@@ -847,55 +863,108 @@ mod hybrid {
                 Some(ThreadPool::shared(threads)),
             );
             let (mut inline, mut parallel) = (0, 0);
-            for layer in engine.collect.iter().chain(&engine.distribute) {
-                let (sep_tasks, recv_region) = match &layer.run {
-                    Run::Deferred => {
-                        inline += 2;
-                        continue;
+            for pass in [&engine.collect, &engine.distribute] {
+                for (l, layer) in pass.iter().enumerate() {
+                    let (sep_tasks, recv_region, ahead) = match &layer.run {
+                        Run::Deferred => {
+                            inline += 2;
+                            continue;
+                        }
+                        Run::Phased {
+                            sep_tasks,
+                            recv_region,
+                            ahead,
+                            ..
+                        } => (sep_tasks, recv_region, ahead),
+                        other => panic!("hybrid compiled {other:?}"),
+                    };
+                    assert!(sep_tasks.is_some() || recv_region.is_some() || ahead.contains(&true));
+                    // A message sent ahead is computed by the previous layer's
+                    // receiver group of its sender, through a block-owning plan
+                    // or as that group's footprint.
+                    for (m, _) in layer.msgs.iter().zip(ahead).filter(|(_, &a)| a) {
+                        let Run::Phased {
+                            recv_region: Some(prev),
+                            ..
+                        } = &pass[l - 1].run
+                        else {
+                            panic!("sent ahead without a parallel receiver phase before");
+                        };
+                        let group = prev.groups.iter().find(|g| g.receiver == m.sender).unwrap();
+                        assert!(group.sends.contains(m));
+                        let block = prepared.plan_for(m.sender, m.sep).block_entries();
+                        assert!(block.is_some() || group.footprint);
                     }
-                    Run::Phased {
-                        sep_tasks,
-                        recv_region,
-                    } => (sep_tasks, recv_region),
-                    other => panic!("hybrid compiled {other:?}"),
-                };
-                assert!(sep_tasks.is_some() || recv_region.is_some());
-                // Sep tasks partition each message's separator range.
-                if let Some(tasks) = sep_tasks {
-                    for (i, m) in layer.msgs.iter().enumerate() {
-                        let of_msg = tasks.iter().filter(|t| t.of == i);
-                        assert_tiles(
-                            of_msg.map(|t| (t.lo, t.hi)).collect(),
-                            prepared.sep_domains[m.sep].size(),
-                        );
+                    // Sep tasks partition each remaining message's separator range.
+                    if let Some(tasks) = sep_tasks {
+                        for (i, m) in layer.msgs.iter().enumerate() {
+                            let of_msg: Vec<_> = tasks
+                                .iter()
+                                .filter(|t| t.of == i)
+                                .map(|t| (t.lo, t.hi))
+                                .collect();
+                            if ahead[i] {
+                                assert!(of_msg.is_empty());
+                            } else {
+                                assert_tiles(of_msg, prepared.sep_domains[m.sep].size());
+                            }
+                        }
                     }
-                }
-                if let Some(region) = recv_region {
-                    // Recv tasks partition each group's receiver range.
-                    for (gi, g) in region.groups.iter().enumerate() {
-                        let of_group = region.tasks.iter().filter(|t| t.of == gi);
-                        assert_tiles(
-                            of_group.map(|t| (t.lo, t.hi)).collect(),
-                            prepared.clique_domains[g.receiver].size(),
-                        );
-                        assert!(g.msgs.iter().all(|m| m.receiver == g.receiver));
+                    if let Some(region) = recv_region {
+                        // Recv tasks partition each group's receiver range — or,
+                        // for a footprint group, the slots of its first send
+                        // ahead — and ride whole blocks of every other one.
+                        for (gi, g) in region.groups.iter().enumerate() {
+                            let tasks = region.tasks.iter().chain(&region.early);
+                            let of_group: Vec<_> = tasks.filter(|t| t.of == gi).collect();
+                            // Early: exactly the receivers whose every
+                            // message was sent ahead.
+                            let sent =
+                                |m: &Msg| ahead[layer.msgs.iter().position(|x| x == m).unwrap()];
+                            let early = region.early.iter().any(|t| t.of == gi);
+                            assert!(of_group.is_empty() || early == g.msgs.iter().all(sent));
+                            let plan = |m: &Msg| prepared.plan_for(g.receiver, m.sep);
+                            let size = match g.footprint {
+                                true => plan(&g.sends[0]).sub_size(),
+                                false => prepared.clique_domains[g.receiver].size(),
+                            };
+                            assert_tiles(of_group.iter().map(|t| (t.lo, t.hi)).collect(), size);
+                            assert!(g.msgs.iter().all(|m| m.receiver == g.receiver));
+                            assert!(g.sends.iter().all(|m| m.sender == g.receiver));
+                            // A footprint group's stretches start and end on
+                            // the first send's digits, which hold whole
+                            // blocks of the others.
+                            let (riders, align) = match g.footprint {
+                                true => (&g.sends[1..], plan(&g.sends[0]).digit_entries()),
+                                false => (&g.sends[..], 0),
+                            };
+                            for m in riders {
+                                let block = plan(m).block_entries().expect("a block-owning plan");
+                                assert_eq!(align % block, 0);
+                                if !g.footprint {
+                                    for t in &of_group {
+                                        assert_eq!((t.lo % block, t.hi % block), (0, 0));
+                                    }
+                                }
+                            }
+                        }
+                        // Every message sits in exactly one receiver group.
+                        let mut grouped: Vec<usize> = region
+                            .groups
+                            .iter()
+                            .flat_map(|g| g.msgs.iter().map(|m| m.sep))
+                            .collect();
+                        grouped.sort_unstable();
+                        let mut seps: Vec<usize> = layer.msgs.iter().map(|m| m.sep).collect();
+                        seps.sort_unstable();
+                        assert_eq!(grouped, seps);
                     }
-                    // Every message sits in exactly one receiver group.
-                    let mut grouped: Vec<usize> = region
-                        .groups
-                        .iter()
-                        .flat_map(|g| g.msgs.iter().map(|m| m.sep))
-                        .collect();
-                    grouped.sort_unstable();
-                    let mut seps: Vec<usize> = layer.msgs.iter().map(|m| m.sep).collect();
-                    seps.sort_unstable();
-                    assert_eq!(grouped, seps);
-                }
-                for is_parallel in [sep_tasks.is_some(), recv_region.is_some()] {
-                    if is_parallel {
-                        parallel += 1;
-                    } else {
-                        inline += 1;
+                    for is_parallel in [sep_tasks.is_some(), recv_region.is_some()] {
+                        if is_parallel {
+                            parallel += 1;
+                        } else {
+                            inline += 1;
+                        }
                     }
                 }
             }

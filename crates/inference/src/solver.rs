@@ -737,7 +737,7 @@ fn compute_on_state(
             absorb_virtual(state, prepared, virtual_evidence);
             solver.engine.propagate(state);
             let posteriors = match targets {
-                None => state.extract_posteriors(prepared, evidence)?,
+                None => solver.engine.extract_posteriors(state, evidence)?,
                 Some(targets) => state.extract_posteriors_for(prepared, evidence, targets)?,
             };
             Ok(QueryResult::Marginals(posteriors))

@@ -24,9 +24,10 @@
 //! fastbn: audited-raw-ptr
 //! fastbn: deny-hot-alloc
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fastbn_bayesnet::{Evidence, VarId};
+use fastbn_parallel::{Schedule, ThreadPool};
 use fastbn_potential::{multiply_marginalize, multiply_marginalize_from, ops};
 
 use crate::error::InferenceError;
@@ -645,14 +646,7 @@ impl WorkState {
             return Ok(());
         }
         prepared.axes[var.index()].marginal(self.clique(prepared.home[var.index()]), out);
-        let total: f64 = out.iter().sum();
-        if total <= 0.0 || !total.is_finite() {
-            return Err(InferenceError::ImpossibleEvidence);
-        }
-        for p in out {
-            *p /= total;
-        }
-        Ok(())
+        normalize(out)
     }
 
     /// `P(evidence)` with impossibility judged per component: fails only
@@ -674,6 +668,48 @@ impl WorkState {
         let mut marginals = Vec::with_capacity(n);
         for v in 0..n {
             marginals.push(self.marginal_of(prepared, evidence, VarId::from_index(v))?);
+        }
+        Ok(Posteriors::new(marginals, prob_evidence))
+    }
+
+    /// [`WorkState::extract_posteriors`] with the marginals read as one
+    /// region of `pool` over the variables: the outputs are allocated
+    /// here, on the caller, each task fills its variables' through the
+    /// same [`VarAxis::marginal`](fastbn_potential::ops::VarAxis::marginal)
+    /// read (the first task also sums the roots), and the caller checks
+    /// `P(e)` and then normalizes the marginals in variable order — so the
+    /// posteriors, and the first error, are those of the serial read.
+    pub(crate) fn extract_posteriors_on(
+        &self,
+        prepared: &Prepared,
+        evidence: &Evidence,
+        pool: &ThreadPool,
+    ) -> Result<Posteriors, InferenceError> {
+        // fastbn: allow(hot-alloc): read-path output allocation (the
+        // posterior vectors handed to the caller).
+        let mut marginals: Vec<Vec<f64>> = prepared.cards.iter().map(|&c| vec![0.0; c]).collect();
+        let grain = Schedule::Dynamic { grain: 1 };
+        let roots = OnceLock::new();
+        pool.parallel_chunks_mut(&mut marginals, grain, |first, outs| {
+            // `P(e)`'s factors are sums as long as the root cliques, each
+            // one chain of additions: the first task takes them, beside
+            // the marginals of the others.
+            if first == 0 {
+                let _ = roots.set(self.checked_prob_evidence(prepared));
+            }
+            for (v, out) in (first..).zip(outs) {
+                if evidence.get(VarId::from_index(v)).is_none() {
+                    prepared.axes[v].marginal(self.clique(prepared.home[v]), out);
+                }
+            }
+        });
+        let roots = roots.into_inner();
+        let prob_evidence = roots.unwrap_or_else(|| self.checked_prob_evidence(prepared))?;
+        for (v, out) in marginals.iter_mut().enumerate() {
+            match evidence.get(VarId::from_index(v)) {
+                Some(state) => out[state] = 1.0,
+                None => normalize(out)?,
+            }
         }
         Ok(Posteriors::new(marginals, prob_evidence))
     }
@@ -706,6 +742,19 @@ impl WorkState {
             prob_evidence,
         ))
     }
+}
+
+/// Normalizes an unnormalized marginal in place. A total that is `<= 0`
+/// or non-finite means the evidence is impossible.
+fn normalize(out: &mut [f64]) -> Result<(), InferenceError> {
+    let total: f64 = out.iter().sum();
+    if total <= 0.0 || !total.is_finite() {
+        return Err(InferenceError::ImpossibleEvidence);
+    }
+    for p in out {
+        *p /= total;
+    }
+    Ok(())
 }
 
 /// `P(evidence)` from its per-component factors (the root sums, in

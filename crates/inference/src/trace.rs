@@ -19,7 +19,9 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use fastbn_telemetry::trace::{NameId, SpanRecord, Tracer, SPAN_COLLECT, SPAN_DISTRIBUTE};
+use fastbn_telemetry::trace::{
+    NameId, SpanRecord, Tracer, SPAN_COLLECT, SPAN_DISTRIBUTE, SPAN_EXTRACT,
+};
 
 /// The identity a traced query carries into the engine: which tracer to
 /// record against, which trace the spans belong to, and the span to
@@ -109,11 +111,11 @@ impl Drop for ParentGuard {
     }
 }
 
-/// Times `f` as one `name` span under the active context; calls `f`
-/// directly when none is installed. Spans recorded *inside* `f` become
-/// children of this span.
+/// Times `f` as one `name` span (payload `tag`, `aux`) under the active
+/// context; calls `f` directly when none is installed. Spans recorded
+/// *inside* `f` become children of this span.
 #[inline]
-fn with_span<R>(name: NameId, f: impl FnOnce() -> R) -> R {
+fn with_span<R>(name: NameId, tag: u64, aux: u64, f: impl FnOnce() -> R) -> R {
     let Some(ctx) = current() else {
         return f();
     };
@@ -129,8 +131,8 @@ fn with_span<R>(name: NameId, f: impl FnOnce() -> R) -> R {
         name,
         start_ns: start,
         dur_ns: dur,
-        tag: 0,
-        aux: 0,
+        tag,
+        aux,
     });
     out
 }
@@ -138,13 +140,28 @@ fn with_span<R>(name: NameId, f: impl FnOnce() -> R) -> R {
 /// Times `f` as this query's collect-phase span (no-op untraced).
 #[inline]
 pub(crate) fn collect<R>(f: impl FnOnce() -> R) -> R {
-    with_span(SPAN_COLLECT, f)
+    with_span(SPAN_COLLECT, 0, 0, f)
 }
 
 /// Times `f` as this query's distribute-phase span (no-op untraced).
 #[inline]
 pub(crate) fn distribute<R>(f: impl FnOnce() -> R) -> R {
-    with_span(SPAN_DISTRIBUTE, f)
+    with_span(SPAN_DISTRIBUTE, 0, 0, f)
+}
+
+/// Times `f` as one phase (`SPAN_SEP_PHASE` or `SPAN_RECV_PHASE`) of
+/// flattened layer `layer`, which moves `entries` table entries (no-op
+/// untraced).
+#[inline]
+pub(crate) fn phase<R>(name: NameId, layer: usize, entries: usize, f: impl FnOnce() -> R) -> R {
+    with_span(name, layer as u64, entries as u64, f)
+}
+
+/// Times `f` as this query's extraction region, over home cliques of
+/// `entries` entries (no-op untraced).
+#[inline]
+pub(crate) fn extract<R>(entries: usize, f: impl FnOnce() -> R) -> R {
+    with_span(SPAN_EXTRACT, 0, entries as u64, f)
 }
 
 #[cfg(test)]
@@ -173,6 +190,25 @@ mod tests {
         let spans = tracer.recent_spans();
         assert!(spans.iter().all(|s| s.trace == 9 && s.parent == 1));
         assert!(spans.iter().any(|s| s.name == SPAN_COLLECT));
+    }
+
+    #[test]
+    fn phase_spans_carry_layer_and_entries() {
+        use fastbn_telemetry::trace::SPAN_SEP_PHASE;
+        let tracer = Arc::new(Tracer::new(TraceConfig::default()));
+        phase(SPAN_SEP_PHASE, 3, 390_625, || ());
+        assert_eq!(tracer.spans_recorded(), 0, "no scope, no spans");
+        let ctx = TraceContext {
+            tracer: Arc::clone(&tracer),
+            trace: 4,
+            parent: 1,
+        };
+        let _scope = scoped(Some(&ctx));
+        collect(|| phase(SPAN_SEP_PHASE, 3, 390_625, || ()));
+        let spans = tracer.recent_spans();
+        let sep = spans.iter().find(|s| s.name == SPAN_SEP_PHASE).unwrap();
+        let parent = spans.iter().find(|s| s.name == SPAN_COLLECT).unwrap();
+        assert_eq!((sep.tag, sep.aux, sep.parent), (3, 390_625, parent.span));
     }
 
     #[test]

@@ -10,8 +10,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use fastbn_bayesnet::generators::{ArityDist, CptStyle, WindowedDagSpec};
 use fastbn_bayesnet::{
     datasets, generators, sampler, BayesianNetwork, Evidence, NetworkBuilder, VarId,
 };
@@ -20,6 +22,7 @@ use fastbn_inference::{
     WorkState,
 };
 use fastbn_jtree::JtreeOptions;
+use fastbn_parallel::{Schedule, ThreadPool};
 
 /// Counts every allocation (alloc / alloc_zeroed / realloc) of the
 /// **calling thread** and defers the real work to the system allocator.
@@ -31,10 +34,20 @@ thread_local! {
     /// neighbours' allocations. Const-initialised and without a
     /// destructor, so reading it never allocates or runs after teardown.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread's allocations also count in [`WORKER_ALLOCS`]:
+    /// set on the background workers of one test's own pool, whose
+    /// per-thread counters the test cannot read.
+    static WORKER: Cell<bool> = const { Cell::new(false) };
 }
+
+/// Allocations made on threads flagged [`WORKER`].
+static WORKER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 fn count_one() {
     ALLOCS.with(|n| n.set(n.get() + 1));
+    if WORKER.with(Cell::get) {
+        WORKER_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method defers to `System`, which upholds the
@@ -197,6 +210,86 @@ fn lazy_reset_adds_no_allocation() {
             "{kind} t={threads}: lazy reset {with_lazy} allocations, whole copy {with_copy}"
         );
     }
+}
+
+/// `fastbn-bench`'s `few-large-cliques` analogue (14 cliques of five-state
+/// variables, the largest 390 625 entries): the one network whose tables
+/// all run the group walks and whose hybrid layers and extraction are
+/// pool regions.
+fn few_large_cliques() -> BayesianNetwork {
+    generators::windowed_dag(&WindowedDagSpec {
+        name: "few-large-cliques".into(),
+        nodes: 24,
+        target_arcs: 60,
+        max_parents: 4,
+        window: 8,
+        arity: ArityDist::Fixed(5),
+        cpt: CptStyle { alpha: 1.0 },
+        seed: 0x00A1,
+    })
+}
+
+/// Flags every background worker of `pool` as a [`WORKER`]: one region
+/// of one task per member, each waiting for all the others to start, so
+/// every member takes exactly one; the caller's own flag is cleared
+/// again, its allocations stay on its own counter.
+fn flag_workers(pool: &ThreadPool) {
+    let arrived = AtomicUsize::new(0);
+    pool.parallel_for(0..pool.threads(), Schedule::Static, |_| {
+        WORKER.with(|w| w.set(true));
+        // ORDERING: a plain arrival count — the members only wait for
+        // one another to be inside the region, and share no data.
+        arrived.fetch_add(1, Ordering::Relaxed);
+        while arrived.load(Ordering::Relaxed) < pool.threads() {
+            std::hint::spin_loop();
+        }
+    });
+    WORKER.with(|w| w.set(false));
+}
+
+/// On the network of large tables, a warm `Seq` query and a warm
+/// two-thread `Hybrid` all-marginals query allocate their `Posteriors`
+/// (one vector per variable and the outer one) and, for `Hybrid`, one
+/// `Arc` per pool region the query opens — the separator, receiver and
+/// extraction regions — on the calling thread, and nothing on the
+/// workers: the extraction region's outputs are allocated by the caller.
+#[test]
+fn large_tables_allocate_only_posteriors_and_regions() {
+    let net = few_large_cliques();
+    let prepared = Arc::new(Prepared::new(&net, &JtreeOptions::default()));
+    let case = &sampler::generate_cases(&net, 1, 0.2, 7)[0];
+    let query = Query::new().evidence(case.evidence.clone());
+    let posteriors = net.num_vars() as u64 + 1;
+
+    let seq = Solver::from_prepared(prepared.clone()).build();
+    assert_eq!(warm_query_allocations(&seq, &query), posteriors, "Seq");
+
+    let hybrid = Solver::from_prepared(prepared)
+        .engine(EngineKind::Hybrid)
+        .threads(2)
+        .build();
+    let pool = hybrid
+        .pool_handle()
+        .expect("a two-thread solver owns a pool");
+    flag_workers(&pool);
+    let mut session = hybrid.session();
+    session.run(&query).unwrap();
+    let (before, workers, regions) = (
+        allocations(),
+        WORKER_ALLOCS.load(Ordering::Relaxed),
+        pool.stats().regions_started,
+    );
+    let result = session.run(&query).unwrap();
+    let caller = allocations() - before;
+    let workers = WORKER_ALLOCS.load(Ordering::Relaxed) - workers;
+    let regions = pool.stats().regions_started - regions;
+    drop(result);
+    assert!(regions > 0, "the hybrid query opened no region");
+    assert_eq!(
+        (caller, workers),
+        (posteriors + regions, 0),
+        "Hybrid@2: {regions} regions"
+    );
 }
 
 /// The incremental edit path has the same contract: once a

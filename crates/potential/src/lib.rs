@@ -11,10 +11,10 @@
 //! a [`plan::KernelPlan`] per (clique, separator) domain pair holds the
 //! strides, the fiber offsets and a layout classification, and every table
 //! operation of propagation is a method on it — whole-table kernels
-//! (run programs on small tables, blocked or odometer kernels on large
+//! (run programs on small tables, walks of the coalesced groups on large
 //! ones) for a caller that owns the table, and chunkable forms
-//! (`marginalize_fold`, `extend_multiply_range`) for callers that split one
-//! table across workers. Compiled once, executed allocation-free. The
+//! (`marginalize_range`, `marginalize_fold`, `extend_multiply_range`) for
+//! callers that split one table across workers. Compiled once, executed allocation-free. The
 //! crate-private `index_map` module holds the mapping primitives the plans
 //! are built from.
 //!

@@ -184,19 +184,30 @@ impl VarAxis {
 
     /// Unnormalized marginal: `out[s]` (overwritten) is the sum of the
     /// entries in state `s`, in ascending index.
+    ///
+    /// The states' sums are independent chains, so they advance side by
+    /// side — entry `e` of every state's segment, then entry `e + 1` —
+    /// with the sums in registers for cardinalities 2 to 8: a clique's
+    /// outermost variable no longer waits on one state's whole segment
+    /// before the next state's starts.
     pub fn marginal(self, values: &[f64], out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.card);
         out.fill(0.0);
-        if self.stride == 1 {
-            for block in values.chunks_exact(self.card) {
-                for (slot, &v) in out.iter_mut().zip(block) {
-                    *slot += v;
-                }
-            }
-        } else {
-            for block in values.chunks_exact(self.stride * self.card) {
-                for (slot, seg) in out.iter_mut().zip(block.chunks_exact(self.stride)) {
-                    *slot = seg.iter().fold(*slot, |acc, &v| acc + v);
+        match self.card {
+            2 => marginal_side::<2>(values, self.stride, out),
+            3 => marginal_side::<3>(values, self.stride, out),
+            4 => marginal_side::<4>(values, self.stride, out),
+            5 => marginal_side::<5>(values, self.stride, out),
+            6 => marginal_side::<6>(values, self.stride, out),
+            7 => marginal_side::<7>(values, self.stride, out),
+            8 => marginal_side::<8>(values, self.stride, out),
+            card => {
+                for block in values.chunks_exact(self.stride * card) {
+                    for e in 0..self.stride {
+                        for (s, slot) in out.iter_mut().enumerate() {
+                            *slot += block[s * self.stride + e];
+                        }
+                    }
                 }
             }
         }
@@ -221,6 +232,24 @@ impl VarAxis {
             }
         }
     }
+}
+
+/// [`VarAxis::marginal`] for a variable of `N` states: per block, each
+/// state's segment of `stride` entries, all `N` segments in lockstep.
+// The entry index walks all `N` segments in lockstep.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn marginal_side<const N: usize>(values: &[f64], stride: usize, out: &mut [f64]) {
+    let mut acc = [0.0; N];
+    for block in values.chunks_exact(stride * N) {
+        let segs: [&[f64]; N] = std::array::from_fn(|s| &block[s * stride..(s + 1) * stride]);
+        for e in 0..stride {
+            for s in 0..N {
+                acc[s] += segs[s][e];
+            }
+        }
+    }
+    out.copy_from_slice(&acc);
 }
 
 /// Division with the Hugin `0/0 = 0` convention.

@@ -4,9 +4,12 @@
 //! reference — the contract the engines' bit-identity suites stand on.
 //! (The build environment has no proptest; this is the seeded-sweep
 //! equivalent.) A second, exhaustive sweep walks every membership
-//! pattern of up to six variables, so the run programs small tables
-//! execute and the layout kernels larger ones keep are both held to the
-//! same reference. The single-variable kernels ([`VarAxis`]) and the
+//! pattern of up to eight variables (seven and eight above the
+//! run-program constant) and the plans of the `few-large-cliques`
+//! analogue, so the run programs small tables execute and the walks
+//! larger ones take — whole-table, chunked at awkward cuts and at the
+//! walk's own seams, ranged by slot units and footprints — are all held
+//! to the same reference. The single-variable kernels ([`VarAxis`]) and the
 //! one-pass rebuild (`extend_multiply_from`) are held to it too, and
 //! every fixed-arity arm of the run loops to the generic run loop. The
 //! first-write kernels a lazily reset clique is rebuilt by — `*_from`,
@@ -282,11 +285,112 @@ fn every_membership_pattern_matches_decode_reference_bitwise() {
             }
         }
     }
-    assert_eq!(cases, 126 * DRAWS + 64);
-    assert!(small > 400 && large == 64, "{small} small, {large} large");
+    // Seven and eight variables, every membership pattern, each table
+    // above the constant: all fives but one three (46 875 entries) at
+    // seven, all fours but two threes (36 864) at eight, the threes
+    // placed by the mask so every position carries one.
+    for n in 7..=8usize {
+        for mask in 0u32..1 << n {
+            let case = (n as u64) << 32 | (mask as u64) << 8 | 0xFF;
+            let mut rng = TestRng::new(0xB16 ^ case);
+            let threes = [
+                mask as usize % n,
+                (mask as usize / n + 1 + mask as usize) % n,
+            ];
+            let cards: Vec<usize> = (0..n)
+                .map(|p| match (n, threes.contains(&p)) {
+                    (7, true) if p == threes[0] => 3,
+                    (8, true) => 3,
+                    (7, _) => 5,
+                    _ => 4,
+                })
+                .collect();
+            let vars = |keep: u32| {
+                Domain::new(
+                    (0..n)
+                        .filter(|&p| keep >> p & 1 == 1)
+                        .map(|p| (VarId(2 * p as u32 + 1), cards[p]))
+                        .collect(),
+                )
+            };
+            let (sup, sub) = (vars(u32::MAX), vars(mask));
+            assert!(sup.size() > PROGRAM_MAX_ENTRIES, "{cards:?}");
+            let mul_sub = vars(rng.below(1 << n) as u32);
+            check_case(&sup, &sub, &mul_sub, &mut rng, case);
+            (cases, large) = (cases + 1, large + 1);
+        }
+    }
+    // The 26 (clique, separator) plans of the `few-large-cliques`
+    // analogue the benchmark's `large-cliques` workload runs.
+    for (k, (sup, sub)) in few_large_cliques_plans().iter().enumerate() {
+        let case = 0xF1C << 32 | k as u64;
+        let mut rng = TestRng::new(case);
+        check_case(sup, sub, &Domain::scalar(), &mut rng, case);
+        cases += 1;
+        if sup.size() <= PROGRAM_MAX_ENTRIES {
+            small += 1;
+        } else {
+            large += 1;
+        }
+    }
+    assert_eq!(cases, 126 * DRAWS + 64 + 128 + 256 + 26);
+    assert!(
+        small > 400 && large == 64 + 128 + 256 + 17,
+        "{small} small, {large} large"
+    );
     // Every layout ran its one-pass layout kernel, and every layout but
     // `Identity` (which never has a program) the one-pass program.
     assert_eq!(rebuilt, [[true; 4], [false, true, true, true]]);
+}
+
+/// Every (clique, separator) pair of the `few-large-cliques` analogue
+/// (`fastbn-bench`'s adaptivity workload: 24 five-state variables, 14
+/// cliques, the largest 390 625 entries): both sides of its 13
+/// separators, each separator the intersection of its two cliques.
+fn few_large_cliques_plans() -> Vec<(Domain, Domain)> {
+    const CLIQUES: [&[u32]; 14] = [
+        &[0, 1, 2, 3, 6, 7],
+        &[1, 2, 3, 4, 5, 6, 7, 8],
+        &[3, 4, 5, 6, 7, 8, 9],
+        &[3, 4, 5, 7, 8, 9, 11],
+        &[3, 5, 7, 8, 9, 10, 11],
+        &[5, 7, 9, 10, 11, 12, 13],
+        &[7, 9, 10, 11, 12, 13, 15, 16],
+        &[7, 9, 10, 11, 14, 15, 16],
+        &[9, 11, 14, 16, 17],
+        &[10, 12, 13, 15, 16, 18],
+        &[12, 18, 20],
+        &[14, 15, 16, 21, 22],
+        &[16, 17, 19],
+        &[16, 23],
+    ];
+    const EDGES: [(usize, usize); 13] = [
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (6, 5),
+        (7, 6),
+        (0, 1),
+        (4, 5),
+        (9, 6),
+        (8, 7),
+        (11, 7),
+        (12, 8),
+        (10, 9),
+        (13, 6),
+    ];
+    let scope = |vars: &[u32]| Domain::new(vars.iter().map(|&v| (VarId(v), 5)).collect());
+    EDGES
+        .iter()
+        .flat_map(|&(a, b)| {
+            let sep: Vec<u32> = CLIQUES[a]
+                .iter()
+                .copied()
+                .filter(|v| CLIQUES[b].contains(v))
+                .collect();
+            [a, b].map(|c| (scope(CLIQUES[c]), scope(&sep)))
+        })
+        .collect()
 }
 
 fn layout_index(layout: Layout) -> usize {
@@ -352,10 +456,18 @@ fn check_case(
     assert_bits(&got, &want_mul, "extend_multiply_range", case);
 
     // One-pass rebuild into a stale destination: the same products as
-    // copy + extend_multiply.
+    // copy + extend_multiply — whole, and at awkward cuts.
     let mut got = vec![f64::NAN; sup.size()];
     plan.extend_multiply_from(&table, &mut got, &msg);
     assert_bits(&got, &want_mul, "extend_multiply_from", case);
+    let mut got = vec![f64::NAN; sup.size()];
+    for cut in awkward_cuts(sup.size()).windows(2) {
+        let (lo, hi) = (cut[0], cut[1]);
+        plan.extend_multiply_range_from(&table[lo..hi], &mut got[lo..hi], &msg, lo);
+    }
+    assert_bits(&got, &want_mul, "extend_multiply_range_from", case);
+
+    check_walk_seams(&plan, &table, &msg, &want, &want_mul, case);
 
     // Fused collect kernel: multiply by a message on `mul_sub`, then
     // marginalize onto `sub`, each output slot in ascending source order.
@@ -373,11 +485,96 @@ fn check_case(
     multiply_marginalize(&mul, &plan, &mut got_table, &mul_msg, &mut got_out);
     assert_bits(&got_table, &want_table, "multiply_marginalize clique", case);
     assert_bits(&got_out, &want_out, "multiply_marginalize message", case);
+    // ... and as the first write of a clique whose values live elsewhere.
+    let (mut got_table, mut got_out) = (vec![f64::NAN; sup.size()], vec![f64::NAN; sub.size()]);
+    multiply_marginalize_from(&mul, &plan, &table, &mut got_table, &mul_msg, &mut got_out);
+    assert_bits(
+        &got_table,
+        &want_table,
+        "multiply_marginalize_from clique",
+        case,
+    );
+    assert_bits(
+        &got_out,
+        &want_out,
+        "multiply_marginalize_from message",
+        case,
+    );
     plan
 }
 
-/// Whether `multiply_marginalize(mul, marg, …)` takes its single fused
-/// odometer walk: both plans unprogrammed and generic.
+/// `0, step, 2·step, …, n`.
+fn cuts_every(n: usize, step: usize) -> Vec<usize> {
+    let mut cuts: Vec<usize> = (0..n).step_by(step.max(1)).collect();
+    cuts.push(n);
+    cuts
+}
+
+/// The chunked kernels at the walk's own seams, against the decode
+/// reference (`want` the marginal, `want_mul` the extension): the fold and
+/// the ranged extension cut at 32-lane boundaries (where the fold's lane
+/// blocks and the rows of the extension restart), the ranged
+/// marginalization at every slot unit and in two halves, the same slots
+/// rebuilt from their footprint stretches, and — where the plan owns its
+/// slots in blocks — block by block.
+fn check_walk_seams(
+    plan: &KernelPlan,
+    table: &[f64],
+    msg: &[f64],
+    want: &[f64],
+    want_mul: &[f64],
+    case: u64,
+) {
+    let (sup, sub) = (plan.sup_size(), plan.sub_size());
+    let mut folded = vec![f64::NAN; sub];
+    for cut in cuts_every(sub, 32).windows(2) {
+        plan.marginalize_fold(table, cut[0], cut[1], |t, acc| folded[t] = acc);
+    }
+    assert_bits(&folded, want, "marginalize_fold at lane cuts", case);
+    let mut got = table.to_vec();
+    for cut in cuts_every(sup, 32 * 3).windows(2) {
+        plan.extend_multiply_range(&mut got[cut[0]..cut[1]], msg, cut[0]);
+    }
+    assert_bits(&got, want_mul, "extend_multiply_range at lane cuts", case);
+
+    let unit = plan.slot_unit();
+    let mut ranged = vec![f64::NAN; sub];
+    for (k, part) in ranged.chunks_mut(unit).enumerate() {
+        plan.marginalize_range(table, k * unit, part);
+    }
+    assert_bits(&ranged, want, "marginalize_range by unit", case);
+    let mid = sub / unit / 2 * unit;
+    let (left, right) = ranged.split_at_mut(mid);
+    plan.marginalize_range(table, 0, left);
+    plan.marginalize_range(table, mid, right);
+    assert_bits(&ranged, want, "marginalize_range halves", case);
+    if plan.layout() == Layout::Identity {
+        return;
+    }
+    let mut stretched = vec![f64::NAN; sub];
+    for (k, part) in stretched.chunks_mut(unit).enumerate() {
+        let lo = k * unit;
+        part.fill(0.0);
+        for stretch in plan.footprint(lo, lo + part.len()) {
+            let start = stretch.start;
+            plan.marginalize_add(&table[stretch], start, part, lo);
+        }
+    }
+    assert_bits(&stretched, want, "marginalize_add over footprints", case);
+    if let Some(block) = plan.block_entries() {
+        let mut blocks = vec![f64::NAN; sub];
+        for cut in cuts_every(sup, 3 * block).windows(2) {
+            let (s0, s1) = (plan.block_slot(cut[0]), plan.block_slot(cut[1]));
+            blocks[s0..s1].fill(0.0);
+            plan.marginalize_add(&table[cut[0]..cut[1]], cut[0], &mut blocks[s0..s1], s0);
+        }
+        assert_bits(&blocks, want, "marginalize_add by blocks", case);
+    }
+}
+
+/// Whether `mul` and `marg` are both unprogrammed `Generic` plans — the
+/// pair that once took a single fused odometer walk, and that now runs
+/// the two walks like every other pair above the program constant.
 fn walks_fused(mul: &KernelPlan, marg: &KernelPlan) -> bool {
     let generic = |p: &KernelPlan| !p.is_programmed() && p.layout() == Layout::Generic;
     generic(mul) && generic(marg)
@@ -392,9 +589,9 @@ fn first_write_kernels_equal_copy_then_in_place_bitwise() {
     // program — must equal copying its source into the destination and
     // running the in-place kernel, bit for bit: whole-table, chunked at
     // awkward cuts, and fused with the next marginalization (including
-    // the generic/generic single walk).
+    // generic/generic pairs above the constant).
     let mut rebuilt = [[false; 4]; 2]; // [programmed] × layout
-    let mut fused_walks = 0u32;
+    let mut generic_pairs = 0u32;
     for n in 1..=6usize {
         for mask in 0u32..1 << n {
             for draw in 0..3u64 {
@@ -421,7 +618,7 @@ fn first_write_kernels_equal_copy_then_in_place_bitwise() {
                 let mul_sub = vars(rng.below(1 << n) as u32);
                 let (plan, mul) = (KernelPlan::new(&sup, &sub), KernelPlan::new(&sup, &mul_sub));
                 rebuilt[plan.is_programmed() as usize][layout_index(plan.layout())] = true;
-                fused_walks += walks_fused(&mul, &plan) as u32;
+                generic_pairs += walks_fused(&mul, &plan) as u32;
 
                 let src = random_values(&mut rng, sup.size());
                 let msg = random_values(&mut rng, sub.size());
@@ -467,8 +664,8 @@ fn first_write_kernels_equal_copy_then_in_place_bitwise() {
     // `Identity` never has a program; every other layout runs both ways.
     assert_eq!(rebuilt, [[true; 4], [false, true, true, true]]);
     assert!(
-        fused_walks > 0,
-        "no generic/generic pair took the fused walk"
+        generic_pairs > 0,
+        "no generic/generic pair above the program constant"
     );
 }
 

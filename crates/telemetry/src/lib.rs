@@ -67,5 +67,6 @@ pub use prom::prometheus_text;
 pub use registry::{MetricsRegistry, MetricsSnapshot};
 pub use trace::{
     NameId, SlowEntry, SpanRecord, TraceConfig, TraceToken, TraceView, Tracer, SPAN_COLLECT,
-    SPAN_COMPUTE, SPAN_DELIVERY, SPAN_DISTRIBUTE, SPAN_QUEUE_WAIT, SPAN_REQUEST, SPAN_WINDOW,
+    SPAN_COMPUTE, SPAN_DELIVERY, SPAN_DISTRIBUTE, SPAN_EXTRACT, SPAN_QUEUE_WAIT, SPAN_RECV_PHASE,
+    SPAN_REQUEST, SPAN_SEP_PHASE, SPAN_WINDOW,
 };

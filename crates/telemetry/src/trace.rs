@@ -62,8 +62,18 @@ pub const SPAN_DELIVERY: NameId = NameId(4);
 pub const SPAN_COLLECT: NameId = NameId(5);
 /// Engine propagation, distribute (downward) phase.
 pub const SPAN_DISTRIBUTE: NameId = NameId(6);
+/// One flattened layer's separator phase, under its collect/distribute
+/// span: `tag` = layer index in its pass, `aux` = sender entries read.
+pub const SPAN_SEP_PHASE: NameId = NameId(7);
+/// One flattened layer's receiver phase, under its collect/distribute
+/// span: `tag` = layer index in its pass, `aux` = receiver entries
+/// written.
+pub const SPAN_RECV_PHASE: NameId = NameId(8);
+/// All-marginals extraction run as a pool region over the variables:
+/// `aux` = home-clique entries above the run-program cut.
+pub const SPAN_EXTRACT: NameId = NameId(9);
 
-const WELL_KNOWN: [&str; 7] = [
+const WELL_KNOWN: [&str; 10] = [
     "request",
     "queue_wait",
     "window",
@@ -71,6 +81,9 @@ const WELL_KNOWN: [&str; 7] = [
     "delivery",
     "collect",
     "distribute",
+    "sep_phase",
+    "recv_phase",
+    "extract",
 ];
 const FIRST_DYNAMIC: u32 = WELL_KNOWN.len() as u32;
 
@@ -106,7 +119,8 @@ impl Default for TraceConfig {
 
 /// One completed span, as recorded and as read back. `tag`/`aux` are
 /// span-kind-specific payload: batch size and model name id on
-/// `request` spans, layout class and clique index on `kernel` spans,
+/// `request` spans, layer index and entry count on `sep_phase` /
+/// `recv_phase` spans, layout class and clique index on `kernel` spans,
 /// zero elsewhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {

@@ -44,6 +44,21 @@ fn hybrid(prepared: &Arc<Prepared>, threads: usize) -> Solver {
     solver(prepared, EngineKind::Hybrid, threads)
 }
 
+/// The extraction regions an all-marginals query opens at width
+/// `threads` (the driver's rule, mirrored): one when the distinct home
+/// cliques above the program constant hold at least the break-even.
+fn extraction_regions(prepared: &Prepared, threads: usize) -> u64 {
+    let mut homes = prepared.home.clone();
+    homes.sort_unstable();
+    homes.dedup();
+    let large: usize = homes
+        .iter()
+        .map(|&c| prepared.clique_domains[c].size())
+        .filter(|&size| size > PROGRAM_MAX_ENTRIES)
+        .sum();
+    (threads > 1 && large >= PARALLEL_MIN_ENTRIES) as u64
+}
+
 /// Pool regions `solver` opens for one all-marginals query per case,
 /// from `PoolStats::regions_started` deltas.
 fn regions_opened(solver: &Solver, queries: &[Query]) -> u64 {
@@ -144,8 +159,10 @@ fn decision_boundary_is_bitwise_safe() {
             let solver = Arc::new(hybrid(&prepared, threads));
 
             // The phases really fall where the network was built to put
-            // them (and nowhere but inline at width 1).
-            let regions = regions_opened(&solver, &queries[..1]);
+            // them (and nowhere but inline at width 1); the query's
+            // extraction region, if the rule gives it one, comes on top.
+            let regions =
+                regions_opened(&solver, &queries[..1]) - extraction_regions(&prepared, threads);
             let as_expected = match expect {
                 _ if threads == 1 => regions == 0,
                 Regions::None => regions == 0,
@@ -234,7 +251,8 @@ fn program_boundary_is_bitwise_safe() {
         assert_paths_match(&format!("{name} seq"), &seq, &queries, &expected);
         for threads in [1usize, 2, 4] {
             let solver = Arc::new(hybrid(&prepared, threads));
-            let regions = regions_opened(&solver, &queries[..1]);
+            let regions =
+                regions_opened(&solver, &queries[..1]) - extraction_regions(&prepared, threads);
             if threads == 1 {
                 assert_eq!(regions, 0, "{name}: width 1 runs inline");
             } else {

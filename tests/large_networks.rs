@@ -4,10 +4,13 @@
 
 use std::sync::Arc;
 
+use fastbn::bayesnet::sampler;
 use fastbn::inference::validate::assert_engines_agree;
 use fastbn::jtree::{root_tree, LayerSchedule, RootStrategy};
-use fastbn::{EngineKind, Prepared, Solver};
-use fastbn_bench::workloads::{all_workloads, workload_by_name};
+use fastbn::{
+    EngineKind, EvidenceDelta, Posteriors, Prepared, Query, QueryBatch, QueryResult, Solver,
+};
+use fastbn_bench::workloads::{adaptivity_workloads, all_workloads, workload_by_name};
 
 #[test]
 fn workload_structures_are_tractable() {
@@ -58,6 +61,87 @@ fn parallel_engines_agree_with_seq_on_large_analogues() {
                 let a = seq_session.posteriors(ev).unwrap();
                 let b = session.posteriors(ev).unwrap();
                 assert_eq!(a.max_abs_diff(&b), 0.0, "{name}/{kind}");
+            }
+        }
+    }
+}
+
+/// `a` and `b` carry the same bits: every marginal and `P(e)`.
+fn assert_bitwise(label: &str, a: &Posteriors, b: &Posteriors) {
+    assert_eq!(
+        a.prob_evidence.to_bits(),
+        b.prob_evidence.to_bits(),
+        "{label}: P(e)"
+    );
+    for (v, (x, y)) in a.marginals().iter().zip(b.marginals()).enumerate() {
+        let same = x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits());
+        assert!(same, "{label}: marginal of var {v}: {x:?} vs {y:?}");
+    }
+}
+
+/// The pigs and munin2 analogues above have every table under the
+/// run-program constant; `few-large-cliques` (14 cliques, the largest
+/// 390 625 entries) is the one whose kernels walk their groups and whose
+/// hybrid layers run as pool regions — separator tasks by slot ranges,
+/// receiver tasks sending the next layer's separators ahead, extraction
+/// as a region over the variables. Every parallel configuration at
+/// t ∈ {2, 3}, and `Reference`, must equal `Seq` bit for bit through
+/// `Session::run`, `run_batch` and a `LiveSession` edit stream. One case
+/// in debug builds, six under `--release`.
+#[test]
+fn engines_match_seq_bitwise_on_few_large_cliques() {
+    let (_, net) = adaptivity_workloads()
+        .into_iter()
+        .find(|(name, _)| *name == "few-large-cliques")
+        .unwrap();
+    let prepared = Arc::new(Prepared::new(&net, &Default::default()));
+    let cases = if cfg!(debug_assertions) { 1 } else { 6 };
+    let queries: Vec<Query> = sampler::generate_cases(&net, cases, 0.2, 0xF1C)
+        .into_iter()
+        .map(|c| Query::new().evidence(c.evidence))
+        .collect();
+    let seq = Solver::from_prepared(prepared.clone()).build();
+    let mut seq_session = seq.session();
+    let expected: Vec<Posteriors> = queries
+        .iter()
+        .map(|q| seq_session.run(q).unwrap().into_posteriors().unwrap())
+        .collect();
+
+    let configurations = EngineKind::parallel()
+        .into_iter()
+        .flat_map(|kind| [(kind, 2), (kind, 3)])
+        .chain([(EngineKind::Reference, 1)]);
+    for (kind, threads) in configurations {
+        let label = format!("{kind} t={threads}");
+        let solver = Arc::new(
+            Solver::from_prepared(prepared.clone())
+                .engine(kind)
+                .threads(threads)
+                .build(),
+        );
+        let mut session = solver.session();
+        for (i, query) in queries.iter().enumerate() {
+            let got = session.run(query).unwrap().into_posteriors().unwrap();
+            assert_bitwise(&format!("{label} run {i}"), &got, &expected[i]);
+        }
+        let batch: QueryBatch = queries.iter().cloned().collect();
+        for (i, result) in session.run_batch(&batch).into_iter().enumerate() {
+            let Ok(QueryResult::Marginals(got)) = result else {
+                panic!("{label} batch slot {i}: {result:?}");
+            };
+            assert_bitwise(&format!("{label} batch {i}"), &got, &expected[i]);
+        }
+        // Each case's findings arrive one at a time, then are retracted.
+        let mut live = solver.live_session();
+        for (i, query) in queries.iter().enumerate() {
+            let findings: Vec<_> = query.get_evidence().iter().collect();
+            for &(var, state) in &findings {
+                live.apply(EvidenceDelta::observe(var, state)).unwrap();
+            }
+            let got = live.posteriors().unwrap();
+            assert_bitwise(&format!("{label} live {i}"), &got, &expected[i]);
+            for &(var, _) in &findings {
+                live.apply(EvidenceDelta::retract(var)).unwrap();
             }
         }
     }

@@ -7,6 +7,9 @@
 //! * sampled traces form a well-formed tree — one root request span,
 //!   every other span parented inside the same trace, engine
 //!   collect/distribute phases nested under the compute stage;
+//! * a flattened layer records one span per phase under its
+//!   collect/distribute span, tagged with the layer's index and the
+//!   phase's entry count, and a parallel extraction one span of its own;
 //! * head sampling is 1-in-N by trace id (0 turns it off), the
 //!   slow-query log stays **exact** either way (one entry counted per
 //!   delivered request over the threshold), and the drain invariant
@@ -18,8 +21,8 @@ use std::time::Duration;
 
 use fastbn::bayesnet::{datasets, sampler};
 use fastbn::telemetry::trace::{
-    SPAN_COLLECT, SPAN_COMPUTE, SPAN_DELIVERY, SPAN_DISTRIBUTE, SPAN_QUEUE_WAIT, SPAN_REQUEST,
-    SPAN_WINDOW,
+    SPAN_COLLECT, SPAN_COMPUTE, SPAN_DELIVERY, SPAN_DISTRIBUTE, SPAN_EXTRACT, SPAN_QUEUE_WAIT,
+    SPAN_RECV_PHASE, SPAN_REQUEST, SPAN_SEP_PHASE, SPAN_WINDOW,
 };
 use fastbn::{
     EngineKind, Prepared, Query, QueryBatch, QueryResult, ServeError, Server, Solver, TraceConfig,
@@ -246,6 +249,69 @@ fn sampled_traces_form_well_formed_trees() {
         saw_engine_phase,
         "at least one retained trace must reach into the engine"
     );
+}
+
+/// On `few-large-cliques` every layer of a two-thread hybrid query is
+/// phased: each records a separator-phase and a receiver-phase span under
+/// its pass's span, `tag` = the layer's index in the pass, `aux` = the
+/// receiver entries its receiver phase writes; the extraction region
+/// records one span beside the passes.
+#[test]
+fn flattened_layers_record_one_span_per_phase() {
+    let (_, net) = fastbn_bench::workloads::adaptivity_workloads()
+        .into_iter()
+        .find(|(name, _)| *name == "few-large-cliques")
+        .unwrap();
+    let prepared = Arc::new(Prepared::new(&net, &Default::default()));
+    let solver = Solver::from_prepared(prepared.clone())
+        .engine(EngineKind::Hybrid)
+        .threads(2)
+        .build();
+    let case = &sampler::generate_cases(&net, 1, 0.2, 3)[0];
+    let batch = QueryBatch::from(vec![Query::new().evidence(case.evidence.clone())]);
+    let tracer = trace_everything();
+    let ctx = TraceContext {
+        tracer: Arc::clone(&tracer),
+        trace: tracer.begin_trace().trace,
+        parent: tracer.next_span(),
+    };
+    let traced = solver.query_batch_traced(&batch, &[Some(ctx.clone())]);
+    assert!(traced[0].is_ok());
+
+    let spans = tracer.recent_spans();
+    let schedule = &prepared.built.schedule;
+    let size = |c: usize| prepared.clique_domains[c].size() as u64;
+    for (pass, layers, collect) in [
+        (SPAN_COLLECT, &schedule.collect_layers, true),
+        (SPAN_DISTRIBUTE, &schedule.distribute_layers, false),
+    ] {
+        let pass = spans.iter().find(|s| s.name == pass).expect("a pass span");
+        assert_eq!(pass.parent, ctx.parent);
+        for phase in [SPAN_SEP_PHASE, SPAN_RECV_PHASE] {
+            let mut tags: Vec<(u64, u64)> = spans
+                .iter()
+                .filter(|s| s.name == phase && s.parent == pass.span)
+                .map(|s| (s.tag, s.aux))
+                .collect();
+            tags.sort_unstable();
+            let want: Vec<u64> = (0..layers.len() as u64).collect();
+            assert_eq!(tags.iter().map(|t| t.0).collect::<Vec<_>>(), want);
+            if phase == SPAN_RECV_PHASE {
+                for (&(layer, aux), ids) in tags.iter().zip(layers) {
+                    let written: u64 = ids
+                        .iter()
+                        .map(|&id| schedule.messages[id])
+                        .map(|m| size(if collect { m.parent } else { m.child }))
+                        .sum();
+                    assert_eq!(aux, written, "receiver entries of layer {layer}");
+                }
+            }
+        }
+    }
+    let extract: Vec<_> = spans.iter().filter(|s| s.name == SPAN_EXTRACT).collect();
+    assert_eq!(extract.len(), 1);
+    assert_eq!(extract[0].parent, ctx.parent);
+    assert!(extract[0].aux > 0);
 }
 
 #[test]
