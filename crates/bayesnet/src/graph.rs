@@ -93,11 +93,6 @@ impl Dag {
         &self.children[node as usize]
     }
 
-    /// In-degree of `node`.
-    pub fn in_degree(&self, node: u32) -> usize {
-        self.parents[node as usize].len()
-    }
-
     /// Largest in-degree over all nodes (0 for the empty graph).
     pub fn max_in_degree(&self) -> usize {
         self.parents.iter().map(Vec::len).max().unwrap_or(0)
@@ -134,23 +129,10 @@ impl Dag {
     /// All ancestors of the given seed set (excluding the seeds themselves
     /// unless reachable), as a boolean mask.
     pub fn ancestor_mask(&self, seeds: impl IntoIterator<Item = u32>) -> Vec<bool> {
-        self.reach_mask(seeds, |v| &self.parents[v as usize])
-    }
-
-    /// All descendants of the given seed set, as a boolean mask.
-    pub fn descendant_mask(&self, seeds: impl IntoIterator<Item = u32>) -> Vec<bool> {
-        self.reach_mask(seeds, |v| &self.children[v as usize])
-    }
-
-    fn reach_mask<'a>(
-        &'a self,
-        seeds: impl IntoIterator<Item = u32>,
-        step: impl Fn(u32) -> &'a [u32],
-    ) -> Vec<bool> {
         let mut mask = vec![false; self.num_nodes()];
         let mut stack: Vec<u32> = seeds.into_iter().collect();
         while let Some(v) = stack.pop() {
-            for &next in step(v) {
+            for &next in &self.parents[v as usize] {
                 if !mask[next as usize] {
                     mask[next as usize] = true;
                     stack.push(next);
@@ -370,7 +352,8 @@ mod tests {
         let g = student_dag();
         let anc = g.ancestor_mask([4]);
         assert_eq!(anc, vec![true, true, true, false, false]);
-        let desc = g.descendant_mask([1]);
+        // The descendants of 1 are the nodes with 1 among their ancestors.
+        let desc: Vec<bool> = (0..5).map(|v| g.ancestor_mask([v])[1]).collect();
         assert_eq!(desc, vec![false, false, true, true, true]);
     }
 

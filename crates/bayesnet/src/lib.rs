@@ -29,6 +29,7 @@
 // crates/analyze); everything here must stay checkable by construction.
 #![forbid(unsafe_code)]
 
+pub mod analogues;
 pub mod bif;
 pub mod cpt;
 pub mod datasets;

@@ -28,6 +28,9 @@ pub struct BayesianNetwork {
 pub enum NetworkError {
     /// Two variables share a name.
     DuplicateVariableName(String),
+    /// A network, variable or state name contains `"`, which BIF text
+    /// cannot quote.
+    QuoteInName(String),
     /// A CPT refers to an unknown variable id.
     UnknownVariable(VarId),
     /// `set_cpt` was called twice for the same child.
@@ -58,6 +61,9 @@ impl std::fmt::Display for NetworkError {
         match self {
             NetworkError::DuplicateVariableName(name) => {
                 write!(f, "duplicate variable name {name:?}")
+            }
+            NetworkError::QuoteInName(name) => {
+                write!(f, "name {name:?} contains a double quote")
             }
             NetworkError::UnknownVariable(v) => write!(f, "unknown variable {v}"),
             NetworkError::DuplicateCpt(v) => write!(f, "CPT for {v} set twice"),
@@ -172,27 +178,6 @@ impl BayesianNetwork {
     pub fn max_in_degree(&self) -> usize {
         self.dag.max_in_degree()
     }
-
-    /// Largest state count.
-    pub fn max_cardinality(&self) -> usize {
-        self.variables
-            .iter()
-            .map(Variable::cardinality)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean state count.
-    pub fn avg_cardinality(&self) -> f64 {
-        if self.variables.is_empty() {
-            return 0.0;
-        }
-        self.variables
-            .iter()
-            .map(|v| v.cardinality() as f64)
-            .sum::<f64>()
-            / self.variables.len() as f64
-    }
 }
 
 /// Staged construction of a [`BayesianNetwork`].
@@ -273,6 +258,18 @@ impl NetworkBuilder {
         if let Some(name) = self.duplicate_name {
             return Err(NetworkError::DuplicateVariableName(name));
         }
+        // Every name must survive `bif::to_bif_string`, which quotes but
+        // cannot escape.
+        let names = self
+            .variables
+            .iter()
+            .flat_map(|v| std::iter::once(v.name()).chain(v.states().iter().map(String::as_str)));
+        if let Some(name) = std::iter::once(self.name.as_str())
+            .chain(names)
+            .find(|name| name.contains('"'))
+        {
+            return Err(NetworkError::QuoteInName(name.to_string()));
+        }
         let n = self.variables.len();
         let mut cpts = Vec::with_capacity(n);
         for (i, slot) in self.cpts.into_iter().enumerate() {
@@ -345,8 +342,6 @@ mod tests {
         assert_eq!(net.children(VarId(0)).collect::<Vec<_>>(), vec![VarId(1)]);
         assert_eq!(net.topological_order(), &[0, 1]);
         assert_eq!(net.max_in_degree(), 1);
-        assert_eq!(net.max_cardinality(), 2);
-        assert!((net.avg_cardinality() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -378,6 +373,27 @@ mod tests {
             b.build().unwrap_err(),
             NetworkError::DuplicateVariableName("A".into())
         );
+    }
+
+    #[test]
+    fn quote_in_any_name_rejected_at_build() {
+        let build = |network: &str, var: &str, state: &str| {
+            let mut b = NetworkBuilder::new().named(network);
+            let v = b.add_var(var, &["yes", state]);
+            b.set_cpt(v, vec![], vec![0.5, 0.5]).unwrap();
+            b.build()
+        };
+        assert!(build("n", "v", "no").is_ok());
+        for (network, var, state, bad) in [
+            ("a\"b", "v", "no", "a\"b"),
+            ("n", "a\"b", "no", "a\"b"),
+            ("n", "v", "no\"x", "no\"x"),
+        ] {
+            assert_eq!(
+                build(network, var, state).unwrap_err(),
+                NetworkError::QuoteInName(bad.into())
+            );
+        }
     }
 
     #[test]

@@ -1,28 +1,22 @@
 //! BIF ingestion under adversarial input (seeded, no proptest in the
 //! build environment): byte mutations and truncations of real BIF text
 //! return a network or a typed `BifError` and never panic, and parse →
-//! print → parse is a fixed point on every dataset and on the networks
-//! the acceptance benchmark loads.
-
-#[path = "common/analogues.rs"]
-mod analogues;
+//! print → parse is a fixed point on every dataset and on every paper
+//! analogue (a superset of the networks the acceptance benchmark loads).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fastbn_bayesnet::bif::{parse_str, to_bif_string};
-use fastbn_bayesnet::generators::windowed_dag;
-use fastbn_bayesnet::{datasets, BayesianNetwork, VarId};
+use fastbn_bayesnet::{analogues, datasets, BayesianNetwork, VarId};
 
 /// Replacement bytes: delimiters, quote, space, comment characters,
 /// digits and the letters of `nan`, `inf`-like words and exponents.
 const REPLACEMENTS: &[u8] = b"{}()[];,|\" /*0123456789.-enax";
 
 fn hailfinder() -> BayesianNetwork {
-    let spec = analogues::benchmark_analogues()
-        .into_iter()
-        .find(|s| s.name == "hailfinder-analogue")
-        .expect("hailfinder analogue");
-    windowed_dag(&spec)
+    analogues::by_name("hailfinder")
+        .expect("hailfinder analogue")
+        .build()
 }
 
 /// Parses `input`, turning a panic into a test failure that names the
@@ -118,9 +112,16 @@ fn parse_print_parse_is_a_fixed_point() {
         .into_iter()
         .map(|name| (name.to_string(), datasets::by_name(name).expect(name)))
         .collect();
-    for spec in analogues::benchmark_analogues() {
-        nets.push((spec.name.clone(), windowed_dag(&spec)));
-    }
+    nets.extend(
+        analogues::all()
+            .iter()
+            .map(|a| (a.name.to_string(), a.build())),
+    );
+    nets.extend(
+        analogues::adaptivity()
+            .into_iter()
+            .map(|(name, net)| (name.to_string(), net)),
+    );
     for (name, net) in nets {
         let text = to_bif_string(&net);
         let back = parse_str(&text).unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -154,7 +154,7 @@ impl EngineKind {
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // `pad`, not `write_str`: width/alignment flags ({:<14}) must
-        // work, the bench bins rely on them for column layout.
+        // work, the report examples rely on them for column layout.
         f.pad(self.name())
     }
 }

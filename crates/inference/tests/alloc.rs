@@ -13,9 +13,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use fastbn_bayesnet::generators::{ArityDist, CptStyle, WindowedDagSpec};
 use fastbn_bayesnet::{
-    datasets, generators, sampler, BayesianNetwork, Evidence, NetworkBuilder, VarId,
+    analogues, datasets, generators, sampler, BayesianNetwork, Evidence, NetworkBuilder, VarId,
 };
 use fastbn_inference::{
     make_engine, EngineKind, EvidenceDelta, InferenceEngine, Prepared, Query, Session, Solver,
@@ -212,21 +211,16 @@ fn lazy_reset_adds_no_allocation() {
     }
 }
 
-/// `fastbn-bench`'s `few-large-cliques` analogue (14 cliques of five-state
+/// The `few-large-cliques` adaptivity analogue (14 cliques of five-state
 /// variables, the largest 390 625 entries): the one network whose tables
 /// all run the group walks and whose hybrid layers and extraction are
 /// pool regions.
 fn few_large_cliques() -> BayesianNetwork {
-    generators::windowed_dag(&WindowedDagSpec {
-        name: "few-large-cliques".into(),
-        nodes: 24,
-        target_arcs: 60,
-        max_parents: 4,
-        window: 8,
-        arity: ArityDist::Fixed(5),
-        cpt: CptStyle { alpha: 1.0 },
-        seed: 0x00A1,
-    })
+    analogues::adaptivity()
+        .into_iter()
+        .find(|(name, _)| *name == "few-large-cliques")
+        .expect("adaptivity analogue")
+        .1
 }
 
 /// Flags every background worker of `pool` as a [`WORKER`]: one region

@@ -38,10 +38,6 @@ pub mod tree;
 pub mod triangulate;
 pub mod ugraph;
 
-#[cfg(test)]
-#[path = "../../bayesnet/tests/common/analogues.rs"]
-mod analogues;
-
 pub use build::{build_junction_tree, BuiltTree, JtreeOptions};
 pub use chordal::{is_chordal, maximum_cardinality_search};
 pub use layers::{LayerSchedule, Message};

@@ -81,23 +81,6 @@ pub fn root_tree(tree: &JunctionTree, strategy: RootStrategy) -> RootedTree {
     }
 }
 
-impl RootedTree {
-    /// Number of clique layers (`max_depth + 1`); the paper's layer count
-    /// (cliques *and* separators as nodes) is `2 * max_depth + 1`.
-    pub fn num_clique_layers(&self) -> usize {
-        self.max_depth + 1
-    }
-
-    /// Paper-style layer count with separators counted as tree nodes.
-    pub fn num_node_layers(&self) -> usize {
-        if self.max_depth == 0 {
-            1
-        } else {
-            2 * self.max_depth + 1
-        }
-    }
-}
-
 /// BFS distances from `start`, restricted to `component`'s cliques.
 fn bfs_dist(tree: &JunctionTree, start: usize) -> Vec<Option<(usize, usize)>> {
     // dist + predecessor, indexed by clique; None if unreachable.
@@ -185,14 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn node_layer_counts_match_paper_convention() {
-        let tree = path_tree(5); // diameter 4, center depth 2
-        let rooted = root_tree(&tree, RootStrategy::Center);
-        assert_eq!(rooted.num_clique_layers(), 3);
-        assert_eq!(rooted.num_node_layers(), 5); // C S C S C
-    }
-
-    #[test]
     fn parents_point_toward_the_root() {
         let tree = path_tree(5);
         let rooted = root_tree(&tree, RootStrategy::Center);
@@ -240,7 +215,6 @@ mod tests {
             let rooted = root_tree(&tree, strat);
             assert_eq!(rooted.roots, vec![0]);
             assert_eq!(rooted.max_depth, 0);
-            assert_eq!(rooted.num_node_layers(), 1);
         }
     }
 

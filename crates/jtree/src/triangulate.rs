@@ -252,6 +252,7 @@ pub fn is_chordal_via_order(graph: &UGraph, fill: &[(u32, u32)], order: &[u32]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastbn_bayesnet::analogues;
 
     const HEURISTICS: [EliminationHeuristic; 3] = [
         EliminationHeuristic::MinFill,
@@ -445,14 +446,15 @@ mod tests {
 
     #[test]
     fn two_hop_rescoring_matches_full_rescan_on_benchmark_analogues() {
-        for spec in crate::analogues::benchmark_analogues() {
-            let net = fastbn_bayesnet::generators::windowed_dag(&spec);
+        let paper = analogues::all().into_iter().map(|a| a.build());
+        let adaptivity = analogues::adaptivity().into_iter().map(|(_, net)| net);
+        for net in paper.chain(adaptivity) {
             let w: Vec<f64> = net
                 .cardinalities()
                 .iter()
                 .map(|&c| (c as f64).ln())
                 .collect();
-            assert_matches_full_rescan(&crate::moralize(&net), &w, &spec.name);
+            assert_matches_full_rescan(&crate::moralize(&net), &w, net.name());
         }
     }
 

@@ -12,9 +12,11 @@
 //!   order);
 //! * [`Odometer`] — an incremental mixed-radix counter that maintains the
 //!   mapped index in O(1) amortized per step, seedable at any position so
-//!   parallel chunks pay exactly one full decode each.
+//!   parallel chunks pay exactly one full decode each; the plan kernels'
+//!   walks step it once per run.
 
 use crate::domain::Domain;
+use crate::plan::MAX_PLAN_VARS;
 
 /// For each variable of `iter_domain` (the domain being enumerated), the
 /// stride of that variable in `target` — or 0 if the variable is absent
@@ -71,41 +73,44 @@ pub(crate) fn fiber_offsets(source: &Domain, target: &Domain) -> Vec<usize> {
 ///
 /// `advance` is O(1) amortized (a digit increment plus occasional carries);
 /// `seek` costs one full mixed-radix decode and is how a parallel chunk
-/// starts mid-range. Cards and strides are *borrowed*, so spinning up one
-/// odometer per parallel chunk costs a single small `digits` allocation —
-/// no stride-vector clones on the hot path.
-#[derive(Debug, Clone)]
+/// starts mid-range. Cards and strides are *borrowed* and the digits are
+/// stored inline (capacity [`MAX_PLAN_VARS`], which plan construction
+/// enforces), so spinning up one odometer per chunk, run or fold block
+/// allocates nothing.
 pub(crate) struct Odometer<'a> {
     cards: &'a [usize],
     /// Stride of each iterated variable in the *target* table (0 if the
     /// variable is not part of the target), e.g. from
     /// [`embedding_strides`].
-    mapped_strides: &'a [usize],
-    digits: Vec<usize>,
+    strides: &'a [usize],
+    digits: [usize; MAX_PLAN_VARS],
     mapped: usize,
 }
 
 impl<'a> Odometer<'a> {
     /// Builds an odometer over the given cardinalities with explicit
     /// per-variable target strides (same length), starting at position 0.
-    pub fn new(cards: &'a [usize], mapped_strides: &'a [usize]) -> Self {
-        assert_eq!(mapped_strides.len(), cards.len());
+    #[inline]
+    pub fn new(cards: &'a [usize], strides: &'a [usize]) -> Self {
+        debug_assert_eq!(cards.len(), strides.len());
+        debug_assert!(cards.len() <= MAX_PLAN_VARS);
         Odometer {
             cards,
-            mapped_strides,
-            digits: vec![0; cards.len()],
+            strides,
+            digits: [0; MAX_PLAN_VARS],
             mapped: 0,
         }
     }
 
     /// Jumps to flat position `idx` of the iterated domain (one decode).
+    #[inline]
     pub fn seek(&mut self, idx: usize) {
         let mut rest = idx;
         self.mapped = 0;
         for i in (0..self.cards.len()).rev() {
             self.digits[i] = rest % self.cards[i];
             rest /= self.cards[i];
-            self.mapped += self.digits[i] * self.mapped_strides[i];
+            self.mapped += self.digits[i] * self.strides[i];
         }
         debug_assert_eq!(rest, 0, "seek past end of domain");
     }
@@ -126,11 +131,11 @@ impl<'a> Odometer<'a> {
             }
             i -= 1;
             self.digits[i] += 1;
-            self.mapped += self.mapped_strides[i];
+            self.mapped += self.strides[i];
             if self.digits[i] < self.cards[i] {
                 return;
             }
-            self.mapped -= self.mapped_strides[i] * self.cards[i];
+            self.mapped -= self.strides[i] * self.cards[i];
             self.digits[i] = 0;
         }
     }

@@ -188,7 +188,7 @@
 use std::ops::Range;
 
 use crate::domain::Domain;
-use crate::index_map::{embedding_strides, fiber_offsets};
+use crate::index_map::{embedding_strides, fiber_offsets, Odometer};
 
 /// Upper bound on superdomain variables for the inline odometer digits.
 /// A table over more than 32 discrete variables has at least 2³³ entries
@@ -993,7 +993,7 @@ impl Walk {
             0 => (1, 0, 0),
             k => (self.run_cards[k - 1], self.run_strides[k - 1], k - 1),
         };
-        let mut odo = InlineOdometer::new(&self.run_cards[..outer], &self.run_strides[..outer]);
+        let mut odo = Odometer::new(&self.run_cards[..outer], &self.run_strides[..outer]);
         odo.seek(lo / n / row);
         let (mut digit, mut skip, mut at) = (lo / n % row, lo % n, 0);
         while at < len {
@@ -1053,7 +1053,7 @@ impl Walk {
         let runs = !self.spread && stride != 1;
         debug_assert!(!runs || stride == self.run_len);
         let side = if runs { SIDE } else { LANES };
-        let mut odo = InlineOdometer::new(&self.slot_cards[..outer], &self.slot_strides[..outer]);
+        let mut odo = Odometer::new(&self.slot_cards[..outer], &self.slot_strides[..outer]);
         odo.seek(lo / lanes);
         let mut digit = lo % lanes;
         let mut t = lo;
@@ -1395,67 +1395,6 @@ fn multiply_from_summed<const N: usize>(src: &[f64], dst: &mut [f64], bases: &[u
     }
 }
 
-/// Mixed-radix odometer with **inline** digit storage — the allocation-free
-/// twin of [`crate::index_map::Odometer`] that the walks step once per run
-/// or per fold block, over merged groups.
-/// Capacity is [`MAX_PLAN_VARS`]; plan construction enforces the bound.
-struct InlineOdometer<'a> {
-    cards: &'a [usize],
-    strides: &'a [usize],
-    digits: [usize; MAX_PLAN_VARS],
-    mapped: usize,
-}
-
-impl<'a> InlineOdometer<'a> {
-    #[inline]
-    fn new(cards: &'a [usize], strides: &'a [usize]) -> Self {
-        debug_assert_eq!(cards.len(), strides.len());
-        debug_assert!(cards.len() <= MAX_PLAN_VARS);
-        InlineOdometer {
-            cards,
-            strides,
-            digits: [0; MAX_PLAN_VARS],
-            mapped: 0,
-        }
-    }
-
-    /// Jumps to flat position `idx` (one mixed-radix decode).
-    #[inline]
-    fn seek(&mut self, idx: usize) {
-        let mut rest = idx;
-        self.mapped = 0;
-        for i in (0..self.cards.len()).rev() {
-            self.digits[i] = rest % self.cards[i];
-            rest /= self.cards[i];
-            self.mapped += self.digits[i] * self.strides[i];
-        }
-        debug_assert_eq!(rest, 0, "seek past end of domain");
-    }
-
-    #[inline]
-    fn mapped(&self) -> usize {
-        self.mapped
-    }
-
-    #[inline]
-    fn advance(&mut self) {
-        let mut i = self.cards.len();
-        loop {
-            if i == 0 {
-                return; // wrapped past the last assignment
-            }
-            i -= 1;
-            self.digits[i] += 1;
-            self.mapped += self.strides[i];
-            if self.digits[i] < self.cards[i] {
-                return;
-            }
-            self.mapped -= self.strides[i] * self.cards[i];
-            self.digits[i] = 0;
-        }
-    }
-}
-
 /// Classifies how `sub`'s variables sit inside `sup`'s layout. Both
 /// variable lists are strictly ascending, so a subset that forms a
 /// contiguous suffix (prefix) of the list is automatically in matching
@@ -1518,7 +1457,7 @@ mod tests {
     /// per entry: the reference every walk and program is held to.
     fn per_entry_map(sup: &Domain, sub: &Domain) -> Vec<usize> {
         let strides = embedding_strides(sup, sub);
-        let mut odo = InlineOdometer::new(sup.cards(), &strides);
+        let mut odo = Odometer::new(sup.cards(), &strides);
         (0..sup.size())
             .map(|_| {
                 let m = odo.mapped();

@@ -108,11 +108,6 @@ impl PotentialTable {
         &self.domain
     }
 
-    /// Shared handle to the domain.
-    pub fn domain_arc(&self) -> &Arc<Domain> {
-        &self.domain
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -159,12 +154,6 @@ impl PotentialTable {
         }
         self.scale(1.0 / sum);
         Ok(sum)
-    }
-
-    /// Copies values from a same-domain table, reusing this allocation.
-    pub fn copy_values_from(&mut self, other: &PotentialTable) {
-        debug_assert_eq!(self.domain.vars(), other.domain.vars());
-        self.values.copy_from_slice(&other.values);
     }
 
     /// Value at the assignment given by `states` (aligned with
@@ -273,16 +262,5 @@ mod tests {
             let total: f64 = (0..2).map(|s0| t.value_at(&[s0, s3])).sum();
             assert!((total - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn copy_values_reuses_allocation() {
-        let d = domain_ab();
-        let src = PotentialTable::from_values(d.clone(), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let mut dst = PotentialTable::zeros(d);
-        let ptr_before = dst.values().as_ptr();
-        dst.copy_values_from(&src);
-        assert_eq!(dst.values().as_ptr(), ptr_before);
-        assert_eq!(dst.values(), src.values());
     }
 }

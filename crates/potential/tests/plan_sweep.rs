@@ -344,7 +344,7 @@ fn every_membership_pattern_matches_decode_reference_bitwise() {
 }
 
 /// Every (clique, separator) pair of the `few-large-cliques` analogue
-/// (`fastbn-bench`'s adaptivity workload: 24 five-state variables, 14
+/// (`fastbn_bayesnet::analogues::adaptivity`: 24 five-state variables, 14
 /// cliques, the largest 390 625 entries): both sides of its 13
 /// separators, each separator the intersection of its two cliques.
 fn few_large_cliques_plans() -> Vec<(Domain, Domain)> {

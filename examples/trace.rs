@@ -20,7 +20,7 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p fastbn-bench --bin trace -- \
+//! cargo run --release --example trace -- \
 //!     [--network hailfinder] [--engine hybrid] [--cases N] [--threads T] \
 //!     [--workers W] [--width B] [--delay-us D] [--sample N] [--traces K] \
 //!     [--quick]
@@ -35,12 +35,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fastbn_bench::measure::{prepare, solver_for};
-use fastbn_bench::workloads::workload_by_name;
-use fastbn_inference::{EngineKind, Query};
-use fastbn_registry::Server;
-use fastbn_telemetry::trace::{NameId, SpanRecord, TraceView, SPAN_REQUEST};
-use fastbn_telemetry::{Introspection, Json, TraceConfig, Tracer};
+use fastbn::bayesnet::analogues;
+use fastbn::telemetry::trace::{NameId, SpanRecord, TraceView, SPAN_REQUEST};
+use fastbn::telemetry::{Introspection, Json, TraceConfig, Tracer};
+use fastbn::{EngineKind, Query, Server, Solver};
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -165,7 +163,7 @@ fn main() {
     }
     let width = width.unwrap_or(threads).max(1);
 
-    let w = workload_by_name(&network).unwrap_or_else(|| panic!("unknown network {network:?}"));
+    let w = analogues::by_name(&network).unwrap_or_else(|| panic!("unknown network {network:?}"));
     let net = w.build();
     let cases = w.cases(&net, cases_n);
     // Slow threshold zero: every completed request enters the slow log,
@@ -176,7 +174,12 @@ fn main() {
         ring_capacity: 4096,
         slow_capacity: 64,
     }));
-    let solver = Arc::new(solver_for(engine, prepare(&net), threads));
+    let solver = Arc::new(
+        Solver::builder(&net)
+            .engine(engine)
+            .threads(threads)
+            .build(),
+    );
     let server = Server::builder(solver)
         .workers(workers)
         .max_batch(width)

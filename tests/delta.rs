@@ -193,7 +193,7 @@ fn edit_script_differential_sprinkler() {
 
 #[test]
 fn edit_script_differential_hailfinder() {
-    let workload = fastbn_bench::workloads::workload_by_name("hailfinder").unwrap();
+    let workload = fastbn::bayesnet::analogues::by_name("hailfinder").unwrap();
     run_script(&workload.build(), 0x4A11, 12);
 }
 
@@ -263,7 +263,7 @@ fn watched_marginal_stays_exact_across_stale_epochs() {
     // Observing Asia's deterministic or-gate can make the evidence
     // impossible; keep the stream on findings that propagate.
     let or_gate = vec![asia.var_id("TbOrCa").unwrap()];
-    let hailfinder = fastbn_bench::workloads::workload_by_name("hailfinder")
+    let hailfinder = fastbn::bayesnet::analogues::by_name("hailfinder")
         .unwrap()
         .build();
     for (name, net, exclude) in [

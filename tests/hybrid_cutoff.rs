@@ -15,13 +15,13 @@
 
 use std::sync::Arc;
 
+use fastbn::bayesnet::analogues;
 use fastbn::bayesnet::generators::{self, ArityDist, WindowedDagSpec};
 use fastbn::bayesnet::{datasets, sampler};
 use fastbn::{
     BayesianNetwork, EngineKind, EvidenceDelta, Posteriors, Prepared, Query, QueryBatch,
     QueryResult, Solver,
 };
-use fastbn_bench::workloads::{adaptivity_workloads, workload_by_name};
 
 mod common;
 use common::{straddling_networks, Regions};
@@ -344,9 +344,9 @@ fn programmed_tables_never_open_a_region() {
 
 #[test]
 fn small_models_open_no_region_and_large_ones_do() {
-    let pigs = workload_by_name("pigs").unwrap().build();
+    let pigs = analogues::by_name("pigs").unwrap().build();
     let asia = datasets::asia();
-    let (_, few_large) = adaptivity_workloads()
+    let (_, few_large) = analogues::adaptivity()
         .into_iter()
         .find(|(name, _)| *name == "few-large-cliques")
         .unwrap();

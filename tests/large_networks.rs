@@ -4,17 +4,17 @@
 
 use std::sync::Arc;
 
+use fastbn::bayesnet::analogues;
 use fastbn::bayesnet::sampler;
 use fastbn::inference::validate::assert_engines_agree;
 use fastbn::jtree::{root_tree, LayerSchedule, RootStrategy};
 use fastbn::{
     EngineKind, EvidenceDelta, Posteriors, Prepared, Query, QueryBatch, QueryResult, Solver,
 };
-use fastbn_bench::workloads::{adaptivity_workloads, all_workloads, workload_by_name};
 
 #[test]
 fn workload_structures_are_tractable() {
-    for w in all_workloads() {
+    for w in analogues::all() {
         let net = w.build();
         let prepared = Prepared::new(&net, &Default::default());
         let stats = fastbn::jtree::tree_stats(&net, &prepared.built);
@@ -34,7 +34,7 @@ fn workload_structures_are_tractable() {
 
 #[test]
 fn engines_agree_on_hailfinder_analogue() {
-    let w = workload_by_name("hailfinder").unwrap();
+    let w = analogues::by_name("hailfinder").unwrap();
     let net = w.build();
     let cases = w.cases(&net, 3);
     assert_engines_agree(&net, &cases, &[2], 1e-7);
@@ -45,7 +45,7 @@ fn parallel_engines_agree_with_seq_on_large_analogues() {
     // VE is too slow on the big nets; bitwise JT-vs-JT agreement is the
     // meaningful check here (VE agreement is covered on smaller nets).
     for name in ["pigs", "munin2"] {
-        let w = workload_by_name(name).unwrap();
+        let w = analogues::by_name(name).unwrap();
         let net = w.build();
         let prepared = Arc::new(Prepared::new(&net, &Default::default()));
         let cases = w.cases(&net, 2);
@@ -90,7 +90,7 @@ fn assert_bitwise(label: &str, a: &Posteriors, b: &Posteriors) {
 /// in debug builds, six under `--release`.
 #[test]
 fn engines_match_seq_bitwise_on_few_large_cliques() {
-    let (_, net) = adaptivity_workloads()
+    let (_, net) = analogues::adaptivity()
         .into_iter()
         .find(|(name, _)| *name == "few-large-cliques")
         .unwrap();
@@ -149,7 +149,7 @@ fn engines_match_seq_bitwise_on_few_large_cliques() {
 
 #[test]
 fn preparation_is_deterministic() {
-    let w = workload_by_name("pathfinder").unwrap();
+    let w = analogues::by_name("pathfinder").unwrap();
     let net1 = w.build();
     let net2 = w.build();
     let p1 = Prepared::new(&net1, &Default::default());
@@ -165,7 +165,7 @@ fn preparation_is_deterministic() {
 fn center_rooting_reduces_layers_on_benchmark_structures() {
     // The root-selection claim on the actual evaluation structures: the
     // center root must (roughly) halve the deepest-rooted layer count.
-    for w in all_workloads() {
+    for w in analogues::all() {
         let net = w.build();
         let built = fastbn::jtree::build_junction_tree(&net, &Default::default());
         let center = built.schedule.num_layers();
@@ -183,7 +183,7 @@ fn center_rooting_reduces_layers_on_benchmark_structures() {
 fn query_throughput_smoke() {
     // Ensure a full 10-case batch on a large analogue completes and every
     // posterior is a distribution (guards against silent NaN creep).
-    let w = workload_by_name("munin2").unwrap();
+    let w = analogues::by_name("munin2").unwrap();
     let net = w.build();
     let solver = Solver::builder(&net)
         .engine(EngineKind::Hybrid)

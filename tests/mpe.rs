@@ -2,10 +2,10 @@
 //! consistent with posterior inference and stable across networks, both
 //! through the standalone function and the MPE-mode Query.
 
+use fastbn::bayesnet::analogues;
 use fastbn::bayesnet::{datasets, sampler};
 use fastbn::inference::mpe::most_probable_explanation;
 use fastbn::{Evidence, Query, Solver, VarId};
-use fastbn_bench::workloads::workload_by_name;
 
 #[test]
 fn mpe_probability_never_exceeds_evidence_probability() {
@@ -67,7 +67,7 @@ fn query_mpe_matches_standalone_function() {
 fn mpe_on_paper_scale_network() {
     // Smoke test on the Pigs analogue: runs, satisfies evidence, yields a
     // positive probability matching a direct chain-rule evaluation.
-    let w = workload_by_name("pigs").unwrap();
+    let w = analogues::by_name("pigs").unwrap();
     let net = w.build();
     let solver = Solver::new(&net);
     let case = &sampler::generate_cases(&net, 1, 0.2, 5)[0];

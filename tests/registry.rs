@@ -22,12 +22,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use fastbn::bayesnet::analogues;
 use fastbn::bayesnet::{datasets, sampler};
 use fastbn::{
     BayesianNetwork, EngineKind, InferenceError, ModelStats, Prepared, Query, QueryResult,
     Registry, RegistryError, RoutedServer, ServeError, Server, Solver, SubmitErrorKind,
 };
-use fastbn_bench::workloads::workload_by_name;
 
 /// A mixed query stream for any network: sampled hard evidence plus a
 /// targeted marginal and an MPE request.
@@ -79,8 +79,8 @@ fn assert_matches_oracle(
 fn fixtures() -> Vec<(&'static str, Arc<Prepared>, Vec<Query>)> {
     let asia = datasets::asia();
     let sprinkler = datasets::sprinkler();
-    let hailfinder = workload_by_name("hailfinder")
-        .expect("bench workload exists")
+    let hailfinder = analogues::by_name("hailfinder")
+        .expect("paper analogue exists")
         .build();
     let mut fixtures = Vec::new();
     for (name, net, sampled, seed) in [
@@ -216,8 +216,8 @@ fn hot_unload_mid_traffic_never_perturbs_survivors() {
     // A slow model (diabetes: several ms per query) next to fast ones,
     // one worker — so the removal below lands while the slow model's
     // queries are queued or in flight.
-    let diabetes = workload_by_name("diabetes")
-        .expect("bench workload exists")
+    let diabetes = analogues::by_name("diabetes")
+        .expect("paper analogue exists")
         .build();
     let asia = datasets::asia();
     let slow = Arc::new(Solver::new(&diabetes));
@@ -311,8 +311,8 @@ fn unknown_model_submissions_fail_typed_with_query_returned() {
 
 #[test]
 fn eviction_only_touches_idle_models() {
-    let diabetes = workload_by_name("diabetes")
-        .expect("bench workload exists")
+    let diabetes = analogues::by_name("diabetes")
+        .expect("paper analogue exists")
         .build();
     let registry = Arc::new(Registry::builder().capacity(2).build());
     registry

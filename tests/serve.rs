@@ -18,12 +18,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use fastbn::bayesnet::analogues;
 use fastbn::bayesnet::{datasets, sampler};
 use fastbn::{
     EngineKind, InferenceError, Prepared, Query, QueryResult, ServeError, Server, Solver,
     SubmitErrorKind,
 };
-use fastbn_bench::workloads::workload_by_name;
 
 /// A mixed query stream over Asia, failing slots included.
 fn mixed_queries(net: &fastbn::BayesianNetwork, n_sampled: usize) -> Vec<Query> {
@@ -144,7 +144,7 @@ fn concurrent_submitters_match_sequential_oracle_for_every_engine() {
 /// A solver whose individual queries take several milliseconds, so the
 /// tests below can deterministically observe a busy worker.
 fn slow_solver() -> Arc<Solver> {
-    let w = workload_by_name("diabetes").expect("bench workload exists");
+    let w = analogues::by_name("diabetes").expect("paper analogue exists");
     Arc::new(Solver::new(&w.build()))
 }
 

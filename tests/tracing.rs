@@ -258,7 +258,7 @@ fn sampled_traces_form_well_formed_trees() {
 /// records one span beside the passes.
 #[test]
 fn flattened_layers_record_one_span_per_phase() {
-    let (_, net) = fastbn_bench::workloads::adaptivity_workloads()
+    let (_, net) = fastbn::bayesnet::analogues::adaptivity()
         .into_iter()
         .find(|(name, _)| *name == "few-large-cliques")
         .unwrap();
