@@ -31,6 +31,14 @@ pub enum NetworkError {
     /// A network, variable or state name contains `"`, which BIF text
     /// cannot quote.
     QuoteInName(String),
+    /// A variable lists the same state name twice, so BIF table rows
+    /// naming that state would collide.
+    DuplicateStateName {
+        /// The variable.
+        var: String,
+        /// The repeated state name.
+        state: String,
+    },
     /// A CPT refers to an unknown variable id.
     UnknownVariable(VarId),
     /// `set_cpt` was called twice for the same child.
@@ -64,6 +72,9 @@ impl std::fmt::Display for NetworkError {
             }
             NetworkError::QuoteInName(name) => {
                 write!(f, "name {name:?} contains a double quote")
+            }
+            NetworkError::DuplicateStateName { var, state } => {
+                write!(f, "variable {var:?} lists state {state:?} twice")
             }
             NetworkError::UnknownVariable(v) => write!(f, "unknown variable {v}"),
             NetworkError::DuplicateCpt(v) => write!(f, "CPT for {v} set twice"),
@@ -270,6 +281,19 @@ impl NetworkBuilder {
         {
             return Err(NetworkError::QuoteInName(name.to_string()));
         }
+        for var in &self.variables {
+            let states = var.states();
+            if let Some((_, state)) = states
+                .iter()
+                .enumerate()
+                .find(|&(i, state)| states[..i].contains(state))
+            {
+                return Err(NetworkError::DuplicateStateName {
+                    var: var.name().to_string(),
+                    state: state.clone(),
+                });
+            }
+        }
         let n = self.variables.len();
         let mut cpts = Vec::with_capacity(n);
         for (i, slot) in self.cpts.into_iter().enumerate() {
@@ -394,6 +418,24 @@ mod tests {
                 NetworkError::QuoteInName(bad.into())
             );
         }
+    }
+
+    #[test]
+    fn duplicate_state_name_rejected_at_build() {
+        // `A`'s states print as two `(x)` rows of `C`'s table, which the
+        // reader cannot tell apart.
+        let mut b = NetworkBuilder::new();
+        let a = b.add_var("A", &["x", "x"]);
+        let c = b.add_var("C", &["t", "f"]);
+        b.set_cpt(a, vec![], vec![0.5, 0.5]).unwrap();
+        b.set_cpt(c, vec![a], vec![0.5; 4]).unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            NetworkError::DuplicateStateName {
+                var: "A".into(),
+                state: "x".into()
+            }
+        );
     }
 
     #[test]

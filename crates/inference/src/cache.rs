@@ -14,13 +14,13 @@
 //! recomputation it replaces.
 //!
 //! The cache is sharded: keys hash to one of N independent shards, each
-//! behind its own mutex (the vendored `parking_lot` shim — non-poisoning
-//! `lock()`, swappable for the real crate), so concurrent sessions on
-//! different keys rarely contend. Each shard bounds both its **entry
-//! count** and its **approximate byte footprint**, evicting via the
-//! CLOCK second-chance sweep (an LRU approximation that avoids
-//! re-linking on every hit: a hit just marks the entry; the evictor
-//! skips marked entries once before reclaiming them).
+//! behind its own `std` mutex (poisoning ignored, as everywhere in the
+//! workspace), so concurrent sessions on different keys rarely contend.
+//! Each shard bounds both its **entry count** and its **approximate
+//! byte footprint**, evicting via the CLOCK second-chance sweep (an LRU
+//! approximation that avoids re-linking on every hit: a hit just marks
+//! the entry; the evictor skips marked entries once before reclaiming
+//! them).
 //!
 //! Only `Ok` results are cached. Errors are cheap to rediscover —
 //! validation failures never reach the engine, and impossible evidence
@@ -32,9 +32,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::query::{QueryKey, QueryResult};
 
@@ -182,7 +180,7 @@ impl QueryCache {
     /// Looks `key` up, cloning the cached result on a hit (the deep copy
     /// happens outside the shard lock).
     pub(crate) fn get(&self, key: &QueryKey) -> Option<QueryResult> {
-        let mut shard = self.shard(key).lock();
+        let mut shard = lock(self.shard(key));
         match shard.map.get_mut(key) {
             Some(entry) => {
                 entry.touched = true;
@@ -218,7 +216,7 @@ impl QueryCache {
         let key = Arc::new(key);
         let mut evicted = 0u64;
         {
-            let mut shard = self.shard(&key).lock();
+            let mut shard = lock(self.shard(&key));
             if shard.map.contains_key(&*key) {
                 return;
             }
@@ -268,7 +266,7 @@ impl QueryCache {
     /// the model is immutable, so entries cannot go stale.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
+            let mut shard = lock(shard);
             shard.map.clear();
             shard.clock.clear();
             shard.bytes = 0;
@@ -280,7 +278,7 @@ impl QueryCache {
         let mut entries = 0usize;
         let mut bytes = 0usize;
         for shard in &self.shards {
-            let shard = shard.lock();
+            let shard = lock(shard);
             entries += shard.map.len();
             bytes += shard.bytes;
         }
@@ -293,6 +291,10 @@ impl QueryCache {
             bytes,
         }
     }
+}
+
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for QueryCache {

@@ -3,13 +3,12 @@
 //! The caller of a parallel region blocks on the latch until the last unit
 //! of work has been retired. Parallel regions in junction-tree propagation
 //! are often microseconds long, so `wait` spins briefly on an atomic flag
-//! before falling back to a `parking_lot` mutex/condvar sleep — the
+//! before falling back to a `std::sync` mutex/condvar sleep — the
 //! spin-then-block pattern of Rust Atomics & Locks ch. 9. The flag is the
 //! single source of truth; the mutex exists only to park late waiters.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Iterations of the spin fast path before parking. Regions shorter than
 /// a few microseconds complete well within this budget.
@@ -22,7 +21,7 @@ const SPIN_LIMIT: u32 = 4096;
 /// live until the latch is set, and the latch is set only after the final
 /// chunk of work has returned (see `region.rs`).
 #[derive(Default)]
-pub struct CompletionLatch {
+pub(crate) struct CompletionLatch {
     flag: AtomicBool,
     lock: Mutex<()>,
     cond: Condvar,
@@ -30,24 +29,24 @@ pub struct CompletionLatch {
 
 impl CompletionLatch {
     /// Creates an unset latch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Marks the latch as set and wakes all parked waiters.
-    pub fn set(&self) {
+    pub(crate) fn set(&self) {
         // ORDERING: Release pairs with the Acquire loads in `wait`/
         // `is_set`; taking
         // the lock before notifying closes the race with a waiter that
         // checked the flag and is about to park.
         self.flag.store(true, Ordering::Release);
-        let _guard = self.lock.lock();
+        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         self.cond.notify_all();
     }
 
     /// Blocks the calling thread until `set` is called (returns
     /// immediately if it already was). Spins briefly first.
-    pub fn wait(&self) {
+    pub(crate) fn wait(&self) {
         for _ in 0..SPIN_LIMIT {
             // ORDERING: Acquire pairs with the Release store in `set`.
             if self.flag.load(Ordering::Acquire) {
@@ -55,15 +54,19 @@ impl CompletionLatch {
             }
             std::hint::spin_loop();
         }
-        let mut guard = self.lock.lock();
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         // ORDERING: Acquire — same pairing as the spin loop above.
         while !self.flag.load(Ordering::Acquire) {
-            self.cond.wait(&mut guard);
+            guard = self
+                .cond
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Non-blocking probe, used by tests.
-    pub fn is_set(&self) -> bool {
+    /// Non-blocking probe for the tests.
+    #[cfg(test)]
+    fn is_set(&self) -> bool {
         // ORDERING: Acquire pairs with the Release store in `set`.
         self.flag.load(Ordering::Acquire)
     }

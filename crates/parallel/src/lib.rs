@@ -16,9 +16,9 @@
 //!   "parallelization overhead" is a first-class quantity).
 //!
 //! A work-stealing runtime would blur all three, so this crate implements a
-//! persistent fork-join pool from scratch on top of `crossbeam-channel` and
-//! `parking_lot` (both vendored as minimal shims under `vendor/`, see
-//! `docs/ARCHITECTURE.md`). Concurrent regions from multiple
+//! persistent fork-join pool from scratch on `std::sync` alone: its one
+//! hand-off primitive, the closable [`Queue`], also carries the serving
+//! front end's request queue. Concurrent regions from multiple
 //! threads and nested regions from inside a body are both supported —
 //! the batch and serving layers above rely on them (see
 //! `docs/ARCHITECTURE.md` at the repository root).
@@ -44,11 +44,12 @@
 
 mod latch;
 mod pool;
+mod queue;
 mod region;
 mod schedule;
 
-pub use latch::CompletionLatch;
 pub use pool::{PoolStats, ThreadPool};
+pub use queue::{Queue, TryPushError};
 pub use schedule::Schedule;
 
 /// Convenience: number of logical CPUs, used as the default pool width.

@@ -6,9 +6,9 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam_channel::{Receiver, Sender};
 use fastbn_telemetry::{Counter, MetricsRegistry};
 
+use crate::queue::Queue;
 use crate::region::Region;
 use crate::schedule::Schedule;
 
@@ -77,7 +77,7 @@ const HANDOFF_ROOM: usize = 64;
 /// the pool width, never on which other tenants' regions are in flight
 /// (asserted by `shared_pool_tenants_do_not_perturb_each_other` below).
 pub struct ThreadPool {
-    sender: Option<Sender<Arc<Region>>>,
+    handoff: Arc<Queue<Arc<Region>>>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
     regions_started: Counter,
@@ -93,22 +93,21 @@ impl ThreadPool {
     /// whose worker lags behind does not allocate to grow it, and a query
     /// keeps its zero-allocation contract. The bound that remains: a
     /// worker more than 64 wake-ups behind (at two threads, one per
-    /// region) still makes the next region's `send` grow the queue.
+    /// region) still makes the next region's `push` grow the queue.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let (sender, receiver) =
-            crossbeam_channel::unbounded_with_capacity::<Arc<Region>>(HANDOFF_ROOM);
+        let handoff = Arc::new(Queue::with_room(HANDOFF_ROOM));
         let workers = (1..threads)
             .map(|i| {
-                let rx: Receiver<Arc<Region>> = receiver.clone();
+                let handoff = Arc::clone(&handoff);
                 std::thread::Builder::new()
                     .name(format!("fastbn-worker-{i}"))
-                    .spawn(move || worker_loop(rx))
+                    .spawn(move || worker_loop(&handoff))
                     .expect("failed to spawn fastbn worker thread")
             })
             .collect();
         ThreadPool {
-            sender: Some(sender),
+            handoff,
             workers,
             threads,
             regions_started: Counter::new(),
@@ -195,17 +194,15 @@ impl ThreadPool {
         // by this frame until `region.wait()` returns, which per the region
         // protocol happens only after every body invocation has completed.
         let region = Arc::new(unsafe { Region::new(&shifted, len, self.threads, sched) });
-        let sender = self
-            .sender
-            .as_ref()
-            .expect("pool sender alive while pool exists");
         // One wake-up per chunk the caller cannot take itself, capped at
         // one per background worker; a worker that arrives after the
         // region completed retires zero chunks.
         for _ in 0..(self.threads - 1).min(chunk_count - 1) {
-            sender
-                .send(Arc::clone(&region))
-                .expect("worker channel closed while pool exists");
+            let pushed = self.handoff.push(Arc::clone(&region));
+            assert!(
+                pushed.is_ok(),
+                "hand-off queue closed while the pool exists"
+            );
         }
         region.work();
         region.wait();
@@ -253,35 +250,28 @@ impl ThreadPool {
 }
 
 /// Background worker: spin briefly between regions before parking on the
-/// channel. Junction-tree layers issue microsecond-scale regions
+/// hand-off queue. Junction-tree layers issue microsecond-scale regions
 /// back-to-back, so a short spin keeps wake-up latency off the critical
 /// path; the bounded budget avoids burning a core during long sequential
-/// phases.
-fn worker_loop(rx: Receiver<Arc<Region>>) {
+/// phases. Exits once the queue is closed and drained.
+fn worker_loop(handoff: &Queue<Arc<Region>>) {
     const SPIN_LIMIT: u32 = 16_384;
     let mut spin_budget = SPIN_LIMIT;
     loop {
-        match rx.try_recv() {
-            Ok(region) => {
-                region.work();
-                spin_budget = SPIN_LIMIT;
+        let region = match handoff.try_pop() {
+            Some(region) => region,
+            None if spin_budget > 0 => {
+                spin_budget -= 1;
+                std::hint::spin_loop();
+                continue;
             }
-            Err(crossbeam_channel::TryRecvError::Empty) => {
-                if spin_budget > 0 {
-                    spin_budget -= 1;
-                    std::hint::spin_loop();
-                } else {
-                    match rx.recv() {
-                        Ok(region) => {
-                            region.work();
-                            spin_budget = SPIN_LIMIT;
-                        }
-                        Err(_) => return,
-                    }
-                }
-            }
-            Err(crossbeam_channel::TryRecvError::Disconnected) => return,
-        }
+            None => match handoff.pop() {
+                Some(region) => region,
+                None => return,
+            },
+        };
+        region.work();
+        spin_budget = SPIN_LIMIT;
     }
 }
 
@@ -314,8 +304,8 @@ impl<T> SendPtr<T> {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Closing the channel stops the workers' recv loops.
-        self.sender.take();
+        // Closing the queue stops the workers once it has drained.
+        self.handoff.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }

@@ -17,8 +17,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::latch::CompletionLatch;
 use crate::schedule::Schedule;
@@ -113,7 +112,10 @@ impl Region {
             let body = unsafe { &*self.body.0 };
             let result = catch_unwind(AssertUnwindSafe(|| body(start, end)));
             if let Err(payload) = result {
-                let mut slot = self.panic_payload.lock();
+                let mut slot = self
+                    .panic_payload
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 if slot.is_none() {
                     *slot = Some(payload);
                 }
@@ -139,7 +141,12 @@ impl Region {
             return;
         }
         self.latch.wait();
-        if let Some(payload) = self.panic_payload.lock().take() {
+        let payload = self
+            .panic_payload
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
         }
     }

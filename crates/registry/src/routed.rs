@@ -42,9 +42,9 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{RecvTimeoutError, TrySendError};
 use fastbn_inference::trace::TraceContext;
 use fastbn_inference::{InferenceError, Query, QueryBatch, QueryKey, QueryResult, Solver};
+use fastbn_parallel::{Queue, TryPushError};
 use fastbn_telemetry::trace::{
     SlowEntry, SpanRecord, Tracer, SPAN_COMPUTE, SPAN_DELIVERY, SPAN_QUEUE_WAIT, SPAN_REQUEST,
     SPAN_WINDOW,
@@ -372,22 +372,22 @@ impl RoutedServerBuilder {
                     .saturating_mul(2),
             )
             .max(1);
-        let (sender, receiver) = crossbeam_channel::bounded::<Request>(queue_capacity);
+        let queue = Arc::new(Queue::bounded(queue_capacity));
         let telemetry = Arc::new(ServerTelemetry::new(self.tracer));
         let workers = (0..self.workers)
             .map(|i| {
-                let rx = receiver.clone();
+                let queue = Arc::clone(&queue);
                 let telemetry = Arc::clone(&telemetry);
                 let max_batch = self.max_batch;
                 let max_delay = self.max_delay;
                 std::thread::Builder::new()
                     .name(format!("fastbn-route-{i}"))
-                    .spawn(move || worker_loop(rx, max_batch, max_delay, &telemetry))
+                    .spawn(move || worker_loop(&queue, max_batch, max_delay, &telemetry))
                     .expect("failed to spawn fastbn routing worker")
             })
             .collect();
         RoutedServer {
-            queue: RwLock::new(Some(sender)),
+            queue,
             workers: Mutex::new(workers),
             telemetry,
             models: RwLock::new(HashMap::new()),
@@ -443,10 +443,9 @@ impl RoutedServerBuilder {
 /// assert!(per_model.iter().all(|m| m.submitted == m.completed + m.cancelled));
 /// ```
 pub struct RoutedServer {
-    /// `Some` while accepting; `None` after shutdown. Submitters clone
-    /// the sender out of the read lock, so a blocking `submit` never
-    /// holds the lock while parked on a full queue.
-    queue: RwLock<Option<crossbeam_channel::Sender<Request>>>,
+    /// The bounded request queue the workers drain; closed by
+    /// [`RoutedServer::shutdown`].
+    queue: Arc<Queue<Request>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     telemetry: Arc<ServerTelemetry>,
     /// Per-model counter blocks, created on a model's first
@@ -484,12 +483,14 @@ impl RoutedServer {
     /// Submits a query for `model`, **blocking while the queue is
     /// full** (backpressure). Fails with
     /// [`SubmitErrorKind::UnknownModel`] when the id is not resident,
-    /// or [`SubmitErrorKind::ShutDown`] after [`RoutedServer::shutdown`]
-    /// — the query is handed back either way.
+    /// else with [`SubmitErrorKind::ShutDown`] after
+    /// [`RoutedServer::shutdown`] — including a submit parked on the
+    /// full queue when shutdown runs — and the query is handed back
+    /// either way.
     pub fn submit(&self, model: &str, query: Query) -> Result<Pending, SubmitError> {
         let start = Instant::now();
-        let (sender, request, rx) = self.admit(model, query, start)?;
-        match sender.send(request) {
+        let (request, rx) = self.admit(model, query, start)?;
+        match self.queue.push(request) {
             Ok(()) => {
                 self.telemetry
                     .stages
@@ -497,9 +498,7 @@ impl RoutedServer {
                     .record_duration(start.elapsed());
                 Ok(Pending { rx })
             }
-            Err(crossbeam_channel::SendError(request)) => {
-                Err(self.retract(request, SubmitErrorKind::ShutDown))
-            }
+            Err(request) => Err(self.retract(request, SubmitErrorKind::ShutDown)),
         }
     }
 
@@ -508,8 +507,8 @@ impl RoutedServer {
     /// of waiting.
     pub fn try_submit(&self, model: &str, query: Query) -> Result<Pending, SubmitError> {
         let start = Instant::now();
-        let (sender, request, rx) = self.admit(model, query, start)?;
-        match sender.try_send(request) {
+        let (request, rx) = self.admit(model, query, start)?;
+        match self.queue.try_push(request) {
             Ok(()) => {
                 self.telemetry
                     .stages
@@ -517,42 +516,28 @@ impl RoutedServer {
                     .record_duration(start.elapsed());
                 Ok(Pending { rx })
             }
-            Err(TrySendError::Full(request)) => {
+            Err(TryPushError::Full(request)) => {
                 self.telemetry.counters.rejected.inc();
                 Err(self.retract(request, SubmitErrorKind::QueueFull))
             }
-            Err(TrySendError::Disconnected(request)) => {
+            Err(TryPushError::Closed(request)) => {
                 Err(self.retract(request, SubmitErrorKind::ShutDown))
             }
         }
     }
 
     /// The shared admission path: resolve the model, pre-count the
-    /// submission (global and per-model, **before** the send — a
+    /// submission (global and per-model, **before** the push — a
     /// worker may complete the request before the submitter runs
     /// again, and `completed` must never lead `submitted` in any
-    /// snapshot), and assemble the request.
-    #[allow(clippy::type_complexity)]
+    /// snapshot), and assemble the request. A closed queue is found by
+    /// the push itself, so a submit takes the queue's lock once.
     fn admit(
         &self,
         model: &str,
         query: Query,
         submitted_at: Instant,
-    ) -> Result<
-        (
-            crossbeam_channel::Sender<Request>,
-            Request,
-            SlotReceiver<Result<QueryResult, InferenceError>>,
-        ),
-        SubmitError,
-    > {
-        let Some(sender) = self.sender() else {
-            return Err(SubmitError::new(
-                query,
-                model.to_string(),
-                SubmitErrorKind::ShutDown,
-            ));
-        };
+    ) -> Result<(Request, SlotReceiver<Result<QueryResult, InferenceError>>), SubmitError> {
         let Some(solver) = self.registry.get(model) else {
             return Err(SubmitError::new(
                 query,
@@ -573,10 +558,10 @@ impl RoutedServer {
             submitted_at,
             trace,
         };
-        Ok((sender, request, rx))
+        Ok((request, rx))
     }
 
-    /// Undoes a pre-counted submission whose send failed, recovering
+    /// Undoes a pre-counted submission whose push failed, recovering
     /// the query into a typed error.
     fn retract(&self, request: Request, kind: SubmitErrorKind) -> SubmitError {
         self.telemetry.counters.submitted.dec_seq();
@@ -606,14 +591,12 @@ impl RoutedServer {
     /// Stops accepting, lets the workers drain every already-accepted
     /// request, and joins them. Idempotent; also runs on drop.
     /// Requests still queued at this point are *completed*, not
-    /// discarded — only submissions after the call are rejected.
+    /// discarded. A [`RoutedServer::submit`] parked on the full queue
+    /// when this runs was never accepted: it returns
+    /// [`SubmitErrorKind::ShutDown`] with its query, like every
+    /// submission after the call.
     pub fn shutdown(&self) {
-        drop(
-            self.queue
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take(),
-        );
+        self.queue.close();
         let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
         for handle in workers.drain(..) {
             let _ = handle.join();
@@ -622,7 +605,7 @@ impl RoutedServer {
 
     /// True once [`RoutedServer::shutdown`] has run (or started).
     pub fn is_shut_down(&self) -> bool {
-        self.sender().is_none()
+        self.queue.is_closed()
     }
 
     /// A snapshot of the global traffic counters.
@@ -709,14 +692,6 @@ impl RoutedServer {
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
     }
-
-    fn sender(&self) -> Option<crossbeam_channel::Sender<Request>> {
-        self.queue
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .cloned()
-    }
 }
 
 impl std::fmt::Debug for RoutedServer {
@@ -743,7 +718,7 @@ impl Drop for RoutedServer {
 /// model, repeat; exit (after a final dispatch) once the queue is
 /// closed and drained.
 fn worker_loop(
-    rx: crossbeam_channel::Receiver<Request>,
+    queue: &Queue<Request>,
     max_batch: usize,
     max_delay: Duration,
     telemetry: &ServerTelemetry,
@@ -751,31 +726,23 @@ fn worker_loop(
     // Grown on demand and reused across windows: sizing it by
     // `max_batch` up front would abort the worker for a huge batch.
     let mut window: Vec<Request> = Vec::new();
-    loop {
-        let mut first = match rx.recv() {
-            Ok(request) => request,
-            Err(_) => return, // queue closed and drained
-        };
+    // `None`: the queue is closed and drained.
+    while let Some(mut first) = queue.pop() {
         telemetry.counters.dequeued.inc_seq();
         record_queue_wait(&mut first, telemetry);
         let window_start = Instant::now();
         let window_t0 = telemetry.tracer.as_deref().map(Tracer::now_ns);
         window.push(first);
         let deadline = saturating_deadline(max_delay);
-        let mut disconnected = false;
         while window.len() < max_batch {
-            match rx.recv_deadline(deadline) {
-                Ok(mut request) => {
-                    telemetry.counters.dequeued.inc_seq();
-                    record_queue_wait(&mut request, telemetry);
-                    window.push(request);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
+            // `None`: the deadline passed with the queue empty, or the
+            // queue is closed and drained (the outer `pop` then exits).
+            let Some(mut request) = queue.pop_until(deadline) else {
+                break;
+            };
+            telemetry.counters.dequeued.inc_seq();
+            record_queue_wait(&mut request, telemetry);
+            window.push(request);
         }
         telemetry
             .stages
@@ -783,9 +750,6 @@ fn worker_loop(
             .record_duration(window_start.elapsed());
         record_window_spans(&window, window_t0, telemetry);
         dispatch_window(&mut window, telemetry);
-        if disconnected {
-            return;
-        }
     }
 }
 

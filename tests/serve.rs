@@ -299,6 +299,44 @@ fn shutdown_drains_accepted_requests_then_rejects() {
 }
 
 #[test]
+fn shutdown_hands_a_parked_submit_back_with_its_query() {
+    let solver = slow_solver();
+    let server = Server::builder(Arc::clone(&solver))
+        .workers(1)
+        .max_batch(1)
+        .max_delay(Duration::ZERO)
+        .queue_capacity(1)
+        .build();
+    let stats = || server.routed().stats();
+    // Busy the one worker for milliseconds, then fill the 1-slot queue.
+    let running = server.submit(Query::new()).unwrap();
+    while stats().dequeued < 1 {
+        std::thread::yield_now();
+    }
+    let queued = server.submit(Query::new()).unwrap();
+    let parked_query = Query::new().observe(fastbn::VarId::from_index(0), 1);
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| server.submit(parked_query.clone()));
+        // Admission counts the submission before it parks on the queue.
+        while stats().submitted < 3 {
+            std::thread::yield_now();
+        }
+        server.shutdown();
+        let err = parked
+            .join()
+            .unwrap()
+            .expect_err("a submit parked at shutdown is not accepted");
+        assert_eq!(err.kind(), SubmitErrorKind::ShutDown);
+        assert_eq!(err.into_query(), parked_query, "the query comes back");
+    });
+    // The two accepted requests drained before the workers exited.
+    assert!(running.wait().is_ok() && queued.wait().is_ok());
+    let stats = stats();
+    assert_eq!((stats.submitted, stats.completed), (2, 2));
+    assert_eq!(stats.submitted, stats.completed + stats.cancelled);
+}
+
+#[test]
 fn dropping_the_server_drains_like_shutdown() {
     let net = datasets::sprinkler();
     let solver = Arc::new(Solver::new(&net));
