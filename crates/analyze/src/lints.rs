@@ -419,7 +419,7 @@ fn lint_slab_discipline(scan: &ScannedFile, ctx: &FileContext, out: &mut Vec<Fin
                 message: format!(
                     "raw-pointer primitive `{}` outside an audited module: slab/raw \
                      memory tricks belong in the `//! fastbn: audited-raw-ptr` helpers \
-                     (state.rs, ops_par.rs, pool.rs, region.rs, solver.rs); engine code \
+                     (state.rs, ops_par.rs, pool.rs, region.rs); engine code \
                      (engines/driver.rs) takes slab regions from state.rs's `SlabRaw`",
                     t.text
                 ),

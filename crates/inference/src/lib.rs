@@ -7,10 +7,9 @@
 //!   junction tree, initial potentials and engine task plans, built once
 //!   per network.
 //! * [`Session`] — a cheap **per-caller handle** holding reusable scratch
-//!   from the solver's lock-free pool; open one per thread and query
-//!   concurrently. Its `'static` counterpart [`OwnedSession`] co-owns
-//!   the solver through an `Arc`, so it can move into spawned threads
-//!   and task runtimes.
+//!   from the solver's pool; open one per thread and query concurrently.
+//!   A spawned thread that outlives the caller shares the solver through
+//!   an `Arc` and opens its session inside the thread.
 //! * [`Query`] — a **builder** describing one request: hard evidence,
 //!   virtual (likelihood) evidence, an optional target-variable subset
 //!   (pay only for the marginals you ask for), or MPE mode. Results come
@@ -96,7 +95,6 @@ pub mod engines;
 pub mod error;
 pub mod mpe;
 pub mod oracle;
-pub mod owned;
 pub mod posterior;
 pub mod prepared;
 pub mod query;
@@ -112,11 +110,10 @@ pub use delta::{EvidenceDelta, LiveSession};
 pub use engines::{make_engine, EngineKind, InferenceEngine, ParseEngineKindError};
 pub use error::{InferenceError, LikelihoodDefect};
 pub use mpe::{most_probable_explanation, MpeResult};
-pub use owned::OwnedSession;
 pub use posterior::Posteriors;
 pub use prepared::Prepared;
 pub use query::{Query, QueryBatch, QueryKey, QueryMode, QueryResult};
-pub use solver::{Session, SessionCore, Solver, SolverBuilder};
+pub use solver::{Session, Solver, SolverBuilder};
 pub use state::WorkState;
 pub use trace::{scoped, TraceContext, TraceScope};
 pub use virtual_evidence::VirtualEvidence;

@@ -7,15 +7,12 @@
 //! network once (junction tree, initial potentials, engine task plans)
 //! into a `Send + Sync` value; any number of threads then open
 //! `Session`s against it and run [`Query`]s concurrently. Per-query
-//! scratch ([`WorkState`]) is recycled through a lock-free pool, so
-//! steady-state querying performs no allocation, and results are
+//! scratch ([`WorkState`]) is recycled through a `Mutex`-guarded pool,
+//! so steady-state querying performs no allocation, and results are
 //! bit-identical to the sequential baseline regardless of engine, thread
 //! count, or interleaving.
-//!
-//! fastbn: audited-raw-ptr
 
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fastbn_bayesnet::{BayesianNetwork, Evidence, VarId};
 use fastbn_jtree::JtreeOptions;
@@ -104,15 +101,10 @@ impl Solver {
     /// Opens a session: a cheap per-caller handle holding one scratch
     /// state drawn from the pool (allocated fresh only when the pool is
     /// empty). Drop the session to return the scratch.
-    pub fn session(&self) -> Session<'_> {
-        SessionCore::over(self)
-    }
-
-    /// Opens an [`OwnedSession`](crate::owned::OwnedSession) over this
-    /// solver, consuming one `Arc` reference. Unlike [`Solver::session`],
-    /// the returned handle carries no borrow, so it can move into spawned
-    /// threads and task runtimes. Clone the `Arc` first to keep your own
-    /// handle:
+    ///
+    /// A detached thread (one not scoped to the solver's owner) shares
+    /// the model through an `Arc` and opens its session inside the
+    /// closure:
     ///
     /// ```
     /// use std::sync::Arc;
@@ -120,14 +112,19 @@ impl Solver {
     /// use fastbn_inference::Solver;
     ///
     /// let solver = Arc::new(Solver::new(&datasets::sprinkler()));
-    /// let mut session = Arc::clone(&solver).into_session();
+    /// let shared = Arc::clone(&solver);
     /// let worker = std::thread::spawn(move || {
+    ///     let mut session = shared.session();
     ///     session.posteriors(&Evidence::empty()).unwrap().prob_evidence
     /// });
     /// assert!((worker.join().unwrap() - 1.0).abs() < 1e-9);
+    /// assert_eq!(solver.pooled_states(), 1, "the worker's scratch came back");
     /// ```
-    pub fn into_session(self: Arc<Self>) -> crate::owned::OwnedSession {
-        crate::owned::OwnedSession::new(self)
+    pub fn session(&self) -> Session<'_> {
+        Session {
+            solver: self,
+            state: Some(self.scratch.acquire(&self.prepared)),
+        }
     }
 
     /// Opens a [`LiveSession`](crate::delta::LiveSession): a fully
@@ -139,11 +136,6 @@ impl Solver {
         crate::delta::LiveSession::new(Arc::clone(self))
     }
 
-    /// Draws one scratch state from the pool (for session handles).
-    pub(crate) fn acquire_scratch(&self) -> Box<ScratchNode> {
-        self.scratch.acquire(&self.prepared)
-    }
-
     /// One-shot convenience: open a session, run `query`, return the
     /// result. For repeated queries keep a [`Session`] instead (it reuses
     /// its scratch without touching the pool).
@@ -153,15 +145,9 @@ impl Solver {
 
     /// One-shot convenience: run `batch`, returning one result per query
     /// in input order. See [`Session::run_batch`] for the execution
-    /// strategy. Batches wide enough for outer parallelism skip session
-    /// setup entirely (the outer path draws its scratch per chunk, so a
-    /// session's state would sit idle).
+    /// strategy.
     pub fn query_batch(&self, batch: &QueryBatch) -> Vec<Result<QueryResult, InferenceError>> {
-        if self.outer_pool_for(batch.len()).is_some() {
-            self.run_batch_outer(batch)
-        } else {
-            self.session().run_batch(batch)
-        }
+        self.session().run_batch(batch)
     }
 
     /// [`Solver::query_batch`] with one optional
@@ -183,23 +169,7 @@ impl Solver {
             batch.len(),
             "one trace context slot per batch query"
         );
-        if self.outer_pool_for(batch.len()).is_some() {
-            self.run_batch_outer_ctx(batch, Some(ctxs))
-        } else {
-            // Same narrow-batch path Session::run_batch takes: one
-            // session, queries run in order — with each query's context
-            // scoped around its run.
-            let mut session = self.session();
-            batch
-                .queries()
-                .iter()
-                .zip(ctxs)
-                .map(|(query, ctx)| {
-                    let _trace = crate::trace::scoped(ctx.as_ref());
-                    session.run(query)
-                })
-                .collect()
-        }
+        self.session().run_batch_with(batch, Some(ctxs))
     }
 
     /// One-shot convenience for the common case: all posterior marginals
@@ -273,100 +243,21 @@ impl Solver {
         self.prepared.num_vars()
     }
 
-    /// Number of scratch states currently parked in the pool (one per
-    /// peak-concurrency session, in steady state).
+    /// Number of scratch states currently parked in the pool: in steady
+    /// state, the peak number of sessions and outer batch chunks that
+    /// held one at once, up to the pool's retention bound.
     pub fn pooled_states(&self) -> usize {
-        self.scratch.len()
+        self.scratch.parked().len()
     }
 
     /// The engine's worker pool, when a batch of `n` queries should be
     /// spread across it: outer parallelism only pays once there is at
     /// least one query per pool member; narrower batches do better giving
     /// each query the whole pool via its inner regions.
-    pub(crate) fn outer_pool_for(&self, n: usize) -> Option<&fastbn_parallel::ThreadPool> {
+    fn outer_pool_for(&self, n: usize) -> Option<&fastbn_parallel::ThreadPool> {
         self.engine
             .pool()
             .filter(|pool| pool.threads() > 1 && n >= pool.threads())
-    }
-
-    /// The outer-parallel batch path: queries dispatched across the
-    /// engine's pool, each chunk working on scratch from a pre-acquired
-    /// set. Callers must have checked [`Solver::outer_pool_for`].
-    pub(crate) fn run_batch_outer(
-        &self,
-        batch: &QueryBatch,
-    ) -> Vec<Result<QueryResult, InferenceError>> {
-        self.run_batch_outer_ctx(batch, None)
-    }
-
-    /// [`Solver::run_batch_outer`] with optional per-slot trace
-    /// contexts (`ctxs[i]` wraps query `i`); `None` is the untraced
-    /// fast path.
-    pub(crate) fn run_batch_outer_ctx(
-        &self,
-        batch: &QueryBatch,
-        ctxs: Option<&[Option<crate::trace::TraceContext>]>,
-    ) -> Vec<Result<QueryResult, InferenceError>> {
-        let queries = batch.queries();
-        let pool = self
-            .outer_pool_for(queries.len())
-            .expect("caller checked the batch is wide enough for outer parallelism");
-        let mut results: Vec<Option<Result<QueryResult, InferenceError>>> =
-            std::iter::repeat_with(|| None)
-                .take(queries.len())
-                .collect();
-        // Pre-acquire the scratch on this thread, one state per pool
-        // member: sequential acquires actually reuse parked states,
-        // whereas per-chunk acquires inside the region would race the
-        // pool's swap-whole-chain pop and frequently allocate fresh
-        // WorkStates on the hot path. Chunk bodies check states out of
-        // this stack; at most `threads` chunks are in flight at once, so
-        // it never runs dry.
-        let stack: std::sync::Mutex<Vec<Box<ScratchNode>>> = std::sync::Mutex::new(
-            (0..pool.threads().min(queries.len()))
-                .map(|_| self.scratch.acquire(&self.prepared))
-                .collect(),
-        );
-        // A couple of chunks per thread balances mixed query costs while
-        // still amortizing one scratch checkout over several queries.
-        let sched = fastbn_parallel::Schedule::dynamic_for(queries.len(), pool.threads(), 2);
-        pool.parallel_chunks_mut(&mut results, sched, |start, chunk| {
-            // Every query in the chunk reuses the same allocations, and
-            // an erroring query leaves nothing behind (each run starts
-            // with a full reset).
-            let mut node = stack
-                .lock()
-                .expect("no chunk body panics while holding the stack lock")
-                .pop()
-                .expect("one pre-acquired state per concurrently running chunk");
-            for (offset, slot) in chunk.iter_mut().enumerate() {
-                let query = &queries[start + offset];
-                let _trace =
-                    crate::trace::scoped(ctxs.and_then(|ctxs| ctxs[start + offset].as_ref()));
-                *slot = Some(run_on_state(
-                    self,
-                    &mut node.state,
-                    query.get_evidence(),
-                    query.get_virtual_evidence(),
-                    query.get_targets(),
-                    query.mode(),
-                ));
-            }
-            stack
-                .lock()
-                .expect("no chunk body panics while holding the stack lock")
-                .push(node);
-        });
-        for node in stack
-            .into_inner()
-            .expect("no chunk body panics while holding the stack lock")
-        {
-            self.scratch.release(node);
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every batch slot written by its chunk"))
-            .collect()
     }
 }
 
@@ -501,72 +392,32 @@ impl SolverBuilder<'_> {
     }
 }
 
-/// The one session implementation behind both handle flavors.
+/// A per-caller query handle over a shared [`Solver`]; open one with
+/// [`Solver::session`].
 ///
 /// A session holds one [`WorkState`] for its lifetime, so repeated
 /// queries reuse allocations without synchronization; the state returns
-/// to the solver's pool on drop. Sessions are `Send` (open one per
-/// thread, or move one into a task) but deliberately not `Sync` — each
-/// concurrent caller opens its own.
-///
-/// The generic parameter is only *how the solver is held*: [`Session`]
-/// borrows it (`&Solver`), [`OwnedSession`](crate::owned::OwnedSession)
-/// co-owns it (`Arc<Solver>`). Every method — and therefore every
-/// result, bit for bit — is shared between the two; a query feature
-/// added here reaches both handles by construction.
-pub struct SessionCore<S: std::borrow::Borrow<Solver>> {
-    solver: S,
+/// to the solver's pool on drop. Sessions are `Send`, but every query
+/// method takes `&mut self`: each concurrent caller opens its own. A
+/// thread that must outlive the solver's owner shares the solver through
+/// an `Arc` and opens its session inside the thread (see
+/// [`Solver::session`]).
+pub struct Session<'s> {
+    solver: &'s Solver,
     /// `Some` for the session's whole life; `Option` only so `Drop` can
-    /// move the box back into the pool.
-    scratch: Option<Box<ScratchNode>>,
+    /// move the state back into the pool.
+    state: Option<WorkState>,
 }
 
-/// A per-caller query handle **borrowing** a shared [`Solver`] — the
-/// cheapest flavor when the solver outlives the caller on the same
-/// stack (scoped threads, request handlers over a long-lived solver).
-/// Open one with [`Solver::session`]. For a handle that can move into
-/// spawned threads and task runtimes, use
-/// [`OwnedSession`](crate::owned::OwnedSession); both answer queries
-/// bit-identically (they share [`SessionCore`]).
-pub type Session<'s> = SessionCore<&'s Solver>;
-
-impl<S: std::borrow::Borrow<Solver>> SessionCore<S> {
-    /// Opens a session over `solver`, drawing scratch from its pool.
-    pub(crate) fn over(solver: S) -> SessionCore<S> {
-        let scratch = solver.borrow().acquire_scratch();
-        SessionCore {
-            solver,
-            scratch: Some(scratch),
-        }
+impl Session<'_> {
+    /// The session's scratch state.
+    fn state(&mut self) -> &mut WorkState {
+        self.state.as_mut().expect("scratch present until drop")
     }
 
     /// Runs one query and returns its unified result.
     pub fn run(&mut self, query: &Query) -> Result<QueryResult, InferenceError> {
-        self.run_parts(
-            query.get_evidence(),
-            query.get_virtual_evidence(),
-            query.get_targets(),
-            query.mode(),
-        )
-    }
-
-    /// The borrowed core of [`Session::run`]: the convenience wrappers
-    /// route here without materializing a `Query` (no per-call clone of
-    /// the caller's evidence on the hot path).
-    fn run_parts(
-        &mut self,
-        evidence: &Evidence,
-        virtual_evidence: &VirtualEvidence,
-        targets: Option<&[VarId]>,
-        mode: QueryMode,
-    ) -> Result<QueryResult, InferenceError> {
-        let solver = self.solver.borrow();
-        let state = &mut self
-            .scratch
-            .as_mut()
-            .expect("scratch present until drop")
-            .state;
-        run_on_state(solver, state, evidence, virtual_evidence, targets, mode)
+        run_query(self.solver, self.state(), query)
     }
 
     /// Runs an ordered batch of queries, returning one result per query
@@ -611,33 +462,78 @@ impl<S: std::borrow::Borrow<Solver>> SessionCore<S> {
     /// }
     /// ```
     pub fn run_batch(&mut self, batch: &QueryBatch) -> Vec<Result<QueryResult, InferenceError>> {
-        let solver = self.solver.borrow();
-        if solver.outer_pool_for(batch.len()).is_some() {
-            return solver.run_batch_outer(batch);
-        }
-        batch.iter().map(|q| self.run(q)).collect()
+        self.run_batch_with(batch, None)
+    }
+
+    /// The one batch body behind [`Session::run_batch`],
+    /// [`Solver::query_batch`] and [`Solver::query_batch_traced`]. With
+    /// `ctxs`, query `i` runs with `ctxs[i]` installed
+    /// ([`crate::trace::scoped`]) on whichever thread runs it.
+    fn run_batch_with(
+        &mut self,
+        batch: &QueryBatch,
+        ctxs: Option<&[Option<crate::trace::TraceContext>]>,
+    ) -> Vec<Result<QueryResult, InferenceError>> {
+        let solver = self.solver;
+        let queries = batch.queries();
+        let run = |state: &mut WorkState, i: usize| {
+            let _trace = crate::trace::scoped(ctxs.and_then(|ctxs| ctxs[i].as_ref()));
+            run_query(solver, state, &queries[i])
+        };
+        let Some(pool) = solver.outer_pool_for(queries.len()) else {
+            let state = self.state();
+            return (0..queries.len()).map(|i| run(state, i)).collect();
+        };
+        let mut results: Vec<Option<Result<QueryResult, InferenceError>>> =
+            std::iter::repeat_with(|| None)
+                .take(queries.len())
+                .collect();
+        // A couple of chunks per thread balances mixed query costs while
+        // still amortizing one scratch checkout over several queries.
+        let sched = fastbn_parallel::Schedule::dynamic_for(queries.len(), pool.threads(), 2);
+        pool.parallel_chunks_mut(&mut results, sched, |start, chunk| {
+            // Every query in the chunk reuses the same allocations, and
+            // an erroring query leaves nothing behind (each run starts
+            // with a full reset).
+            let mut state = solver.scratch.acquire(&solver.prepared);
+            for (offset, slot) in chunk.iter_mut().enumerate() {
+                *slot = Some(run(&mut state, start + offset));
+            }
+            solver.scratch.release(state);
+        });
+        results
+            .into_iter()
+            .map(|slot| slot.expect("every batch slot written by its chunk"))
+            .collect()
     }
 
     /// All posterior marginals given hard evidence (the classic engine
     /// call).
     pub fn posteriors(&mut self, evidence: &Evidence) -> Result<Posteriors, InferenceError> {
-        Ok(self
-            .run_parts(
-                evidence,
-                &VirtualEvidence::empty(),
-                None,
-                QueryMode::Marginals,
-            )?
-            .into_posteriors()
-            .expect("marginal query yields marginals"))
+        Ok(run_on_state(
+            self.solver,
+            self.state(),
+            evidence,
+            &VirtualEvidence::empty(),
+            None,
+            QueryMode::Marginals,
+        )?
+        .into_posteriors()
+        .expect("marginal query yields marginals"))
     }
 
     /// The most probable explanation given hard evidence.
     pub fn mpe(&mut self, evidence: &Evidence) -> Result<MpeResult, InferenceError> {
-        Ok(self
-            .run_parts(evidence, &VirtualEvidence::empty(), None, QueryMode::Mpe)?
-            .into_mpe()
-            .expect("MPE query yields an MPE result"))
+        Ok(run_on_state(
+            self.solver,
+            self.state(),
+            evidence,
+            &VirtualEvidence::empty(),
+            None,
+            QueryMode::Mpe,
+        )?
+        .into_mpe()
+        .expect("MPE query yields an MPE result"))
     }
 
     /// Joint posterior `P(vars | evidence)` for a variable set that
@@ -645,49 +541,92 @@ impl<S: std::borrow::Borrow<Solver>> SessionCore<S> {
     /// out-of-clique joints would require query-specific restructuring).
     ///
     /// Returns a normalized table over the sorted `vars`, or `None` if no
-    /// clique contains them all.
+    /// clique contains them all. A variable outside the network is an
+    /// [`InferenceError::InvalidTarget`], as it is for
+    /// [`Query::targets`].
     pub fn joint_posterior(
         &mut self,
         evidence: &Evidence,
         vars: &[VarId],
     ) -> Result<Option<PotentialTable>, InferenceError> {
-        let solver = self.solver.borrow();
-        let state = &mut self
-            .scratch
-            .as_mut()
-            .expect("scratch present until drop")
-            .state;
-        joint_on_state(solver, state, evidence, vars)
+        let solver = self.solver;
+        let prepared = &*solver.prepared;
+        // Validate before the clique lookup: bogus evidence or variables
+        // must surface as an error, not be masked by an Ok(None).
+        validate_evidence(prepared, evidence)?;
+        if let Some(&bad) = vars.iter().find(|v| v.index() >= prepared.num_vars()) {
+            return Err(InferenceError::InvalidTarget {
+                var: bad.index(),
+                num_vars: prepared.num_vars(),
+            });
+        }
+        let mut sorted = vars.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let Some(clique) = prepared.built.tree.smallest_containing(&sorted) else {
+            return Ok(None);
+        };
+        let state = self.state();
+        state.reset(prepared);
+        solver.engine.enter_evidence(state, evidence);
+        solver.engine.propagate(state);
+        let target = Arc::new(fastbn_potential::Domain::from_vars(
+            &sorted,
+            &prepared.cards,
+        ));
+        let mut joint = PotentialTable::zeros(target.clone());
+        let plan = fastbn_potential::KernelPlan::new(&prepared.clique_domains[clique], &target);
+        plan.marginalize(state.clique(clique), joint.values_mut());
+        joint
+            .normalize()
+            .map_err(|_| InferenceError::ImpossibleEvidence)?;
+        Ok(Some(joint))
     }
 
     /// The solver this session queries.
     pub fn solver(&self) -> &Solver {
-        self.solver.borrow()
+        self.solver
     }
 }
 
-impl<S: std::borrow::Borrow<Solver>> std::fmt::Debug for SessionCore<S> {
+impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("solver", self.solver.borrow())
+            .field("solver", self.solver)
             .finish_non_exhaustive()
     }
 }
 
-impl<S: std::borrow::Borrow<Solver>> Drop for SessionCore<S> {
+impl Drop for Session<'_> {
     fn drop(&mut self) {
-        if let Some(node) = self.scratch.take() {
-            self.solver.borrow().scratch.release(node);
+        if let Some(state) = self.state.take() {
+            self.solver.scratch.release(state);
         }
     }
 }
 
+/// [`run_on_state`] over a [`Query`]'s parts.
+fn run_query(
+    solver: &Solver,
+    state: &mut WorkState,
+    query: &Query,
+) -> Result<QueryResult, InferenceError> {
+    run_on_state(
+        solver,
+        state,
+        query.get_evidence(),
+        query.get_virtual_evidence(),
+        query.get_targets(),
+        query.mode(),
+    )
+}
+
 /// The engine-driving sequence of one query — validate, consult the
 /// cache, then (on a miss) reset, evidence, virtual evidence, propagate,
-/// extract — on caller-provided scratch. Shared by [`Session::run`] /
-/// `OwnedSession::run` (session scratch) and [`Session::run_batch`] (one
-/// pooled scratch per chunk), so the cache sees every path with per-slot
-/// hit/miss granularity. Errors leave `state` dirty but harmless,
+/// extract — on caller-provided scratch. Shared by [`Session::run`]
+/// (session scratch) and [`Session::run_batch`] (one pooled scratch per
+/// chunk), so the cache sees every path with per-slot hit/miss
+/// granularity. Errors leave `state` dirty but harmless,
 /// because every call starts with a full reset.
 ///
 /// Ordering matters: validation runs **before** key derivation, so
@@ -697,7 +636,7 @@ impl<S: std::borrow::Borrow<Solver>> Drop for SessionCore<S> {
 /// are cached; errors are rediscovered on each call (validation errors
 /// never reach the engine, and impossible evidence is detected during
 /// the propagation a cached error would have to pay for anyway).
-pub(crate) fn run_on_state(
+fn run_on_state(
     solver: &Solver,
     state: &mut WorkState,
     evidence: &Evidence,
@@ -748,177 +687,44 @@ fn compute_on_state(
     }
 }
 
-/// The in-clique joint-posterior sequence shared by
-/// [`Session::joint_posterior`] and `OwnedSession::joint_posterior`.
-pub(crate) fn joint_on_state(
-    solver: &Solver,
-    state: &mut WorkState,
-    evidence: &Evidence,
-    vars: &[VarId],
-) -> Result<Option<PotentialTable>, InferenceError> {
-    let prepared = &*solver.prepared;
-    // Validate before the clique lookup: bogus evidence must surface
-    // as an error, not be masked by an out-of-clique Ok(None).
-    validate_evidence(prepared, evidence)?;
-    let mut sorted = vars.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let Some(clique) = prepared.built.tree.smallest_containing(&sorted) else {
-        return Ok(None);
-    };
-    state.reset(prepared);
-    solver.engine.enter_evidence(state, evidence);
-    solver.engine.propagate(state);
-    let target = Arc::new(fastbn_potential::Domain::from_vars(
-        &sorted,
-        &prepared.cards,
-    ));
-    let mut joint = PotentialTable::zeros(target.clone());
-    let plan = fastbn_potential::KernelPlan::new(&prepared.clique_domains[clique], &target);
-    plan.marginalize(state.clique(clique), joint.values_mut());
-    joint
-        .normalize()
-        .map_err(|_| InferenceError::ImpossibleEvidence)?;
-    Ok(Some(joint))
-}
-
-/// One pooled scratch state, chained intrusively when parked.
-pub(crate) struct ScratchNode {
-    pub(crate) state: WorkState,
-    /// Next node in the parked chain; dangling while the node is held by
-    /// a session (never dereferenced then). Only ever read or written by
-    /// the node's exclusive owner; kept atomic so link publication is
-    /// explicit and any future concurrent traversal stays race-free.
-    next: AtomicPtr<ScratchNode>,
-}
-
-// SAFETY: a node is either exclusively owned by one session (plain data)
-// or parked in the pool (reached only through the pool's atomic head).
-unsafe impl Send for ScratchNode {}
-
-/// A lock-free pool of [`WorkState`]s (an intrusive Treiber-style stack).
-///
-/// `acquire` pops by **swapping out the whole chain**: the popper takes
-/// the head node and re-attaches the remainder. Because the detached
-/// remainder is exclusively owned during re-attachment, the classic ABA
-/// hazard of a CAS-pop (a stale `next` winning the race) cannot arise —
-/// the only CAS loops push chains whose links no other thread can
-/// observe. A concurrent `acquire` that finds the head empty (including
-/// transiently, while another popper holds the detached chain) simply
-/// allocates a fresh state, so the pool tracks peak concurrency
-/// approximately rather than exactly; `release` therefore frees instead
-/// of parking once `max_parked` states are already retained, bounding
-/// memory under long-running contention.
+/// The solver's parked [`WorkState`]s. A session holds one for its
+/// lifetime and an outer batch chunk for the length of the chunk; each
+/// returns it here, so steady-state querying allocates nothing and the
+/// pool settles at the peak number of states in use at once.
 struct ScratchPool {
-    head: AtomicPtr<ScratchNode>,
-    /// Approximate count of parked states (exact when quiescent).
-    parked: AtomicUsize,
-    /// Retention bound enforced by `release`.
+    parked: Mutex<Vec<WorkState>>,
+    /// Retention bound: `release` frees instead of parking once this many
+    /// states are parked. Generous headroom over any sane concurrency; it
+    /// only matters as a leak backstop, not a working limit.
     max_parked: usize,
 }
-
-// SAFETY: all shared access goes through `head`'s atomic operations;
-// node payloads are only touched by their exclusive owner.
-unsafe impl Send for ScratchPool {}
-unsafe impl Sync for ScratchPool {}
 
 impl ScratchPool {
     fn new() -> Self {
         ScratchPool {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-            parked: AtomicUsize::new(0),
-            // Generous headroom over any sane session concurrency; the
-            // bound only matters as a leak backstop, not a working limit.
+            parked: Mutex::new(Vec::new()),
             max_parked: 4 * fastbn_parallel::available_threads().max(8),
         }
     }
 
+    /// The parked states; a panic elsewhere cannot leave a `Vec` of whole
+    /// states half-updated, so a poisoned lock is safe to enter.
+    fn parked(&self) -> MutexGuard<'_, Vec<WorkState>> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Pops a parked state, or allocates one shaped like `prepared`'s.
-    fn acquire(&self, prepared: &Prepared) -> Box<ScratchNode> {
-        // ORDERING: Acquire pairs with the Release CAS in `push_chain`,
-        // making parked nodes' contents visible before the deref below.
-        let chain = self.head.swap(std::ptr::null_mut(), Ordering::Acquire);
-        if chain.is_null() {
-            return Box::new(ScratchNode {
-                state: WorkState::new(prepared),
-                next: AtomicPtr::new(std::ptr::null_mut()),
-            });
-        }
-        // SAFETY: `chain` was published by a `release`/`push_chain` and we
-        // now own the entire detached list exclusively. Links are still
-        // touched atomically (not `get_mut`): a concurrent `len` traversal
-        // holding a stale head pointer may load them at any time.
-        let node = unsafe { Box::from_raw(chain) };
-        let rest = node.next.swap(std::ptr::null_mut(), Ordering::Relaxed);
-        self.parked.fetch_sub(1, Ordering::Relaxed);
-        if !rest.is_null() {
-            self.push_chain(rest);
-        }
-        node
+    fn acquire(&self, prepared: &Prepared) -> WorkState {
+        let parked = self.parked().pop();
+        parked.unwrap_or_else(|| WorkState::new(prepared))
     }
 
-    /// Parks a state for reuse — or frees it when the pool already holds
-    /// `max_parked` states, so racing acquires (which may over-allocate:
-    /// see [`ScratchPool::acquire`]) cannot grow retention without bound.
-    fn release(&self, node: Box<ScratchNode>) {
-        if self.parked.load(Ordering::Relaxed) >= self.max_parked {
-            return; // drop the box, freeing the state
-        }
-        node.next.store(std::ptr::null_mut(), Ordering::Relaxed);
-        self.parked.fetch_add(1, Ordering::Relaxed);
-        self.push_chain(Box::into_raw(node));
-    }
-
-    /// Attaches an exclusively-owned chain (ending in null) to the head.
-    fn push_chain(&self, chain: *mut ScratchNode) {
-        // Find the chain's tail; the chain is ours alone, so walking it
-        // races with nothing (the atomic loads keep a concurrent `len`
-        // traversal race-free).
-        let mut tail = chain;
-        // SAFETY: every node on the detached chain is exclusively owned.
-        unsafe {
-            loop {
-                let next = (*tail).next.load(Ordering::Relaxed);
-                if next.is_null() {
-                    break;
-                }
-                tail = next;
-            }
-        }
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `tail` is still exclusively owned until the CAS
-            // below publishes the chain.
-            unsafe { (*tail).next.store(head, Ordering::Relaxed) };
-            match self
-                .head
-                // ORDERING: Release publishes the chain's nodes to the
-                // Acquire swap in `acquire`; failed CAS just retries.
-                .compare_exchange_weak(head, chain, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(current) => head = current,
-            }
-        }
-    }
-
-    /// Number of parked states (diagnostics only — concurrent push/pop
-    /// can make the count momentarily stale, exact when quiescent). Reads
-    /// the counter rather than walking the chain: a traversal could
-    /// dereference a node that `release` freed at the retention bound.
-    fn len(&self) -> usize {
-        self.parked.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for ScratchPool {
-    fn drop(&mut self) {
-        let mut node = *self.head.get_mut();
-        while !node.is_null() {
-            // SAFETY: `&mut self` means no sessions remain (they borrow
-            // the solver); every parked node is ours to free.
-            let mut boxed = unsafe { Box::from_raw(node) };
-            node = *boxed.next.get_mut();
+    /// Parks a state for reuse, or frees it (after the lock is released)
+    /// when `max_parked` states are already parked.
+    fn release(&self, state: WorkState) {
+        let mut parked = self.parked();
+        if parked.len() < self.max_parked {
+            parked.push(state);
         }
     }
 }
@@ -1089,5 +895,40 @@ mod tests {
             }
         });
         assert!(solver.pooled_states() <= 6, "pool bounded by concurrency");
+    }
+
+    #[test]
+    fn pool_frees_states_beyond_its_retention_bound() {
+        let solver = Solver::new(&datasets::sprinkler());
+        let bound = solver.scratch.max_parked;
+        let sessions: Vec<_> = (0..bound + 3).map(|_| solver.session()).collect();
+        assert_eq!(solver.pooled_states(), 0, "every state checked out");
+        drop(sessions);
+        assert_eq!(solver.pooled_states(), bound, "the last 3 were freed");
+    }
+
+    #[test]
+    fn wide_batches_draw_no_fresh_scratch_on_a_warm_pool() {
+        let net = datasets::asia();
+        let solver = Solver::builder(&net)
+            .engine(EngineKind::Hybrid)
+            .threads(2)
+            .build();
+        // Warm: park one state per pool member plus the batch session's.
+        drop(
+            (0..=solver.threads())
+                .map(|_| solver.session())
+                .collect::<Vec<_>>(),
+        );
+        let dysp = net.var_id("Dyspnea").unwrap();
+        let batch: QueryBatch = (0..16).map(|i| Query::new().observe(dysp, i % 2)).collect();
+        let mut session = solver.session();
+        assert!(solver.outer_pool_for(batch.len()).is_some(), "wide batch");
+        let first = session.run_batch(&batch);
+        let parked = solver.pooled_states();
+        assert_eq!(parked, solver.threads(), "every chunk state came back");
+        let second = session.run_batch(&batch);
+        assert_eq!(solver.pooled_states(), parked, "no fresh state drawn");
+        assert_eq!(first, second);
     }
 }

@@ -162,9 +162,9 @@ pub use fastbn_bayesnet::{BayesianNetwork, Evidence, NetworkBuilder, VarId, Vari
 pub use fastbn_inference::trace::TraceContext;
 pub use fastbn_inference::{
     make_engine, CacheConfig, CacheStats, EngineKind, EvidenceDelta, InferenceEngine,
-    InferenceError, LikelihoodDefect, LiveSession, MpeResult, OwnedSession, Posteriors, Prepared,
-    Query, QueryBatch, QueryCache, QueryKey, QueryMode, QueryResult, Session, SessionCore, Solver,
-    SolverBuilder, VirtualEvidence, WorkState,
+    InferenceError, LikelihoodDefect, LiveSession, MpeResult, Posteriors, Prepared, Query,
+    QueryBatch, QueryCache, QueryKey, QueryMode, QueryResult, Session, Solver, SolverBuilder,
+    VirtualEvidence, WorkState,
 };
 pub use fastbn_jtree::JtreeOptions;
 pub use fastbn_parallel::{Schedule, ThreadPool};

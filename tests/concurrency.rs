@@ -5,7 +5,10 @@
 use std::sync::Arc;
 
 use fastbn::bayesnet::{datasets, generators, sampler};
-use fastbn::{EngineKind, Evidence, Posteriors, Prepared, Query, Solver};
+use fastbn::{
+    EngineKind, Evidence, InferenceError, Posteriors, Prepared, Query, QueryBatch, QueryResult,
+    Solver,
+};
 
 const QUERY_THREADS: usize = 8;
 const ROUNDS: usize = 10;
@@ -156,4 +159,80 @@ fn mixed_query_kinds_interleave_concurrently() {
             });
         }
     });
+}
+
+/// A mixed query set over Asia: sampled-evidence marginals, a targeted
+/// query, virtual evidence, MPE, and two failing requests (impossible
+/// evidence; malformed likelihood).
+fn mixed_queries(net: &fastbn::BayesianNetwork) -> Vec<Query> {
+    let dysp = net.var_id("Dyspnea").unwrap();
+    let lung = net.var_id("LungCancer").unwrap();
+    let xray = net.var_id("XRay").unwrap();
+    let tub = net.var_id("Tuberculosis").unwrap();
+    let either = net.var_id("TbOrCa").unwrap();
+    let mut queries: Vec<Query> = sampler::generate_cases(net, 12, 0.25, 11)
+        .into_iter()
+        .map(|c| Query::new().evidence(c.evidence))
+        .collect();
+    queries.push(Query::new().observe(dysp, 0).targets([lung, tub]));
+    queries.push(Query::new().likelihood(xray, vec![0.8, 0.2]));
+    queries.push(Query::new().observe(dysp, 0).mpe());
+    queries.push(Query::new().observe(tub, 0).observe(either, 1)); // P(e) = 0
+    queries.push(Query::new().likelihood(xray, vec![0.0, 0.0])); // malformed
+    queries
+}
+
+fn assert_identical(
+    a: &[Result<QueryResult, InferenceError>],
+    b: &[Result<QueryResult, InferenceError>],
+    label: &str,
+) {
+    assert_eq!(a.len(), b.len(), "{label}: length mismatch");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x, y, "{label}: slot {i} differs");
+        if let (Ok(QueryResult::Marginals(p)), Ok(QueryResult::Marginals(q))) = (x, y) {
+            assert_eq!(p.max_abs_diff(q), 0.0, "{label}: slot {i} not bitwise");
+            assert_eq!(p.prob_evidence.to_bits(), q.prob_evidence.to_bits());
+        }
+    }
+}
+
+#[test]
+fn session_on_a_spawned_thread_matches_this_thread_for_every_engine() {
+    // A detached thread shares the model through an `Arc<Solver>` and
+    // opens its own session inside the closure.
+    let net = datasets::asia();
+    let prepared = Arc::new(Prepared::new(&net, &Default::default()));
+    let queries = mixed_queries(&net);
+    for kind in EngineKind::all() {
+        let solver = Arc::new(
+            Solver::from_prepared(prepared.clone())
+                .engine(kind)
+                .threads(2)
+                .build(),
+        );
+        // Oracle: a session on this thread, one query at a time.
+        let mut session = solver.session();
+        let expected: Vec<_> = queries.iter().map(|q| session.run(q)).collect();
+        drop(session);
+        let shared = Arc::clone(&solver);
+        let thread_queries = queries.clone();
+        let got = std::thread::spawn(move || {
+            let mut session = shared.session();
+            thread_queries
+                .iter()
+                .map(|q| session.run(q))
+                .collect::<Vec<_>>()
+        })
+        .join()
+        .expect("spawned session thread panicked");
+        assert_identical(&expected, &got, &format!("{kind:?} run"));
+        // And the batch entry point, also from a spawned thread.
+        let batch = QueryBatch::from(queries.clone());
+        let shared = Arc::clone(&solver);
+        let got_batch = std::thread::spawn(move || shared.session().run_batch(&batch))
+            .join()
+            .expect("spawned batch thread panicked");
+        assert_identical(&expected, &got_batch, &format!("{kind:?} run_batch"));
+    }
 }

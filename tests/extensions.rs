@@ -123,3 +123,24 @@ fn joint_posterior_rejects_invalid_evidence_before_clique_lookup() {
         InferenceError::InvalidEvidence(EvidenceError::UnknownVariable(VarId(99)))
     );
 }
+
+#[test]
+fn joint_posterior_rejects_unknown_variables_as_invalid_targets() {
+    use fastbn::InferenceError;
+    let net = datasets::asia();
+    let solver = Solver::new(&net);
+    let mut session = solver.session();
+    let a = net.var_id("VisitAsia").unwrap();
+    // No clique holds VarId(99), but that is not why there is no joint:
+    // the variable is not in the network, as `Query::targets` reports.
+    let expected = InferenceError::InvalidTarget {
+        var: 99,
+        num_vars: net.num_vars(),
+    };
+    let err = session
+        .joint_posterior(&Evidence::empty(), &[a, VarId(99)])
+        .unwrap_err();
+    assert_eq!(err, expected);
+    let via_targets = session.run(&Query::new().targets([VarId(99)])).unwrap_err();
+    assert_eq!(via_targets, expected);
+}
