@@ -75,7 +75,6 @@
 // crates/analyze); everything here must stay checkable by construction.
 #![forbid(unsafe_code)]
 
-mod oneshot;
 mod registry;
 mod routed;
 mod server;

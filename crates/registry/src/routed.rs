@@ -10,8 +10,8 @@
 //!    [`RoutedServer::try_submit`] (fail-fast) resolves the **model
 //!    id** against the registry — an unknown id is a typed
 //!    [`SubmitErrorKind::UnknownModel`] with the query handed back —
-//!    then places the query, the resolved `Arc<Solver>`, and a oneshot
-//!    reply slot on the bounded queue, returning a [`Pending`] handle.
+//!    then places the query, the resolved `Arc<Solver>`, and a reply
+//!    on the bounded queue, returning a [`Pending`] handle.
 //!    Resolving at submit time is what makes hot unload safe: the
 //!    request co-owns its model from acceptance to delivery.
 //! 2. A worker pops the first waiting request, then keeps collecting
@@ -29,9 +29,10 @@
 //!    group* (equal keys on one solver imply bit-identical results, so
 //!    one computation fans out to every waiter); models never share
 //!    computations.
-//! 4. Each result is delivered through its request's oneshot. Dropping
-//!    a [`Pending`] cancels; shutdown drains accepted requests and
-//!    joins the workers.
+//! 4. Each result is delivered through its request's reply, a one-item
+//!    [`Queue`] the worker and the [`Pending`] handle share. Dropping a
+//!    [`Pending`] cancels; shutdown drains accepted requests and joins
+//!    the workers.
 //!
 //! Global traffic counters keep the single-model
 //! [`ServerStats`] contract; [`RoutedServer::model_stats`] adds the
@@ -51,18 +52,17 @@ use fastbn_telemetry::trace::{
 };
 use fastbn_telemetry::{Histogram, MetricsRegistry, MetricsSnapshot};
 
-use crate::oneshot::{saturating_deadline, slot, SlotReceiver, SlotSender, WaitError};
 use crate::registry::Registry;
 use crate::stats::{Counters, ModelCounters, ModelStats, ServerStats};
 
 /// One queued request: the query, the model it was routed to (id,
-/// resolved solver, per-model counters), the oneshot that delivers
-/// its result, and its acceptance timestamp.
+/// resolved solver, per-model counters), the worker's end of its reply,
+/// and its acceptance timestamp.
 struct Request {
     solver: Arc<Solver>,
     model: Arc<ModelTrack>,
     query: Query,
-    reply: SlotSender<Result<QueryResult, InferenceError>>,
+    reply: ReplyEnd,
     submitted_at: Instant,
     /// Tracing identity, present iff the server has a
     /// [`Tracer`] installed ([`RoutedServerBuilder::tracer`]).
@@ -100,7 +100,7 @@ struct ModelTrack {
 /// submit ──admission──▶ queued ──queue_wait──▶ popped ─┐
 ///   window (first pop → dispatch) ◀──────────────────────┘
 ///   compute (one QueryBatch per model group)
-///   delivery (oneshot sends)          total = submit → delivered
+///   delivery (reply pushes)           total = submit → delivered
 /// ```
 ///
 /// All values are nanoseconds except `serve.batch.size` (requests per
@@ -273,28 +273,92 @@ impl std::error::Error for SubmitError {}
 /// drop it to cancel the request (workers skip cancelled requests that
 /// have not started and discard results that finish after the drop).
 #[must_use = "dropping a Pending handle cancels the request"]
-pub struct Pending {
-    rx: SlotReceiver<Result<QueryResult, InferenceError>>,
-}
+pub struct Pending(ReplyEnd);
 
 impl Pending {
     /// Blocks until the result arrives (or the server goes away).
     pub fn wait(self) -> Result<QueryResult, ServeError> {
-        match self.rx.wait() {
-            Ok(result) => result.map_err(ServeError::from),
-            Err(WaitError::Abandoned) => Err(ServeError::Abandoned),
-        }
+        received(self.0.release().pop())
     }
 
     /// Waits up to `timeout`; on expiry the handle is returned so the
     /// caller can keep waiting — or drop it, which cancels the request.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Result<QueryResult, ServeError>, Self> {
-        match self.rx.wait_timeout(timeout) {
-            Ok(Ok(result)) => Ok(result.map_err(ServeError::from)),
-            Ok(Err(WaitError::Abandoned)) => Ok(Err(ServeError::Abandoned)),
-            Err(rx) => Err(Pending { rx }),
+        let queue = self.0.release();
+        match queue.pop_until(saturating_deadline(timeout)) {
+            Some(reply) => Ok(received(Some(reply))),
+            // Closed is final: the one value, if it was sent, is queued
+            // now, and only `try_pop` can tell it from abandonment.
+            None if queue.is_closed() => Ok(received(queue.try_pop())),
+            None => Err(Pending(ReplyEnd(Some(queue)))),
         }
     }
+}
+
+/// What a client receives: the result, or `None` once the worker's end
+/// closed the reply unsent.
+fn received(reply: Option<Reply>) -> Result<QueryResult, ServeError> {
+    reply.map_or(Err(ServeError::Abandoned), |r| r.map_err(ServeError::from))
+}
+
+/// The one item a request's reply carries.
+type Reply = Result<QueryResult, InferenceError>;
+
+/// One end of a request's reply: a [`Queue`] with room for its one
+/// result, shared by the worker and the client's [`Pending`]. Dropping
+/// an end that still holds the queue closes it — an unsent worker end
+/// abandons the request, an unreceived `Pending` cancels it. Sending and
+/// receiving release their end first, so a delivered reply costs one
+/// push and one pop, and no close.
+struct ReplyEnd(Option<Arc<Queue<Reply>>>);
+
+/// A fresh reply: the worker's end and the client's handle.
+fn reply() -> (ReplyEnd, Pending) {
+    let queue = Arc::new(Queue::with_room(1));
+    (
+        ReplyEnd(Some(Arc::clone(&queue))),
+        Pending(ReplyEnd(Some(queue))),
+    )
+}
+
+impl ReplyEnd {
+    /// Takes the queue out, so dropping this end no longer closes it.
+    fn release(mut self) -> Arc<Queue<Reply>> {
+        self.0.take().expect("a reply end is released once")
+    }
+
+    /// Delivers the result; hands it back if the client dropped its
+    /// [`Pending`] first (the request was cancelled). The push and that
+    /// close take the queue's lock, so they cannot interleave.
+    fn send(self, reply: Reply) -> Result<(), Reply> {
+        self.release()
+            .try_push(reply)
+            .map_err(|(TryPushError::Full(r) | TryPushError::Closed(r))| r)
+    }
+
+    /// True once the client has dropped its [`Pending`] — computing the
+    /// result is wasted work.
+    fn is_cancelled(&self) -> bool {
+        self.0.as_ref().is_none_or(|queue| queue.is_closed())
+    }
+}
+
+impl Drop for ReplyEnd {
+    fn drop(&mut self) {
+        if let Some(queue) = &self.0 {
+            queue.close();
+        }
+    }
+}
+
+/// `Instant::now() + timeout` without the panic on absurd durations
+/// (`Duration::MAX` legitimately means "wait forever"): saturates to a
+/// deadline ~30 years out, far beyond any process lifetime.
+fn saturating_deadline(timeout: Duration) -> Instant {
+    let now = Instant::now();
+    now.checked_add(timeout)
+        .or_else(|| now.checked_add(Duration::from_secs(60 * 60 * 24 * 365 * 30)))
+        .unwrap_or(now)
 }
 
 impl std::fmt::Debug for Pending {
@@ -489,14 +553,14 @@ impl RoutedServer {
     /// either way.
     pub fn submit(&self, model: &str, query: Query) -> Result<Pending, SubmitError> {
         let start = Instant::now();
-        let (request, rx) = self.admit(model, query, start)?;
+        let (request, pending) = self.admit(model, query, start)?;
         match self.queue.push(request) {
             Ok(()) => {
                 self.telemetry
                     .stages
                     .admission_ns
                     .record_duration(start.elapsed());
-                Ok(Pending { rx })
+                Ok(pending)
             }
             Err(request) => Err(self.retract(request, SubmitErrorKind::ShutDown)),
         }
@@ -507,14 +571,14 @@ impl RoutedServer {
     /// of waiting.
     pub fn try_submit(&self, model: &str, query: Query) -> Result<Pending, SubmitError> {
         let start = Instant::now();
-        let (request, rx) = self.admit(model, query, start)?;
+        let (request, pending) = self.admit(model, query, start)?;
         match self.queue.try_push(request) {
             Ok(()) => {
                 self.telemetry
                     .stages
                     .admission_ns
                     .record_duration(start.elapsed());
-                Ok(Pending { rx })
+                Ok(pending)
             }
             Err(TryPushError::Full(request)) => {
                 self.telemetry.counters.rejected.inc();
@@ -537,7 +601,7 @@ impl RoutedServer {
         model: &str,
         query: Query,
         submitted_at: Instant,
-    ) -> Result<(Request, SlotReceiver<Result<QueryResult, InferenceError>>), SubmitError> {
+    ) -> Result<(Request, Pending), SubmitError> {
         let Some(solver) = self.registry.get(model) else {
             return Err(SubmitError::new(
                 query,
@@ -549,7 +613,7 @@ impl RoutedServer {
         self.telemetry.counters.submitted.inc_seq();
         track.counters.submitted.inc_seq();
         let trace = self.telemetry.begin_request();
-        let (reply, rx) = slot();
+        let (reply, pending) = reply();
         let request = Request {
             solver,
             model: track,
@@ -558,7 +622,7 @@ impl RoutedServer {
             submitted_at,
             trace,
         };
-        Ok((request, rx))
+        Ok((request, pending))
     }
 
     /// Undoes a pre-counted submission whose push failed, recovering
@@ -832,15 +896,11 @@ fn dispatch_window(window: &mut Vec<Request>, telemetry: &ServerTelemetry) {
     let mut by_solver: HashMap<(*const ModelTrack, *const Solver), usize> = HashMap::new();
     for request in window.drain(..) {
         let key = (Arc::as_ptr(&request.model), Arc::as_ptr(&request.solver));
-        match by_solver.entry(key) {
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                groups[*slot.get()].push(request);
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(groups.len());
-                groups.push(vec![request]);
-            }
+        let group = *by_solver.entry(key).or_insert(groups.len());
+        if group == groups.len() {
+            groups.push(Vec::new());
         }
+        groups[group].push(request);
     }
     for group in groups {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -855,13 +915,9 @@ fn dispatch_window(window: &mut Vec<Request>, telemetry: &ServerTelemetry) {
     }
 }
 
-/// One undelivered reply: the oneshot plus the request's acceptance
-/// time (so delivery can record the end-to-end span).
-type Waiter = (
-    SlotSender<Result<QueryResult, InferenceError>>,
-    Instant,
-    Option<ReqTrace>,
-);
+/// One undelivered reply: the worker's end plus the request's
+/// acceptance time (so delivery can record the end-to-end span).
+type Waiter = (ReplyEnd, Instant, Option<ReqTrace>);
 
 /// Group-level context delivery passes to the slow-query log: the
 /// batch the request rode in and that batch's compute time, on the
@@ -889,18 +945,15 @@ fn dispatch_group(group: Vec<Request>, telemetry: &ServerTelemetry) {
     let mut seen: HashMap<QueryKey, usize> = HashMap::new();
     for request in group {
         let waiter = (request.reply, request.submitted_at, request.trace);
-        match seen.entry(request.query.key()) {
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                telemetry.counters.dedups.inc();
-                model.counters.dedups.inc();
-                waiters[*slot.get()].push(waiter);
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(queries.len());
-                queries.push(request.query);
-                waiters.push(vec![waiter]);
-            }
+        let slot = *seen.entry(request.query.key()).or_insert(queries.len());
+        if slot == queries.len() {
+            queries.push(request.query);
+            waiters.push(Vec::new());
+        } else {
+            telemetry.counters.dedups.inc();
+            model.counters.dedups.inc();
         }
+        waiters[slot].push(waiter);
     }
     let batch = QueryBatch::from(queries);
     // Per-slot engine trace contexts: the slot's first sampled waiter
@@ -985,7 +1038,7 @@ fn dispatch_group(group: Vec<Request>, telemetry: &ServerTelemetry) {
         .record_duration(delivery_start.elapsed());
 }
 
-/// Sends one result through its oneshot, counting the outcome globally
+/// Sends one result through its reply, counting the outcome globally
 /// and against the request's model; a delivered result also records
 /// the request's end-to-end latency. With a tracer, a delivered
 /// request closes out its trace: a delivery span and the root request
@@ -1064,5 +1117,100 @@ fn deliver(
             sampled: rt.sampled,
             at_ns: end,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A value a reply can carry without building a model.
+    fn value() -> Reply {
+        Err(InferenceError::ImpossibleEvidence)
+    }
+
+    fn delivered() -> Result<QueryResult, ServeError> {
+        Err(ServeError::Inference(InferenceError::ImpossibleEvidence))
+    }
+
+    #[test]
+    fn reply_delivers_one_value() {
+        let (tx, pending) = reply();
+        tx.send(value()).unwrap();
+        assert_eq!(pending.wait(), delivered());
+    }
+
+    #[test]
+    fn reply_crosses_threads() {
+        let (tx, pending) = reply();
+        let h = std::thread::spawn(move || pending.wait());
+        std::thread::sleep(Duration::from_millis(5));
+        tx.send(value()).unwrap();
+        assert_eq!(h.join().unwrap(), delivered());
+    }
+
+    #[test]
+    fn dropped_pending_cancels() {
+        let (tx, pending) = reply();
+        assert!(!tx.is_cancelled());
+        drop(pending);
+        assert!(tx.is_cancelled());
+        assert_eq!(tx.send(value()), Err(value()), "value handed back");
+    }
+
+    #[test]
+    fn unsent_reply_abandons() {
+        let (tx, pending) = reply();
+        drop(tx);
+        assert_eq!(pending.wait(), Err(ServeError::Abandoned));
+    }
+
+    #[test]
+    fn wait_timeout_hands_pending_back_then_delivers() {
+        let (tx, pending) = reply();
+        let Err(pending) = pending.wait_timeout(Duration::from_millis(10)) else {
+            panic!("nothing sent yet, wait must time out");
+        };
+        tx.send(value()).unwrap();
+        let Ok(outcome) = pending.wait_timeout(Duration::from_secs(5)) else {
+            panic!("value was sent, wait must not time out");
+        };
+        assert_eq!(outcome, delivered());
+    }
+
+    #[test]
+    fn wait_timeout_observes_abandonment() {
+        let (tx, pending) = reply();
+        let h = std::thread::spawn(move || match pending.wait_timeout(Duration::from_secs(5)) {
+            Ok(outcome) => outcome,
+            Err(_) => panic!("abandonment must surface before the timeout"),
+        });
+        std::thread::sleep(Duration::from_millis(5));
+        drop(tx);
+        assert_eq!(h.join().unwrap(), Err(ServeError::Abandoned));
+    }
+
+    #[test]
+    fn a_value_sent_as_wait_timeout_expires_is_never_abandoned() {
+        // The sender pushes and drops while the client's short waits keep
+        // expiring: every round must end with the value.
+        for round in 0..3000u32 {
+            let (tx, mut pending) = reply();
+            let outcome = std::thread::scope(|s| {
+                s.spawn(move || {
+                    if round % 2 == 0 {
+                        std::thread::yield_now();
+                    }
+                    tx.send(value()).unwrap();
+                });
+                loop {
+                    match pending.wait_timeout(Duration::from_micros(u64::from(round % 4))) {
+                        Ok(outcome) => break outcome,
+                        Err(again) => pending = again,
+                    }
+                }
+            });
+            assert_eq!(outcome, delivered(), "round {round}");
+        }
     }
 }

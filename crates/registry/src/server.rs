@@ -3,7 +3,7 @@
 //!
 //! Same machinery as the routed server — bounded queue with
 //! backpressure, deadline micro-batching into
-//! [`Solver::query_batch`], in-window dedup, per-request oneshot
+//! [`Solver::query_batch`], in-window dedup, per-request reply
 //! delivery, cancel-on-drop and drain-then-join shutdown — with the
 //! model id pinned, so `submit` takes just a query. Counters, metrics
 //! and the tracer are read through [`Server::routed`]. Serving several

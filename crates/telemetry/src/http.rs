@@ -35,11 +35,14 @@ use crate::trace::Tracer;
 /// closure, so servers can refresh gauges on the way out.
 pub type SnapshotFn = Arc<dyn Fn() -> MetricsSnapshot + Send + Sync>;
 
-/// Builder for [`Introspection`].
+/// How many traces `/traces/recent` returns.
+const RECENT_TRACES: usize = 32;
+
+/// Builder for [`Introspection`]; its sources become the running
+/// endpoint's routes.
 pub struct IntrospectionBuilder {
     metrics: Option<SnapshotFn>,
     tracer: Option<Arc<Tracer>>,
-    recent_limit: usize,
 }
 
 impl IntrospectionBuilder {
@@ -56,27 +59,16 @@ impl IntrospectionBuilder {
         self
     }
 
-    /// Caps how many traces `/traces/recent` returns (default 32).
-    pub fn recent_limit(mut self, limit: usize) -> Self {
-        self.recent_limit = limit;
-        self
-    }
-
     /// Binds (use port 0 for an OS-assigned port — read it back from
     /// [`Introspection::addr`]) and spawns the accept loop.
     pub fn bind(self, addr: impl ToSocketAddrs) -> std::io::Result<Introspection> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let routes = Routes {
-            metrics: self.metrics,
-            tracer: self.tracer,
-            recent_limit: self.recent_limit,
-        };
         let flag = Arc::clone(&shutdown);
         let handle = std::thread::Builder::new()
             .name("fastbn-introspect".to_string())
-            .spawn(move || accept_loop(listener, &routes, &flag))?;
+            .spawn(move || accept_loop(listener, &self, &flag))?;
         Ok(Introspection {
             addr,
             shutdown,
@@ -98,7 +90,6 @@ impl Introspection {
         IntrospectionBuilder {
             metrics: None,
             tracer: None,
-            recent_limit: 32,
         }
     }
 
@@ -137,13 +128,7 @@ impl std::fmt::Debug for Introspection {
     }
 }
 
-struct Routes {
-    metrics: Option<SnapshotFn>,
-    tracer: Option<Arc<Tracer>>,
-    recent_limit: usize,
-}
-
-fn accept_loop(listener: TcpListener, routes: &Routes, shutdown: &AtomicBool) {
+fn accept_loop(listener: TcpListener, routes: &IntrospectionBuilder, shutdown: &AtomicBool) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
             // ORDERING: pairs with the SeqCst store in `shutdown` — the
@@ -168,7 +153,7 @@ fn accept_loop(listener: TcpListener, routes: &Routes, shutdown: &AtomicBool) {
     }
 }
 
-fn serve_connection(mut stream: TcpStream, routes: &Routes) -> std::io::Result<()> {
+fn serve_connection(mut stream: TcpStream, routes: &IntrospectionBuilder) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let Some(path) = read_request_path(&mut stream)? else {
@@ -196,7 +181,7 @@ fn serve_connection(mut stream: TcpStream, routes: &Routes) -> std::io::Result<(
         },
         "/traces/recent" => {
             let doc = match &routes.tracer {
-                Some(tracer) => tracer.traces_json(routes.recent_limit),
+                Some(tracer) => tracer.traces_json(RECENT_TRACES),
                 None => Json::obj().set("traces", Json::Arr(Vec::new())),
             };
             respond(&mut stream, 200, "application/json", &doc.to_pretty())

@@ -7,11 +7,15 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Free on the record path.** Recording is a few relaxed atomics —
-//!    no locks, no allocation, no floating point. The latency
+//! 1. **Free on the record path.** Recording a metric is a few relaxed
+//!    atomics — no locks, no allocation, no floating point. The latency
 //!    [`Histogram`] uses fixed log buckets (≤ 12.5% quantile error,
 //!    saturating overflow bucket) so `p50/p90/p99/max` come out of a
-//!    plain array copy.
+//!    plain array copy. Recording a span is one short lock on the
+//!    [`Tracer`]'s ring, which is allocated with the tracer — no
+//!    allocation, and no ordering protocol of this crate's own: outside
+//!    the `SeqCst` counter tier, nothing here is stronger than
+//!    `Relaxed`.
 //! 2. **Dependency-free.** This crate sits *below* everything —
 //!    even `fastbn-parallel` instruments its pool with it — and uses
 //!    nothing but `std` (not even the vendored shims).

@@ -6,8 +6,13 @@
 //! series (the torn-read-safe `sum`/`count` snapshot fields make both
 //! exact at quiescence). Dotted fastbn metric names (`serve.submitted`)
 //! become Prometheus-legal underscored ones (`serve_submitted`);
-//! everything stays name-sorted because the snapshot maps are.
+//! everything stays name-sorted because the snapshot maps are. Two
+//! names that sanitize alike (`alarm-v2`, `alarm_v2`) would print one
+//! family twice, and a scraper rejects the whole exposition for it: the
+//! first keeps the name, and each later one, in the snapshot's order,
+//! takes the first free suffix `_2`, `_3`, ….
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::registry::MetricsSnapshot;
@@ -34,18 +39,33 @@ fn sanitize(name: &str) -> String {
 /// Renders a snapshot as Prometheus text exposition (version 0.0.4).
 pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(4096);
-    for (name, value) in &snap.counters {
-        let name = sanitize(name);
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
-    }
-    for (name, value) in &snap.gauges {
-        let name = sanitize(name);
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {value}");
+    let sanitized: HashSet<String> = snap
+        .counters
+        .keys()
+        .chain(snap.gauges.keys())
+        .chain(snap.histograms.keys())
+        .map(|n| sanitize(n))
+        .collect();
+    // A name taken already gets the first suffix no metric sanitizes to.
+    let mut printed = HashSet::new();
+    let mut family = |name: &str| {
+        let base = sanitize(name);
+        if printed.insert(base.clone()) {
+            return base;
+        }
+        (2..)
+            .map(|i| format!("{base}_{i}"))
+            .find(|n| !sanitized.contains(n) && printed.insert(n.clone()))
+            .unwrap_or(base)
+    };
+    let counters = snap.counters.iter().map(|(n, v)| (n, v, "counter"));
+    let gauges = snap.gauges.iter().map(|(n, v)| (n, v, "gauge"));
+    for (name, value, kind) in counters.chain(gauges) {
+        let name = family(name);
+        let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
     }
     for (name, h) in &snap.histograms {
-        let name = sanitize(name);
+        let name = family(name);
         let _ = writeln!(out, "# TYPE {name} summary");
         for (q, v) in [(0.5, h.p50()), (0.9, h.p90()), (0.99, h.p99())] {
             let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {v}");
@@ -105,5 +125,44 @@ mod tests {
                 "malformed exposition line: {line:?}"
             );
         }
+    }
+
+    #[test]
+    fn names_that_sanitize_alike_get_unique_families() {
+        let registry = MetricsRegistry::new();
+        registry.counter("serve.model.alarm-v2.completed").add(1);
+        registry.counter("serve.model.alarm_v2.completed").add(2);
+        registry.counter("serve.model.alarm_v2.completed_2").add(3);
+        registry.set_gauge("serve.model.alarm.v2.completed", 4);
+        registry
+            .histogram("serve.model.alarm v2.completed")
+            .record(5);
+        let text = prometheus_text(&registry.snapshot());
+        let mut families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        assert_eq!(
+            families,
+            [
+                "serve_model_alarm_v2_completed counter",
+                "serve_model_alarm_v2_completed_3 counter",
+                // A name nothing collides with keeps it.
+                "serve_model_alarm_v2_completed_2 counter",
+                "serve_model_alarm_v2_completed_4 gauge",
+                "serve_model_alarm_v2_completed_5 summary",
+            ]
+        );
+        for sample in [
+            "completed 1",
+            "completed_3 2",
+            "completed_2 3",
+            "completed_4 4",
+        ] {
+            assert!(text.contains(&format!("serve_model_alarm_v2_{sample}\n")));
+        }
+        families.sort_unstable();
+        families.dedup();
+        assert_eq!(families.len(), 5, "every # TYPE name is unique");
     }
 }
